@@ -17,6 +17,11 @@
       dune exec bench/main.exe -- --sched ucb      # UCB seed/operator scheduling
       dune exec bench/main.exe -- --bench-out b.json  # BENCH artifact path
 
+    An unknown flag, a flag given twice, a missing value or a malformed
+    value (--scale fulll, --jobs abc, --jobs -3) exits 2 with a message
+    naming the flag. Timed, per-layer measurements of generation and
+    fuzzing live in perfbench/ (see perfbench/README.md).
+
     Tables on stdout are byte-identical for any --jobs value, with or
     without --faults (fault handling is scoped per module), and for
     either campaign engine (--interpreted vs the default compiled one).
@@ -100,35 +105,60 @@ let micro_benchmarks () =
   print_endline "\nMicro-benchmarks (Bechamel, monotonic clock):";
   List.iter (fun t -> benchmark (Bechamel.Test.make_grouped ~name:"kernelgpt" [ t ])) tests
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let value_of flag =
-    let rec go = function
-      | a :: b :: _ when a = flag -> Some b
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
+(* Strict flags: an unknown flag, a flag given twice, a missing value or
+   a malformed value exits 2 with a message naming the flag. *)
+let value_flags =
+  [
+    "--exp"; "--scale"; "--jobs"; "--trace"; "--faults"; "--query-budget"; "--exec-faults";
+    "--pool-faults"; "--oracle-cache"; "--sched"; "--bench-out";
+  ]
+
+let switch_flags = [ "--metrics"; "--oracle-cache-readonly"; "--interpreted"; "--micro" ]
+
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+let parse_flags (args : string list) : (string * string) list * string list =
+  let rec go values switches = function
+    | [] -> (values, switches)
+    | flag :: _ when List.mem_assoc flag values || List.mem flag switches ->
+        usage_error "%s: given twice" flag
+    | flag :: rest when List.mem flag switch_flags -> go values (flag :: switches) rest
+    | flag :: rest when List.mem flag value_flags -> (
+        match rest with
+        | v :: rest when not (String.starts_with ~prefix:"--" v) ->
+            go ((flag, v) :: values) switches rest
+        | _ -> usage_error "%s: missing value" flag)
+    | arg :: _ -> usage_error "%s: unknown argument" arg
   in
+  go [] [] args
+
+(* [source] names where the value came from: a flag or an env var *)
+let scale_of ~source = function
+  | "quick" -> Report.Runner.Quick
+  | "full" -> Report.Runner.Full
+  | v -> usage_error "%s %s: expected quick or full" source v
+
+let jobs_of ~source v =
+  match int_of_string_opt v with
+  | Some j when String.for_all (function '0' .. '9' -> true | _ -> false) v ->
+      if j = 0 then Kernelgpt.Pool.cpu_count () (* one worker per core *) else j
+  | _ -> usage_error "%s %s: expected a non-negative integer (0 = one worker per core)" source v
+
+let () =
+  let values, switches = parse_flags (List.tl (Array.to_list Sys.argv)) in
+  let has flag = List.mem flag switches in
+  let value_of flag = List.assoc_opt flag values in
   let scale =
-    match value_of "--scale" with
-    | Some "full" -> Report.Runner.Full
-    | _ -> (
-        match Sys.getenv_opt "KGPT_SCALE" with
-        | Some "full" -> Report.Runner.Full
-        | _ -> Report.Runner.Quick)
+    match (value_of "--scale", Sys.getenv_opt "KGPT_SCALE") with
+    | Some v, _ -> scale_of ~source:"--scale" v
+    | None, Some v -> scale_of ~source:"KGPT_SCALE" v
+    | None, None -> Report.Runner.Quick
   in
   let jobs =
-    let raw =
-      match value_of "--jobs" with
-      | Some j -> int_of_string_opt j
-      | None -> Option.bind (Sys.getenv_opt "KGPT_JOBS") int_of_string_opt
-    in
-    match raw with
-    | Some j when j > 0 -> j
-    | Some _ -> Kernelgpt.Pool.cpu_count ()  (* --jobs 0: one worker per core *)
-    | None -> 1
+    match (value_of "--jobs", Sys.getenv_opt "KGPT_JOBS") with
+    | Some v, _ -> jobs_of ~source:"--jobs" v
+    | None, Some v -> jobs_of ~source:"KGPT_JOBS" v
+    | None, None -> 1
   in
   (match value_of "--trace" with
   | Some file -> Obs.enable_trace_file file

@@ -128,22 +128,24 @@ let rec bytesize_scale ~(types : comp_def list) (ty : typ) : int =
 (* ------------------------------------------------------------------ *)
 
 let compile (spec : spec) : t =
-  (* first definition wins, like the walkers' [List.find_opt] *)
-  let comp_index name =
-    let rec go i = function
-      | [] -> None
-      | cd :: rest -> if cd.comp_name = name then Some (i, cd) else go (i + 1) rest
-    in
-    go 0 spec.types
+  (* first definition wins, like the walkers' [List.find_opt]; the
+     tables make each lookup O(1) on suites with thousands of types *)
+  let first_defs key xs =
+    let tbl = Hashtbl.create 64 in
+    List.iteri (fun i x -> if not (Hashtbl.mem tbl (key x)) then Hashtbl.add tbl (key x) (i, x)) xs;
+    tbl
   in
+  let comps_by_name = first_defs (fun cd -> cd.comp_name) spec.types in
+  let flag_sets = first_defs (fun fs -> fs.set_name) spec.flag_sets in
+  let comp_index name = Hashtbl.find_opt comps_by_name name in
   let rec gen_of_typ (ty : typ) : gen =
     match ty with
     | Int (w, None) -> G_fuzz (8 * width_bytes w)
     | Int (_, Some { lo; hi }) -> G_range (lo, hi)
     | Const (c, _) -> G_const (const_value c)
     | Flags (set, w) -> (
-        match List.find_opt (fun fs -> fs.set_name = set) spec.flag_sets with
-        | Some fs when fs.set_values <> [] ->
+        match Hashtbl.find_opt flag_sets set with
+        | Some (_, fs) when fs.set_values <> [] ->
             G_flags (Array.of_list (List.map const_value fs.set_values), 8 * width_bytes w)
         | _ -> G_fuzz (8 * width_bytes w))
     | Ptr (_, String (Some s)) -> G_str s

@@ -54,9 +54,8 @@ let append_calls (t : Proggen.t) (r : Rng.t) (prog : prog) : prog =
   prog @ shift_refs ~by:(List.length prog) extra
 
 let drop_tail (prog : prog) : prog =
-  match prog with
-  | [] | [ _ ] -> prog
-  | _ -> List.filteri (fun i _ -> i < List.length prog - 1) prog
+  let rec drop_last = function [] | [ _ ] -> [] | c :: rest -> c :: drop_last rest in
+  match prog with [] | [ _ ] -> prog | _ -> drop_last prog
 
 let regen_payload (t : Proggen.t) (r : Rng.t) (prog : prog) : prog =
   let victim = Rng.int r (List.length prog) in
@@ -143,64 +142,63 @@ let splice (r : Rng.t) ~(partner : unit -> prog) (prog : prog) : prog =
   let k = 1 + Rng.int r (List.length prog) in
   List.filteri (fun i _ -> i < k) prog @ shift_refs ~by:k b
 
+(* every resource of [req] from position [i] on has a producer *)
+let rec all_produced (latest : int array) (req : int array) i =
+  i >= Array.length req || (latest.(req.(i)) >= 0 && all_produced latest req (i + 1))
+
+(* the [k]-th (0-based) candidate among the dependent syscalls from
+   position [j] on *)
+let rec nth_candidate (t : Proggen.t) k j =
+  let idx = t.Proggen.dependents.(j) in
+  if not (all_produced t.Proggen.latest t.Proggen.required.(idx) 0) then
+    nth_candidate t k (j + 1)
+  else if k = 0 then idx
+  else nth_candidate t (k - 1) (j + 1)
+
 (* Append one spec syscall whose every required resource is already
    produced by the program: the inserted call's P_result args point at
    the latest producer of each resource. The latest-producer map keys on
    the machine-level call name, which over-approximates across spec
    variants of one call — safe, because any call sharing a producer's
-   name materializes from a ret-carrying spec entry. No candidate, no
-   draw: the no-op depends only on the program, so replay is exact. *)
+   name materializes from a ret-carrying spec entry. Candidates are the
+   syscalls with requirements, in ascending spec order, and one draw
+   picks among them. No candidate, no draw: the no-op depends only on
+   the program, so replay is exact.
+
+   The map is the generator's scratch array (resource id -> latest
+   producer, -1 outside this function), so the operator costs a pass
+   over the program plus an integer scan of the dependent syscalls,
+   however many producers the suite has. *)
 let insert_dependent (t : Proggen.t) (r : Rng.t) (prog : prog) : prog =
-  let open Syzlang.Ast in
-  (* the reversal is shared: the latest-producer scan walks it, and the
-     appended program is rebuilt from it, so the whole operator touches
-     the program twice instead of the old mapi + concat + per-element
-     remove_assoc + [prog @ [_]] pile-up (quadratic over a chain) *)
-  let rev_prog = List.rev prog in
-  let resource_at =
-    (* backward, keeping the first binding seen per resource = the
-       latest producer, same mapping the old forward fold computed *)
-    let rec scan i acc = function
-      | [] -> acc
-      | (c : call) :: earlier ->
-          let acc =
-            List.fold_left
-              (fun acc (res, pidx) ->
-                if
-                  t.Proggen.syscalls.(pidx).call_name = c.c_name
-                  && not (List.mem_assoc res acc)
-                then (res, i) :: acc
-                else acc)
-              acc t.Proggen.producer_idx
-          in
-          scan (i - 1) acc earlier
-    in
-    scan (List.length rev_prog - 1) [] rev_prog
+  let latest = t.Proggen.latest in
+  let produced (c : call) =
+    match Hashtbl.find_opt t.Proggen.produces c.c_name with Some ids -> ids | None -> [||]
   in
-  let cand = ref [] in
+  List.iteri (fun i c -> Array.iter (fun id -> latest.(id) <- i) (produced c)) prog;
+  let deps = t.Proggen.dependents in
   let ncand = ref 0 in
-  Array.iteri
-    (fun idx req ->
-      if req <> [] && List.for_all (fun res -> List.mem_assoc res resource_at) req then begin
-        cand := idx :: !cand;
-        incr ncand
-      end)
-    t.Proggen.required;
-  if !ncand = 0 then prog
-  else begin
-    (* !cand is descending; filling back-to-front restores the ascending
-       order the old [List.rev !candidates] fed to the same single draw *)
-    let arr = Array.make !ncand 0 in
-    let k = ref (!ncand - 1) in
-    List.iter
-      (fun idx ->
-        arr.(!k) <- idx;
-        decr k)
-      !cand;
-    let idx = arr.(Rng.int r !ncand) in
-    let args = Proggen.args_of_index t r ~resource_at idx in
-    List.rev ({ c_name = t.Proggen.syscalls.(idx).call_name; c_args = args } :: rev_prog)
-  end
+  for j = 0 to Array.length deps - 1 do
+    if all_produced latest t.Proggen.required.(deps.(j)) 0 then incr ncand
+  done;
+  let chosen =
+    if !ncand = 0 then None
+    else begin
+      let idx = nth_candidate t (Rng.int r !ncand) 0 in
+      (* the chosen call's arguments only look up its own requirements *)
+      let resource_at =
+        Array.fold_right
+          (fun id acc -> (t.Proggen.res_names.(id), latest.(id)) :: acc)
+          t.Proggen.required.(idx) []
+      in
+      Some (idx, resource_at)
+    end
+  in
+  List.iter (fun c -> Array.iter (fun id -> latest.(id) <- -1) (produced c)) prog;
+  match chosen with
+  | None -> prog
+  | Some (idx, resource_at) ->
+      let args = Proggen.args_of_index t r ~resource_at idx in
+      prog @ [ { c_name = t.Proggen.syscalls.(idx).Syzlang.Ast.call_name; c_args = args } ]
 
 (** Apply one operator. An empty program regenerates from scratch and an
     over-long one trims back to a window regardless of the operator

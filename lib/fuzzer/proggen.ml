@@ -17,14 +17,28 @@
 
 open Syzlang.Ast
 
+(* Resource names are interned to dense ids [0, Array.length res_names)
+   once per campaign, so the two suite-wide resource lookups of the hot
+   loop — a missing resource's producer in [push_call], and the
+   resources a program already produces in [Mutator.insert_dependent] —
+   are array reads instead of string-keyed list walks over the suite. *)
 type t = {
   spec : spec;  (** resolved: const values filled in *)
-  producers : (string * syscall) list;  (** resource -> producing syscall *)
   consumers : syscall list;  (** all syscalls *)
   syscalls : syscall array;  (** [consumers] as a dense array *)
-  required : string list array;
-      (** per-syscall resource requirements, precomputed *)
-  producer_idx : (string * int) list;  (** resource -> producing syscall index *)
+  required : int array array;
+      (** per-syscall required resource ids, in argument order *)
+  dependents : int array;
+      (** ascending indices of the syscalls with a non-empty [required] *)
+  res_names : string array;  (** resource id -> name *)
+  producer_of : int array;
+      (** resource id -> index of the first syscall returning it, or -1 *)
+  produces : (string, int array) Hashtbl.t;
+      (** machine call name -> ids of the resources returned by any spec
+          entry with that call name *)
+  latest : int array;
+      (** scratch for {!Mutator.insert_dependent}: resource id -> latest
+          producing program index, -1 between uses *)
   plan : Compiled.t option;  (** compiled plans; [None] = interpreted engine *)
   mutable cur_str : string option;
       (** the program's working string: reused across calls so that
@@ -33,34 +47,53 @@ type t = {
 }
 
 let prepare ?(compiled = true) (spec : spec) : t =
-  let producers =
-    List.filter_map
-      (fun c -> match c.ret with Some r -> Some (r, c) | None -> None)
-      spec.syscalls
-  in
   let syscalls = Array.of_list spec.syscalls in
+  let ids = Hashtbl.create 64 in
+  let names = ref [] in
+  let intern name =
+    match Hashtbl.find_opt ids name with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids name id;
+        names := name :: !names;
+        id
+  in
   let required =
     Array.map
-      (fun (c : syscall) -> List.concat_map (fun f -> referenced_resources f.ftyp) c.args)
+      (fun (c : syscall) ->
+        Array.of_list
+          (List.concat_map (fun f -> List.map intern (referenced_resources f.ftyp)) c.args))
       syscalls
   in
-  let producer_idx =
-    let rec go i = function
-      | [] -> []
-      | c :: rest -> (
-          match c.ret with
-          | Some r -> (r, i) :: go (i + 1) rest
-          | None -> go (i + 1) rest)
-    in
-    go 0 spec.syscalls
+  let rets = Array.map (fun (c : syscall) -> Option.map intern c.ret) syscalls in
+  let n_res = Hashtbl.length ids in
+  let producer_of = Array.make n_res (-1) in
+  let produces = Hashtbl.create 16 in
+  Array.iteri
+    (fun i ret ->
+      match ret with
+      | None -> ()
+      | Some id ->
+          if producer_of.(id) < 0 then producer_of.(id) <- i;
+          let name = syscalls.(i).call_name in
+          let have = Option.value (Hashtbl.find_opt produces name) ~default:[||] in
+          if not (Array.mem id have) then Hashtbl.replace produces name (Array.append have [| id |]))
+    rets;
+  let dependents =
+    Array.of_list
+      (List.filter (fun i -> required.(i) <> [||]) (List.init (Array.length syscalls) Fun.id))
   in
   {
     spec;
-    producers;
     consumers = spec.syscalls;
     syscalls;
     required;
-    producer_idx;
+    dependents;
+    res_names = Array.of_list (List.rev !names);
+    producer_of;
+    produces;
+    latest = Array.make n_res (-1);
     plan = (if compiled then Some (Compiled.compile spec) else None);
     cur_str = None;
   }
@@ -292,10 +325,6 @@ let args_of_index (t : t) (r : Rng.t) ~(resource_at : (string * int) list) (idx 
   | Some plan -> args_of_plan t plan r ~resource_at plan.Compiled.plans.(idx)
   | None -> args_of_call t r ~resource_at t.syscalls.(idx)
 
-(** Resources a syscall needs. *)
-let required_resources (c : syscall) : string list =
-  List.concat_map (fun f -> referenced_resources f.ftyp) c.args
-
 (** Append syscall [idx] to the program under construction, inserting
     producer calls for missing resources first. The program accumulates
     reversed with an explicit length so pushing is O(1) per call. *)
@@ -305,12 +334,11 @@ let rec push_call (t : t) (r : Rng.t)
   if depth > 4 then ()
   else begin
     let c = t.syscalls.(idx) in
-    List.iter
-      (fun res ->
-        if not (List.mem_assoc res !resource_at) then
-          match List.assoc_opt res t.producer_idx with
-          | Some pidx -> push_call t r ~rev_prog ~count ~resource_at ~depth:(depth + 1) pidx
-          | None -> ())
+    Array.iter
+      (fun id ->
+        let pidx = t.producer_of.(id) in
+        if pidx >= 0 && not (List.mem_assoc t.res_names.(id) !resource_at) then
+          push_call t r ~rev_prog ~count ~resource_at ~depth:(depth + 1) pidx)
       t.required.(idx);
     let args = args_of_index t r ~resource_at:!resource_at idx in
     let index = !count in

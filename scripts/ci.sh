@@ -541,4 +541,41 @@ if ! grep -Eq '^\[metrics\] pool\.quarantined +[1-9]' "$tmp/pfq.err"; then
 fi
 echo "OK: pool faults recover byte-identically (jobs 1/4), rate 0 passes through, rate 100 degrades"
 
+echo "== bench harness flags: malformed input exits 2 naming the flag =="
+# Each case is "expected-message-prefix|arguments": a typo must never
+# silently fall back to a default (Quick scale, one job, one job per core).
+for case in "--scale fulll|--scale fulll" "--jobs abc|--jobs abc" "--jobs -3|--jobs -3" \
+            "--jobs: missing value|--jobs" "--exp: missing value|--exp" \
+            "--bogus: unknown argument|--bogus" "--exp: given twice|--exp table1 --exp table1"; do
+  want=${case%%|*}
+  args=${case#*|}
+  status=0
+  # shellcheck disable=SC2086
+  dune exec --no-build bench/main.exe -- $args >/dev/null 2>"$tmp/flag.err" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: bench/main.exe $args exited $status, expected 2" >&2
+    exit 1
+  fi
+  if ! grep -qF -- "$want" "$tmp/flag.err"; then
+    echo "FAIL: bench/main.exe $args: error does not name the flag:" >&2
+    cat "$tmp/flag.err" >&2
+    exit 1
+  fi
+done
+echo "OK: malformed, missing, repeated and unknown bench flags exit 2 naming the flag"
+
+echo "== perfbench: fuzz campaigns match their golden digests =="
+# The golden campaign digests pin every generated and mutated program,
+# so any behaviour change in the generator or the mutation operators
+# shows up here as "correct":false on the result line.
+for w in fuzz-kernel fuzz-module; do
+  bash perfbench/run.sh --workload "$w" --seed 1 --seconds 10 --trace 0 > "$tmp/perf_$w.out"
+  if ! tail -n 1 "$tmp/perf_$w.out" | grep -q '"correct":true'; then
+    echo "FAIL: perfbench $w does not match its golden digests:" >&2
+    tail -n 1 "$tmp/perf_$w.out" >&2
+    exit 1
+  fi
+done
+echo "OK: perfbench fuzz-kernel and fuzz-module report \"correct\":true"
+
 echo "== CI green =="

@@ -287,6 +287,134 @@ let test_empty_union_degrades () =
       Alcotest.(check int64) "RNG streams in lockstep" wc wi
   | _ -> assert false
 
+(* The association-list [insert_dependent] that the dense-id operator
+   replaced, kept as the reference oracle: the latest producer of each
+   resource by machine call name over every (resource, producer) pair of
+   the suite, candidates in ascending spec order, one draw among them,
+   no draw without a candidate. The (resource, producer) list and the
+   per-syscall requirements are rebuilt from the spec, as the generator
+   used to precompute them. *)
+let reference_insert_dependent (t : Fuzzer.Proggen.t) (r : Fuzzer.Rng.t)
+    (prog : Vkernel.Machine.prog) : Vkernel.Machine.prog =
+  let open Syzlang.Ast in
+  let open Vkernel.Machine in
+  let syscalls = t.Fuzzer.Proggen.syscalls in
+  let producer_idx =
+    List.concat
+      (List.mapi
+         (fun i c -> match c.ret with Some res -> [ (res, i) ] | None -> [])
+         (Array.to_list syscalls))
+  in
+  let required =
+    Array.map (fun c -> List.concat_map (fun f -> referenced_resources f.ftyp) c.args) syscalls
+  in
+  let rev_prog = List.rev prog in
+  let resource_at =
+    let rec scan i acc = function
+      | [] -> acc
+      | (c : call) :: earlier ->
+          let acc =
+            List.fold_left
+              (fun acc (res, pidx) ->
+                if syscalls.(pidx).call_name = c.c_name && not (List.mem_assoc res acc) then
+                  (res, i) :: acc
+                else acc)
+              acc producer_idx
+          in
+          scan (i - 1) acc earlier
+    in
+    scan (List.length rev_prog - 1) [] rev_prog
+  in
+  let cand = ref [] in
+  let ncand = ref 0 in
+  Array.iteri
+    (fun idx req ->
+      if req <> [] && List.for_all (fun res -> List.mem_assoc res resource_at) req then begin
+        cand := idx :: !cand;
+        incr ncand
+      end)
+    required;
+  if !ncand = 0 then prog
+  else begin
+    let arr = Array.of_list (List.rev !cand) in
+    let idx = arr.(Fuzzer.Rng.int r !ncand) in
+    let args = Fuzzer.Proggen.args_of_index t r ~resource_at idx in
+    List.rev ({ c_name = syscalls.(idx).call_name; c_args = args } :: rev_prog)
+  end
+
+let kernel_suite =
+  lazy
+    (let ctx = Report.Suites.build () in
+     Syzlang.Validate.resolve_spec ~kernel:ctx.Report.Suites.machine.Vkernel.Machine.index
+       (Report.Suites.kernelgpt_suite ctx))
+
+(* The operator under test and the oracle must see the same generator
+   state: the interpreted engine reads and writes the program's working
+   string. *)
+let same_as_reference t seed prog =
+  let saved = t.Fuzzer.Proggen.cur_str in
+  let run f =
+    t.Fuzzer.Proggen.cur_str <- saved;
+    let r = Fuzzer.Rng.make seed in
+    let out = f t r prog in
+    (out, Fuzzer.Rng.state r, t.Fuzzer.Proggen.cur_str)
+  in
+  run Fuzzer.Mutator.insert_dependent = run reference_insert_dependent
+
+(* the oracle costs milliseconds per call on the merged suite, hence the
+   per-suite count *)
+let qcheck_insert_dependent_matches_reference ~name ~count suite =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s: insert-dependent = assoc-list oracle" name)
+    ~count
+    QCheck.(pair (int_bound 1_000_000) (int_bound 8))
+    (fun (seed, steps) ->
+      let spec = Lazy.force suite in
+      List.for_all
+        (fun compiled ->
+          let t = Fuzzer.Proggen.prepare ~compiled spec in
+          let r = Fuzzer.Rng.make seed in
+          (* generated programs, grown by a few random mutations so longer
+             chains and repeated producers are covered too *)
+          let prog = ref (Fuzzer.Proggen.generate t r ()) in
+          let ok = ref (same_as_reference t seed !prog) in
+          for i = 1 to steps do
+            prog := Fuzzer.Mutator.mutate t r !prog;
+            if not (same_as_reference t (seed + i) !prog) then ok := false
+          done;
+          !ok)
+        [ true; false ])
+
+let test_insert_dependent_call_name_overapprox () =
+  (* the program's one ioctl came from ioctl$MKA, but the machine call
+     name cannot tell the spec variants apart: every ioctl-returned
+     resource counts as produced, so close$B (needing fd_b, which only
+     ioctl$MKB returns) is a candidate alongside close$A *)
+  let spec =
+    Syzlang.Parser.parse_spec ~name:"t"
+      {|resource fd_c[fd]
+resource fd_a[fd]
+resource fd_b[fd]
+openat$c(fd const[-100], file ptr[in, string["/dev/c"]], flags const[2], mode const[0]) fd_c
+ioctl$MKA(fd fd_c, cmd const[1]) fd_a
+ioctl$MKB(fd fd_c, cmd const[2]) fd_b
+close$A(fd fd_a, tag const[10])
+close$B(fd fd_b, tag const[20])
+|}
+  in
+  let t = Fuzzer.Proggen.prepare spec in
+  let prog = [ mk "ioctl" [ Vkernel.Machine.P_int (-1L); Vkernel.Machine.P_int 1L ] ] in
+  let tags = ref [] in
+  for seed = 0 to 39 do
+    match Fuzzer.Mutator.insert_dependent t (Fuzzer.Rng.make seed) prog with
+    | [ _; { Vkernel.Machine.c_name = "close"; c_args = [ Vkernel.Machine.P_result 0; P_int tag ] } ]
+      ->
+        if not (List.mem tag !tags) then tags := tag :: !tags
+    | _ -> Alcotest.fail "expected one close consuming the ioctl's result"
+  done;
+  Alcotest.(check (list int64)) "both ioctl-returned resources available" [ 10L; 20L ]
+    (List.sort compare !tags)
+
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -509,7 +637,15 @@ let () =
           t "swap refuses dependent" test_swap_refuses_dependent;
           t "swap remaps later refs" test_swap_remaps_later_refs;
           t "empty union degrades" test_empty_union_degrades;
+          t "insert-dependent call-name over-approximation"
+            test_insert_dependent_call_name_overapprox;
           QCheck_alcotest.to_alcotest qcheck_mutation_dependency_invariant;
+          QCheck_alcotest.to_alcotest
+            (qcheck_insert_dependent_matches_reference ~name:"dm" ~count:60
+               (lazy (snd (Lazy.force dm_ctx))));
+          QCheck_alcotest.to_alcotest
+            (qcheck_insert_dependent_matches_reference ~name:"kernel" ~count:15
+               kernel_suite);
         ] );
       ( "schedule",
         [
