@@ -15,7 +15,9 @@ type handler_info = {
   hi_reg_symbol : string option;  (** miscdevice global or init function *)
 }
 
-(** Parse a module source (with the shared header) into its own index. *)
+(** Parse a module source into its own index, on top of the shared
+    header's AST ({!Corpus.Headers.header}), which is parsed once per
+    process and shared as an immutable AST. *)
 let module_index (source : string) : Csrc.Index.t =
   let sid = ref 0 in
   Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"module.c" source)

@@ -1,6 +1,6 @@
 (** Shared kernel headers of the synthetic corpus.
 
-    Every module source is parsed together with this header, which plays
+    Every module source is indexed together with this header, which plays
     the role of [include/linux/*.h]: the registration structs
     ([file_operations], [miscdevice], [proto_ops]), errno constants, and
     the handful of helpers the drivers rely on. *)
@@ -169,9 +169,16 @@ struct completion {
 };
 |}
 
-(** Parse the shared header together with a module source. The statement
-    id counter is threaded so sids stay globally unique. *)
+(** The shared header as an AST, parsed once when this module initialises
+    and shared by every index built on it, across worker domains too: the
+    AST is immutable, and the header holds no statements, so it draws no
+    statement ids. It is evaluated eagerly because forcing one lazy value
+    from two domains at once raises. *)
+let header : Csrc.Ast.file =
+  Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid:(ref 0) kernel_h
+
+(** The shared header together with a parsed module source. Only the body
+    is parsed; it draws its statement ids from [sid], so sids stay
+    globally unique when the counter is threaded through several calls. *)
 let parse_with_header ~sid ~file (source : string) : Csrc.Ast.file list =
-  let header = Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid kernel_h in
-  let body = Csrc.Parser.parse_file ~file ~sid source in
-  [ header; body ]
+  [ header; Csrc.Parser.parse_file ~file ~sid source ]

@@ -40,8 +40,12 @@ let empty () =
     macros = Hashtbl.create 512;
     typedefs = Hashtbl.create 64;
     globals = Hashtbl.create 128;
-    macro_value_cache = Hashtbl.create 1024;
-    ident_cache = Hashtbl.create 1024;
+    (* the two memo tables are only probed, never iterated, so their bucket
+       count cannot reach the output; starting small keeps every module and
+       prompt index off the major heap. The tables above keep their sizes:
+       their [Hashtbl.fold] order does reach it. *)
+    macro_value_cache = Hashtbl.create 16;
+    ident_cache = Hashtbl.create 16;
     all_macro_values_cache = ref None;
   }
 

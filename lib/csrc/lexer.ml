@@ -3,7 +3,11 @@
     Comments are not discarded: they are collected into a side table keyed
     by line number so the parser can attach them to struct fields and
     declarations. The analysis oracle uses those comments to infer
-    semantic relations (the paper's "textual comprehension" advantage). *)
+    semantic relations (the paper's "textual comprehension" advantage).
+
+    The cursor is a plain byte index checked against the source length,
+    so scanning allocates nothing per character; a NUL byte is an
+    ordinary (unexpected) character, never end of input. *)
 
 exception Error of string * int (* message, line *)
 
@@ -22,6 +26,10 @@ let is_digit c = c >= '0' && c <= '9'
 
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+let is_int_suffix = function 'u' | 'U' | 'l' | 'L' -> true | _ -> false
+
+let unescape = function 'n' -> '\n' | 't' -> '\t' | '0' -> '\000' | c -> c
+
 let lex (src : string) : result =
   let n = String.length src in
   let tokens = ref [] in
@@ -29,48 +37,34 @@ let lex (src : string) : result =
   let line = ref 1 in
   let pos = ref 0 in
   let in_define = ref false in
-  let peek off = if !pos + off < n then Some src.[!pos + off] else None in
-  let cur () = peek 0 in
+  let is_at off c = !pos + off < n && String.unsafe_get src (!pos + off) = c in
+  (* lookahead for operators only: past the end it reads as NUL, which no
+     multi-character operator contains *)
+  let peek off = if !pos + off < n then String.unsafe_get src (!pos + off) else '\000' in
   let advance () =
-    (match cur () with Some '\n' -> incr line | _ -> ());
+    if is_at 0 '\n' then incr line;
     incr pos
+  in
+  let skip_while p =
+    while !pos < n && p (String.unsafe_get src !pos) do
+      advance ()
+    done
   in
   let emit tok = tokens := { Token.tok; line = !line } :: !tokens in
   let error msg = raise (Error (msg, !line)) in
   let lex_ident () =
     let start = !pos in
-    while (match cur () with Some c -> is_ident_char c | None -> false) do
-      advance ()
-    done;
+    skip_while is_ident_char;
     String.sub src start (!pos - start)
   in
   let lex_number () =
     let start = !pos in
-    let hex =
-      match (cur (), peek 1) with
-      | Some '0', Some ('x' | 'X') ->
-          advance ();
-          advance ();
-          true
-      | _ -> false
-    in
-    let valid c = if hex then is_hex_digit c else is_digit c in
-    while (match cur () with Some c -> valid c | None -> false) do
-      advance ()
-    done;
-    (* swallow integer suffixes: U, L, UL, ULL, ... *)
-    while (match cur () with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false) do
-      advance ()
-    done;
+    let hex = is_at 0 '0' && (is_at 1 'x' || is_at 1 'X') in
+    if hex then pos := !pos + 2;
+    skip_while (if hex then is_hex_digit else is_digit);
+    (* the integer suffix (U, L, UL, ULL, ...) is not part of the value *)
     let text = String.sub src start (!pos - start) in
-    let text =
-      (* strip suffix characters for conversion *)
-      let len = ref (String.length text) in
-      while !len > 0 && (match text.[!len - 1] with 'u' | 'U' | 'l' | 'L' -> true | _ -> false) do
-        decr len
-      done;
-      String.sub text 0 !len
-    in
+    skip_while is_int_suffix;
     match Int64.of_string_opt text with
     | Some v -> v
     | None -> error (Printf.sprintf "invalid integer literal %S" text)
@@ -80,30 +74,16 @@ let lex (src : string) : result =
     (* opening quote *)
     let buf = Buffer.create 16 in
     let rec go () =
-      match cur () with
-      | None -> error "unterminated string literal"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
+      if !pos >= n then error "unterminated string literal";
+      match String.unsafe_get src !pos with
+      | '"' -> advance ()
+      | '\\' ->
           advance ();
-          match cur () with
-          | Some 'n' ->
-              Buffer.add_char buf '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char buf '\t';
-              advance ();
-              go ()
-          | Some '0' ->
-              Buffer.add_char buf '\000';
-              advance ();
-              go ()
-          | Some c ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | None -> error "unterminated escape")
-      | Some c ->
+          if !pos >= n then error "unterminated escape";
+          Buffer.add_char buf (unescape (String.unsafe_get src !pos));
+          advance ();
+          go ()
+      | c ->
           Buffer.add_char buf c;
           advance ();
           go ()
@@ -114,164 +94,147 @@ let lex (src : string) : result =
   let lex_char () =
     advance ();
     (* opening quote *)
-    let c =
-      match cur () with
-      | Some '\\' -> (
-          advance ();
-          match cur () with
-          | Some 'n' -> '\n'
-          | Some 't' -> '\t'
-          | Some '0' -> '\000'
-          | Some c -> c
-          | None -> error "unterminated char literal")
-      | Some c -> c
-      | None -> error "unterminated char literal"
-    in
+    let escaped = is_at 0 '\\' in
+    if escaped then advance ();
+    if !pos >= n then error "unterminated char literal";
+    let c = String.unsafe_get src !pos in
     advance ();
-    (match cur () with
-    | Some '\'' -> advance ()
-    | _ -> error "unterminated char literal");
-    c
+    if not (is_at 0 '\'') then error "unterminated char literal";
+    advance ();
+    if escaped then unescape c else c
   in
   let skip_line_comment () =
     let start = !pos + 2 in
     let l = !line in
-    while (match cur () with Some c when c <> '\n' -> true | _ -> false) do
-      advance ()
-    done;
+    skip_while (fun c -> c <> '\n');
     let text = String.trim (String.sub src start (!pos - start)) in
     comments := { text; cline = l } :: !comments
   in
   let skip_block_comment () =
     let l = !line in
-    advance ();
-    advance ();
+    pos := !pos + 2;
     let start = !pos in
-    let rec go () =
-      match (cur (), peek 1) with
-      | Some '*', Some '/' ->
-          let text = String.trim (String.sub src start (!pos - start)) in
-          comments := { text; cline = l } :: !comments;
-          advance ();
-          advance ()
-      | Some _, _ ->
-          advance ();
-          go ()
-      | None, _ -> error "unterminated block comment"
-    in
-    go ()
+    while not (is_at 0 '*' && is_at 1 '/') do
+      if !pos >= n then error "unterminated block comment";
+      advance ()
+    done;
+    let text = String.trim (String.sub src start (!pos - start)) in
+    comments := { text; cline = l } :: !comments;
+    pos := !pos + 2
   in
   let lex_directive () =
-    advance ();
+    incr pos;
     (* '#' *)
-    let word = lex_ident () in
-    match word with
+    match lex_ident () with
     | "define" ->
         in_define := true;
         emit Token.Hash_define
     | "include" ->
         (* consume to end of line, discarded *)
-        while (match cur () with Some c when c <> '\n' -> true | _ -> false) do
-          advance ()
-        done;
+        skip_while (fun c -> c <> '\n');
         emit Token.Hash_include
     | other -> error (Printf.sprintf "unsupported directive #%s" other)
   in
+  let end_define () =
+    if !in_define then (
+      in_define := false;
+      emit Token.Newline)
+  in
+  (* operators never span a newline, so the cursor jumps without [advance] *)
+  let punct len tok =
+    pos := !pos + len;
+    emit tok
+  in
   let rec loop () =
-    match cur () with
-    | None ->
-        if !in_define then (
-          in_define := false;
-          emit Token.Newline);
-        emit Token.Eof
-    | Some '\n' ->
-        if !in_define then (
-          in_define := false;
-          emit Token.Newline);
-        advance ();
-        loop ()
-    | Some (' ' | '\t' | '\r') ->
-        advance ();
-        loop ()
-    | Some '/' when peek 1 = Some '/' ->
-        skip_line_comment ();
-        loop ()
-    | Some '/' when peek 1 = Some '*' ->
-        skip_block_comment ();
-        loop ()
-    | Some '#' ->
-        lex_directive ();
-        loop ()
-    | Some '"' ->
-        let s = lex_string () in
-        emit (Token.Str_lit s);
-        loop ()
-    | Some '\'' ->
-        let c = lex_char () in
-        emit (Token.Char_lit c);
-        loop ()
-    | Some c when is_digit c ->
-        let v = lex_number () in
-        emit (Token.Int_lit v);
-        loop ()
-    | Some c when is_ident_start c ->
-        let id = lex_ident () in
-        (match Token.keyword_of_string id with
-        | Some kw -> emit kw
-        | None -> emit (Token.Ident id));
-        loop ()
-    | Some c ->
-        let two a = advance (); advance (); emit a in
-        let three a = advance (); advance (); advance (); emit a in
-        let one a = advance (); emit a in
-        (match (c, peek 1, peek 2) with
-        | '.', Some '.', Some '.' -> three Token.Ellipsis
-        | '-', Some '>', _ -> two Token.Arrow
-        | '<', Some '<', Some '=' -> three Token.Shl_assign
-        | '>', Some '>', Some '=' -> three Token.Shr_assign
-        | '<', Some '<', _ -> two Token.Shl
-        | '>', Some '>', _ -> two Token.Shr
-        | '<', Some '=', _ -> two Token.Le
-        | '>', Some '=', _ -> two Token.Ge
-        | '=', Some '=', _ -> two Token.Eq_eq
-        | '!', Some '=', _ -> two Token.Bang_eq
-        | '&', Some '&', _ -> two Token.Amp_amp
-        | '|', Some '|', _ -> two Token.Pipe_pipe
-        | '+', Some '+', _ -> two Token.Plus_plus
-        | '-', Some '-', _ -> two Token.Minus_minus
-        | '+', Some '=', _ -> two Token.Plus_assign
-        | '-', Some '=', _ -> two Token.Minus_assign
-        | '*', Some '=', _ -> two Token.Star_assign
-        | '/', Some '=', _ -> two Token.Slash_assign
-        | '&', Some '=', _ -> two Token.Amp_assign
-        | '|', Some '=', _ -> two Token.Pipe_assign
-        | '^', Some '=', _ -> two Token.Caret_assign
-        | '(', _, _ -> one Token.Lparen
-        | ')', _, _ -> one Token.Rparen
-        | '{', _, _ -> one Token.Lbrace
-        | '}', _, _ -> one Token.Rbrace
-        | '[', _, _ -> one Token.Lbracket
-        | ']', _, _ -> one Token.Rbracket
-        | ';', _, _ -> one Token.Semi
-        | ',', _, _ -> one Token.Comma
-        | '.', _, _ -> one Token.Dot
-        | ':', _, _ -> one Token.Colon
-        | '?', _, _ -> one Token.Question
-        | '+', _, _ -> one Token.Plus
-        | '-', _, _ -> one Token.Minus
-        | '*', _, _ -> one Token.Star
-        | '/', _, _ -> one Token.Slash
-        | '%', _, _ -> one Token.Percent
-        | '&', _, _ -> one Token.Amp
-        | '|', _, _ -> one Token.Pipe
-        | '^', _, _ -> one Token.Caret
-        | '~', _, _ -> one Token.Tilde
-        | '!', _, _ -> one Token.Bang
-        | '<', _, _ -> one Token.Lt
-        | '>', _, _ -> one Token.Gt
-        | '=', _, _ -> one Token.Assign
-        | _ -> error (Printf.sprintf "unexpected character %C" c));
-        loop ()
+    if !pos >= n then (
+      end_define ();
+      emit Token.Eof)
+    else
+      match String.unsafe_get src !pos with
+      | '\n' ->
+          end_define ();
+          advance ();
+          loop ()
+      | ' ' | '\t' | '\r' ->
+          incr pos;
+          loop ()
+      | '/' when is_at 1 '/' ->
+          skip_line_comment ();
+          loop ()
+      | '/' when is_at 1 '*' ->
+          skip_block_comment ();
+          loop ()
+      | '#' ->
+          lex_directive ();
+          loop ()
+      | '"' ->
+          let s = lex_string () in
+          emit (Token.Str_lit s);
+          loop ()
+      | '\'' ->
+          let c = lex_char () in
+          emit (Token.Char_lit c);
+          loop ()
+      | c when is_digit c ->
+          let v = lex_number () in
+          emit (Token.Int_lit v);
+          loop ()
+      | c when is_ident_start c ->
+          let id = lex_ident () in
+          (match Token.keyword_of_string id with
+          | Some kw -> emit kw
+          | None -> emit (Token.Ident id));
+          loop ()
+      | c ->
+          let c1 = peek 1 in
+          (match c with
+          | '.' when c1 = '.' && peek 2 = '.' -> punct 3 Token.Ellipsis
+          | '-' when c1 = '>' -> punct 2 Token.Arrow
+          | '<' when c1 = '<' && peek 2 = '=' -> punct 3 Token.Shl_assign
+          | '>' when c1 = '>' && peek 2 = '=' -> punct 3 Token.Shr_assign
+          | '<' when c1 = '<' -> punct 2 Token.Shl
+          | '>' when c1 = '>' -> punct 2 Token.Shr
+          | '<' when c1 = '=' -> punct 2 Token.Le
+          | '>' when c1 = '=' -> punct 2 Token.Ge
+          | '=' when c1 = '=' -> punct 2 Token.Eq_eq
+          | '!' when c1 = '=' -> punct 2 Token.Bang_eq
+          | '&' when c1 = '&' -> punct 2 Token.Amp_amp
+          | '|' when c1 = '|' -> punct 2 Token.Pipe_pipe
+          | '+' when c1 = '+' -> punct 2 Token.Plus_plus
+          | '-' when c1 = '-' -> punct 2 Token.Minus_minus
+          | '+' when c1 = '=' -> punct 2 Token.Plus_assign
+          | '-' when c1 = '=' -> punct 2 Token.Minus_assign
+          | '*' when c1 = '=' -> punct 2 Token.Star_assign
+          | '/' when c1 = '=' -> punct 2 Token.Slash_assign
+          | '&' when c1 = '=' -> punct 2 Token.Amp_assign
+          | '|' when c1 = '=' -> punct 2 Token.Pipe_assign
+          | '^' when c1 = '=' -> punct 2 Token.Caret_assign
+          | '(' -> punct 1 Token.Lparen
+          | ')' -> punct 1 Token.Rparen
+          | '{' -> punct 1 Token.Lbrace
+          | '}' -> punct 1 Token.Rbrace
+          | '[' -> punct 1 Token.Lbracket
+          | ']' -> punct 1 Token.Rbracket
+          | ';' -> punct 1 Token.Semi
+          | ',' -> punct 1 Token.Comma
+          | '.' -> punct 1 Token.Dot
+          | ':' -> punct 1 Token.Colon
+          | '?' -> punct 1 Token.Question
+          | '+' -> punct 1 Token.Plus
+          | '-' -> punct 1 Token.Minus
+          | '*' -> punct 1 Token.Star
+          | '/' -> punct 1 Token.Slash
+          | '%' -> punct 1 Token.Percent
+          | '&' -> punct 1 Token.Amp
+          | '|' -> punct 1 Token.Pipe
+          | '^' -> punct 1 Token.Caret
+          | '~' -> punct 1 Token.Tilde
+          | '!' -> punct 1 Token.Bang
+          | '<' -> punct 1 Token.Lt
+          | '>' -> punct 1 Token.Gt
+          | '=' -> punct 1 Token.Assign
+          | _ -> error (Printf.sprintf "unexpected character %C" c));
+          loop ()
   in
   loop ();
   { tokens = Array.of_list (List.rev !tokens); comments = List.rev !comments }

@@ -12,7 +12,9 @@ type state = {
   file : string;
   sid : int ref;
   mutable typedefs : (string, unit) Hashtbl.t;
-  comments : Lexer.comment list;
+  comment_on_line : string option array;
+      (** line -> text of the first comment starting on it *)
+  code_on_line : bool array;  (** line -> some token other than [Eof] is on it *)
 }
 
 let builtin_typedefs =
@@ -30,7 +32,29 @@ let qualifiers =
 let make ~file ~sid (lexed : Lexer.result) =
   let typedefs = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace typedefs n ()) builtin_typedefs;
-  { toks = lexed.tokens; pos = 0; file; sid; typedefs; comments = lexed.comments }
+  (* only comments attach anything, so without them both tables stay empty:
+     the macro bodies [expr_of_tokens] parses on every evaluation never
+     have any, and build no tables *)
+  let comment_on_line, code_on_line =
+    if lexed.comments = [] then ([||], [||])
+    else
+      let last_line =
+        Array.fold_left (fun m (t : Token.spanned) -> max m t.line) 0 lexed.tokens
+      in
+      let last_line = List.fold_left (fun m c -> max m c.Lexer.cline) last_line lexed.comments in
+      let comment_on_line = Array.make (last_line + 1) None in
+      List.iter
+        (fun c ->
+          if comment_on_line.(c.Lexer.cline) = None then
+            comment_on_line.(c.Lexer.cline) <- Some c.Lexer.text)
+        lexed.comments;
+      let code_on_line = Array.make (last_line + 1) false in
+      Array.iter
+        (fun (t : Token.spanned) -> if t.tok <> Token.Eof then code_on_line.(t.line) <- true)
+        lexed.tokens;
+      (comment_on_line, code_on_line)
+  in
+  { toks = lexed.tokens; pos = 0; file; sid; typedefs; comment_on_line; code_on_line }
 
 let cur st = st.toks.(st.pos).Token.tok
 
@@ -614,19 +638,13 @@ and parse_switch_cases st : Ast.switch_case list =
     or a comment *alone* on the preceding line (a trailing comment of the
     previous declaration does not carry over). *)
 let comment_for st line =
-  let same = List.find_opt (fun c -> c.Lexer.cline = line) st.comments in
-  match same with
-  | Some c -> Some c.Lexer.text
-  | None -> (
-      match List.find_opt (fun c -> c.Lexer.cline = line - 1) st.comments with
-      | Some c ->
-          let has_code_on_line =
-            Array.exists
-              (fun (t : Token.spanned) -> t.line = line - 1 && t.tok <> Token.Eof)
-              st.toks
-          in
-          if has_code_on_line then None else Some c.Lexer.text
-      | None -> None)
+  let comment_on l =
+    if l >= 0 && l < Array.length st.comment_on_line then st.comment_on_line.(l) else None
+  in
+  match (comment_on line, comment_on (line - 1)) with
+  | (Some _ as same), _ -> same
+  | None, (Some _ as above) when not st.code_on_line.(line - 1) -> above
+  | _ -> None
 
 let parse_field st : Ast.field =
   let line = cur_line st in

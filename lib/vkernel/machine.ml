@@ -62,13 +62,10 @@ let module_file_name (e : Corpus.Types.entry) =
   | Corpus.Types.Socket -> Printf.sprintf "net/%s.c" e.name
 
 (** Boot the machine over the given corpus entries (normally the loaded
-    ones). Parses every module together with the shared header into a
-    single definition index with globally unique statement ids. *)
+    ones). Parses every module into a single definition index, together
+    with the shared header's AST, with globally unique statement ids. *)
 let boot (entries : Corpus.Types.entry list) : t =
   let sid = ref 0 in
-  let header =
-    Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid Corpus.Headers.kernel_h
-  in
   let sid_module = Hashtbl.create 4096 in
   let files =
     List.map
@@ -81,7 +78,7 @@ let boot (entries : Corpus.Types.entry list) : t =
         f)
       entries
   in
-  let index = Csrc.Index.of_files (header :: files) in
+  let index = Csrc.Index.of_files (Corpus.Headers.header :: files) in
   let devices =
     List.concat_map
       (fun (e : Corpus.Types.entry) ->

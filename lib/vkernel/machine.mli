@@ -56,7 +56,8 @@ type t = {
 }
 
 (** Boot the machine over the given corpus entries: parse all module
-    sources with the shared header into one definition index with
+    sources into one definition index, together with the shared header's
+    AST ({!Corpus.Headers.header}), with
     globally unique statement ids, and register devices and sockets. *)
 val boot : Corpus.Types.entry list -> t
 

@@ -564,11 +564,13 @@ for case in "--scale fulll|--scale fulll" "--jobs abc|--jobs abc" "--jobs -3|--j
 done
 echo "OK: malformed, missing, repeated and unknown bench flags exit 2 naming the flag"
 
-echo "== perfbench: fuzz campaigns match their golden digests =="
-# The golden campaign digests pin every generated and mutated program,
-# so any behaviour change in the generator or the mutation operators
-# shows up here as "correct":false on the result line.
-for w in fuzz-kernel fuzz-module; do
+echo "== perfbench: every workload matches its golden digests =="
+# The golden digests pin every generated spec (specgen: Pipeline.run and
+# Syzdescribe.run per module, cold and through a warm answer cache) and
+# every generated and mutated program (fuzz campaigns), so any behaviour
+# change in parsing, spec generation, the generator or the mutation
+# operators shows up here as "correct":false on the result line.
+for w in specgen-cold specgen-warm fuzz-kernel fuzz-module; do
   bash perfbench/run.sh --workload "$w" --seed 1 --seconds 10 --trace 0 > "$tmp/perf_$w.out"
   if ! tail -n 1 "$tmp/perf_$w.out" | grep -q '"correct":true'; then
     echo "FAIL: perfbench $w does not match its golden digests:" >&2
@@ -576,6 +578,6 @@ for w in fuzz-kernel fuzz-module; do
     exit 1
   fi
 done
-echo "OK: perfbench fuzz-kernel and fuzz-module report \"correct\":true"
+echo "OK: perfbench specgen-cold, specgen-warm, fuzz-kernel and fuzz-module report \"correct\":true"
 
 echo "== CI green =="

@@ -159,6 +159,58 @@ let test_pick_in_range () =
   done;
   Alcotest.(check int) "singleton pick" 9 (Corpus.Gen.pick r [ 9 ])
 
+(* ------------------------------------------------------------------ *)
+(* The shared header is parsed once and reused by every index          *)
+
+let fresh_header ~sid =
+  Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid Corpus.Headers.kernel_h
+
+let test_header_draws_no_sids () =
+  let sid = ref 0 in
+  let fresh = fresh_header ~sid in
+  if !sid <> 0 then
+    Alcotest.failf
+      "parsing include/kernel.h drew %d statement ids; a header shared across indexes and \
+       domains must hold no statements"
+      !sid;
+  if fresh <> Corpus.Headers.header then
+    Alcotest.fail "Headers.header differs from a fresh parse of kernel_h"
+
+let test_parse_with_header_matches_fresh_parse () =
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      (* a nonzero start checks that the body alone threads the counter *)
+      let shared_sid = ref 1000 and fresh_sid = ref 1000 in
+      let shared = Corpus.Headers.parse_with_header ~sid:shared_sid ~file:"m.c" e.source in
+      let header = fresh_header ~sid:fresh_sid in
+      let fresh = [ header; Csrc.Parser.parse_file ~file:"m.c" ~sid:fresh_sid e.source ] in
+      if shared <> fresh then Alcotest.failf "%s: shared-header parse differs from a fresh one" e.name;
+      if !shared_sid <> !fresh_sid then
+        Alcotest.failf "%s: sid counter ends at %d, a fresh parse at %d" e.name !shared_sid
+          !fresh_sid)
+    (Lazy.force all)
+
+let test_boot_sids_match_fresh_parse () =
+  let entries = Corpus.Registry.loaded () in
+  let m = Vkernel.Machine.boot entries in
+  (* the boot of a kernel that parses its header afresh, ahead of the modules *)
+  let sid = ref 0 in
+  ignore (fresh_header ~sid);
+  let expected = Hashtbl.create 4096 in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      let before = !sid in
+      ignore (Csrc.Parser.parse_file ~file:(e.name ^ ".c") ~sid e.source);
+      for s = before to !sid - 1 do
+        Hashtbl.replace expected s e.name
+      done)
+    entries;
+  let sorted h = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []) in
+  Alcotest.(check int) "n_sids" !sid m.Vkernel.Machine.n_sids;
+  Alcotest.(check int) "n_sids of the loaded corpus" 16191 m.Vkernel.Machine.n_sids;
+  Alcotest.(check (list (pair int string))) "sid_module" (sorted expected)
+    (sorted m.Vkernel.Machine.sid_module)
+
 let test_whole_kernel_boot () =
   let m = Vkernel.Machine.boot (Corpus.Registry.loaded ()) in
   Alcotest.(check int) "278 devices" 278 (List.length m.Vkernel.Machine.devices);
@@ -191,6 +243,12 @@ let () =
           t "bug modules exist" test_bug_modules_exist;
           t "bug counts" test_bug_count_matches_paper;
           t "table membership" test_table_membership;
+        ] );
+      ( "shared-header",
+        [
+          t "header draws no sids" test_header_draws_no_sids;
+          t "parse_with_header = fresh parse" test_parse_with_header_matches_fresh_parse;
+          t "boot sids = fresh parse" test_boot_sids_match_fresh_parse;
         ] );
       ("machine", [ t "whole kernel boots" test_whole_kernel_boot ]);
     ]

@@ -302,6 +302,382 @@ let test_extract_source () =
       Alcotest.(check bool) "struct source has data_size" true (contains src "data_size")
   | None -> Alcotest.fail "dm_ioctl source missing"
 
+(* ------------------------------------------------------------------ *)
+(* Lexer differential                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The [char option] cursor lexer that the index-cursor one replaced, kept
+   as the reference oracle: every token, line, comment and error must be
+   the same. *)
+let reference_lex (src : string) : Csrc.Lexer.result =
+  let open Csrc in
+  let error_of msg line = raise (Lexer.Error (msg, line)) in
+  let n = String.length src in
+  let tokens = ref [] in
+  let comments = ref [] in
+  let line = ref 1 in
+  let pos = ref 0 in
+  let in_define = ref false in
+  let peek off = if !pos + off < n then Some src.[!pos + off] else None in
+  let cur () = peek 0 in
+  let advance () =
+    (match cur () with Some '\n' -> incr line | _ -> ());
+    incr pos
+  in
+  let emit tok = tokens := { Token.tok; line = !line } :: !tokens in
+  let error msg = error_of msg !line in
+  let lex_ident () =
+    let start = !pos in
+    while (match cur () with Some c -> Lexer.is_ident_char c | None -> false) do
+      advance ()
+    done;
+    String.sub src start (!pos - start)
+  in
+  let lex_number () =
+    let start = !pos in
+    let hex =
+      match (cur (), peek 1) with
+      | Some '0', Some ('x' | 'X') ->
+          advance ();
+          advance ();
+          true
+      | _ -> false
+    in
+    let valid c = if hex then Lexer.is_hex_digit c else Lexer.is_digit c in
+    while (match cur () with Some c -> valid c | None -> false) do
+      advance ()
+    done;
+    while (match cur () with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false) do
+      advance ()
+    done;
+    let text = String.sub src start (!pos - start) in
+    let text =
+      let len = ref (String.length text) in
+      while !len > 0 && (match text.[!len - 1] with 'u' | 'U' | 'l' | 'L' -> true | _ -> false) do
+        decr len
+      done;
+      String.sub text 0 !len
+    in
+    match Int64.of_string_opt text with
+    | Some v -> v
+    | None -> error (Printf.sprintf "invalid integer literal %S" text)
+  in
+  let lex_string () =
+    advance ();
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match cur () with
+      | None -> error "unterminated string literal"
+      | Some '"' -> advance ()
+      | Some '\\' -> (
+          advance ();
+          match cur () with
+          | Some 'n' ->
+              Buffer.add_char buf '\n';
+              advance ();
+              go ()
+          | Some 't' ->
+              Buffer.add_char buf '\t';
+              advance ();
+              go ()
+          | Some '0' ->
+              Buffer.add_char buf '\000';
+              advance ();
+              go ()
+          | Some c ->
+              Buffer.add_char buf c;
+              advance ();
+              go ()
+          | None -> error "unterminated escape")
+      | Some c ->
+          Buffer.add_char buf c;
+          advance ();
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let lex_char () =
+    advance ();
+    let c =
+      match cur () with
+      | Some '\\' -> (
+          advance ();
+          match cur () with
+          | Some 'n' -> '\n'
+          | Some 't' -> '\t'
+          | Some '0' -> '\000'
+          | Some c -> c
+          | None -> error "unterminated char literal")
+      | Some c -> c
+      | None -> error "unterminated char literal"
+    in
+    advance ();
+    (match cur () with
+    | Some '\'' -> advance ()
+    | _ -> error "unterminated char literal");
+    c
+  in
+  let skip_line_comment () =
+    let start = !pos + 2 in
+    let l = !line in
+    while (match cur () with Some c when c <> '\n' -> true | _ -> false) do
+      advance ()
+    done;
+    let text = String.trim (String.sub src start (!pos - start)) in
+    comments := { Lexer.text; cline = l } :: !comments
+  in
+  let skip_block_comment () =
+    let l = !line in
+    advance ();
+    advance ();
+    let start = !pos in
+    let rec go () =
+      match (cur (), peek 1) with
+      | Some '*', Some '/' ->
+          let text = String.trim (String.sub src start (!pos - start)) in
+          comments := { Lexer.text; cline = l } :: !comments;
+          advance ();
+          advance ()
+      | Some _, _ ->
+          advance ();
+          go ()
+      | None, _ -> error "unterminated block comment"
+    in
+    go ()
+  in
+  let lex_directive () =
+    advance ();
+    let word = lex_ident () in
+    match word with
+    | "define" ->
+        in_define := true;
+        emit Token.Hash_define
+    | "include" ->
+        while (match cur () with Some c when c <> '\n' -> true | _ -> false) do
+          advance ()
+        done;
+        emit Token.Hash_include
+    | other -> error (Printf.sprintf "unsupported directive #%s" other)
+  in
+  let rec loop () =
+    match cur () with
+    | None ->
+        if !in_define then (
+          in_define := false;
+          emit Token.Newline);
+        emit Token.Eof
+    | Some '\n' ->
+        if !in_define then (
+          in_define := false;
+          emit Token.Newline);
+        advance ();
+        loop ()
+    | Some (' ' | '\t' | '\r') ->
+        advance ();
+        loop ()
+    | Some '/' when peek 1 = Some '/' ->
+        skip_line_comment ();
+        loop ()
+    | Some '/' when peek 1 = Some '*' ->
+        skip_block_comment ();
+        loop ()
+    | Some '#' ->
+        lex_directive ();
+        loop ()
+    | Some '"' ->
+        let s = lex_string () in
+        emit (Token.Str_lit s);
+        loop ()
+    | Some '\'' ->
+        let c = lex_char () in
+        emit (Token.Char_lit c);
+        loop ()
+    | Some c when Lexer.is_digit c ->
+        let v = lex_number () in
+        emit (Token.Int_lit v);
+        loop ()
+    | Some c when Lexer.is_ident_start c ->
+        let id = lex_ident () in
+        (match Token.keyword_of_string id with
+        | Some kw -> emit kw
+        | None -> emit (Token.Ident id));
+        loop ()
+    | Some c ->
+        let two a = advance (); advance (); emit a in
+        let three a = advance (); advance (); advance (); emit a in
+        let one a = advance (); emit a in
+        (match (c, peek 1, peek 2) with
+        | '.', Some '.', Some '.' -> three Token.Ellipsis
+        | '-', Some '>', _ -> two Token.Arrow
+        | '<', Some '<', Some '=' -> three Token.Shl_assign
+        | '>', Some '>', Some '=' -> three Token.Shr_assign
+        | '<', Some '<', _ -> two Token.Shl
+        | '>', Some '>', _ -> two Token.Shr
+        | '<', Some '=', _ -> two Token.Le
+        | '>', Some '=', _ -> two Token.Ge
+        | '=', Some '=', _ -> two Token.Eq_eq
+        | '!', Some '=', _ -> two Token.Bang_eq
+        | '&', Some '&', _ -> two Token.Amp_amp
+        | '|', Some '|', _ -> two Token.Pipe_pipe
+        | '+', Some '+', _ -> two Token.Plus_plus
+        | '-', Some '-', _ -> two Token.Minus_minus
+        | '+', Some '=', _ -> two Token.Plus_assign
+        | '-', Some '=', _ -> two Token.Minus_assign
+        | '*', Some '=', _ -> two Token.Star_assign
+        | '/', Some '=', _ -> two Token.Slash_assign
+        | '&', Some '=', _ -> two Token.Amp_assign
+        | '|', Some '=', _ -> two Token.Pipe_assign
+        | '^', Some '=', _ -> two Token.Caret_assign
+        | '(', _, _ -> one Token.Lparen
+        | ')', _, _ -> one Token.Rparen
+        | '{', _, _ -> one Token.Lbrace
+        | '}', _, _ -> one Token.Rbrace
+        | '[', _, _ -> one Token.Lbracket
+        | ']', _, _ -> one Token.Rbracket
+        | ';', _, _ -> one Token.Semi
+        | ',', _, _ -> one Token.Comma
+        | '.', _, _ -> one Token.Dot
+        | ':', _, _ -> one Token.Colon
+        | '?', _, _ -> one Token.Question
+        | '+', _, _ -> one Token.Plus
+        | '-', _, _ -> one Token.Minus
+        | '*', _, _ -> one Token.Star
+        | '/', _, _ -> one Token.Slash
+        | '%', _, _ -> one Token.Percent
+        | '&', _, _ -> one Token.Amp
+        | '|', _, _ -> one Token.Pipe
+        | '^', _, _ -> one Token.Caret
+        | '~', _, _ -> one Token.Tilde
+        | '!', _, _ -> one Token.Bang
+        | '<', _, _ -> one Token.Lt
+        | '>', _, _ -> one Token.Gt
+        | '=', _, _ -> one Token.Assign
+        | _ -> error (Printf.sprintf "unexpected character %C" c));
+        loop ()
+  in
+  loop ();
+  { Lexer.tokens = Array.of_list (List.rev !tokens); comments = List.rev !comments }
+
+(* What a lexer made of [src]: its result or its located error. Any other
+   exception is a robustness bug and fails the check by name. *)
+let lex_outcome lex src =
+  match lex src with
+  | r -> Ok r
+  | exception Csrc.Lexer.Error (msg, line) -> Error (msg, line)
+  | exception e -> Alcotest.failf "lexing %S raised %s" src (Printexc.to_string e)
+
+let same_lexing src = lex_outcome Csrc.Lexer.lex src = lex_outcome reference_lex src
+
+let corpus_sources =
+  lazy
+    (Array.of_list
+       (Corpus.Headers.kernel_h
+       :: List.map (fun (e : Corpus.Types.entry) -> e.source) (Lazy.force Corpus.Registry.all)))
+
+let test_lexer_matches_reference_on_corpus () =
+  Array.iteri
+    (fun i src ->
+      if not (same_lexing src) then
+        Alcotest.failf "lexers disagree on corpus source %d (0 is the shared header)" i)
+    (Lazy.force corpus_sources)
+
+(* Bytes the lexer treats specially: quotes, escapes, comment and directive
+   starts, number prefixes and suffixes, operator characters, NUL, and
+   bytes it must reject. *)
+let tricky_bytes = "\"'\\/*#\000\n\r\t 0xXuUlL.<>=!&|+-^(){};,?~%@$`\127\255"
+
+let adversarial =
+  [
+    "\000"; "int x\000;"; "\"abc"; "\"ab\\"; "\"a\nb"; "'"; "'a"; "'\\"; "'\\n"; "'ab'"; "''";
+    "'\n'"; "/* open"; "/* open *"; "/*/"; "//"; "0x"; "0x;"; "0xUL"; "0Xg"; "7ULLu"; "42uLlU";
+    "0XfFuL"; "99999999999999999999"; "0xffffffffffffffffff"; "#"; "#if"; "#pragma once";
+    "#define"; "#define X 1"; "#include <x.h>"; "#undef X"; "@"; ".."; "..."; "<<="; ">>=";
+  ]
+
+(* Mostly real code: a slice of a corpus source, the slice with random
+   byte edits, or a slice followed by an adversarial tail (so an
+   unsupported directive or open literal lands at end of input). *)
+let gen_lexer_input st =
+  let sources = Lazy.force corpus_sources in
+  let int k = Random.State.int st k in
+  let slice () =
+    let s = sources.(int (Array.length sources)) in
+    let a = int (String.length s + 1) in
+    String.sub s a (int (min 400 (String.length s - a) + 1))
+  in
+  let tricky () = tricky_bytes.[int (String.length tricky_bytes)] in
+  let mutate s =
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match int 30 with
+        | 0 -> ()
+        | 1 ->
+            Buffer.add_char b (tricky ());
+            Buffer.add_char b c
+        | 2 -> Buffer.add_char b (tricky ())
+        | 3 -> Buffer.add_char b (Char.chr (int 256))
+        | _ -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  in
+  match int 4 with
+  | 0 -> slice ()
+  | 1 -> mutate (slice ())
+  | 2 -> slice () ^ List.nth adversarial (int (List.length adversarial))
+  | _ -> String.init (int 24) (fun _ -> tricky ())
+
+let qcheck_lexer_matches_reference =
+  QCheck.Test.make ~name:"lexer = char-option reference on mutated sources" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") ~shrink:(fun s -> QCheck.Shrink.string s)
+       gen_lexer_input)
+    same_lexing
+
+let test_lexer_adversarial_errors () =
+  List.iter
+    (fun src -> if not (same_lexing src) then Alcotest.failf "lexers disagree on %S" src)
+    adversarial;
+  (* a NUL byte is a character to reject, not the end of input *)
+  let error_of src =
+    match Csrc.Lexer.lex src with
+    | _ -> Alcotest.failf "%S lexed without error" src
+    | exception Csrc.Lexer.Error (msg, line) -> (msg, line)
+  in
+  Alcotest.(check (pair string int)) "NUL byte"
+    ("unexpected character '\\000'", 1) (error_of "int x\000;");
+  Alcotest.(check (pair string int)) "open string located at end of input"
+    ("unterminated string literal", 3) (error_of "int x;\n\"open\n")
+
+(* A struct field takes the comment on its own line, else a comment alone
+   on the line above; a trailing comment after code above is not its. *)
+let test_field_comment_attachment () =
+  let src =
+    {|
+struct s {
+  u32 first;
+  /* alone above a */
+  u32 a;
+  u32 b; /* trailing after b */
+  u32 c;
+  u32 d; // one
+  u32 e; /* two */ /* three */
+
+  u32 f;
+};
+|}
+  in
+  match Csrc.Index.find_composite (index_of src) "s" with
+  | None -> Alcotest.fail "struct s not indexed"
+  | Some cd ->
+      Alcotest.(check (list (pair string (option string))))
+        "field comments"
+        [
+          ("first", None); ("a", Some "alone above a"); ("b", Some "trailing after b");
+          ("c", None); ("d", Some "one"); ("e", Some "two"); ("f", None);
+        ]
+        (List.map (fun (f : Csrc.Ast.field) -> (f.field_name, f.field_comment)) cd.fields)
+
 let qcheck_roundtrip_ints =
   QCheck.Test.make ~name:"int literal lex roundtrip" ~count:200
     QCheck.(int_bound 0xffffff)
@@ -322,11 +698,15 @@ let () =
           Alcotest.test_case "char and string" `Quick test_lex_char_and_string;
           Alcotest.test_case "suffixes" `Quick test_lex_suffixes;
           QCheck_alcotest.to_alcotest qcheck_roundtrip_ints;
+          Alcotest.test_case "corpus = reference" `Quick test_lexer_matches_reference_on_corpus;
+          Alcotest.test_case "adversarial = reference" `Quick test_lexer_adversarial_errors;
+          QCheck_alcotest.to_alcotest qcheck_lexer_matches_reference;
         ] );
       ( "parser",
         [
           Alcotest.test_case "dm snippet" `Quick test_parse_dm;
           Alcotest.test_case "fields and comments" `Quick test_struct_fields_and_comments;
+          Alcotest.test_case "field comment attachment" `Quick test_field_comment_attachment;
           Alcotest.test_case "switch" `Quick test_switch_parse;
           Alcotest.test_case "goto and labels" `Quick test_goto_and_labels;
           Alcotest.test_case "called functions" `Quick test_called_functions;

@@ -3,11 +3,10 @@
 
 let kernel_of sources =
   let sid = ref 0 in
-  let header = Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid Corpus.Headers.kernel_h in
   let files =
     List.mapi (fun i src -> Csrc.Parser.parse_file ~file:(Printf.sprintf "m%d.c" i) ~sid src) sources
   in
-  Csrc.Index.of_files (header :: files)
+  Csrc.Index.of_files (Corpus.Headers.header :: files)
 
 let dm_kernel = lazy (kernel_of [ Corpus.Drv_dm.source ])
 
