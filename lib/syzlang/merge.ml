@@ -2,12 +2,13 @@
 
     The paper evaluates combined suites such as "Syzkaller + KernelGPT":
     the union of the hand-written descriptions and the generated ones.
-    Merging renames nothing; colliding syscall variants keep the first
-    occurrence (Syzkaller's own rule for duplicate identifiers), and
-    colliding type names are deduplicated structurally. *)
+    Merging renames nothing. Resources, syscall variants, types and flag
+    sets are each deduplicated by name alone: the first occurrence in
+    input order wins (Syzkaller's own rule for duplicate identifiers),
+    even when a later definition with the same name differs. *)
 
 let dedup_by key xs =
-  let seen = Hashtbl.create 16 in
+  let seen = Hashtbl.create (List.length xs) in
   List.filter
     (fun x ->
       let k = key x in
@@ -17,23 +18,22 @@ let dedup_by key xs =
         true))
     xs
 
-(** Merge two specs into one; [a] wins on name collisions. *)
-let merge2 (a : Ast.spec) (b : Ast.spec) : Ast.spec =
-  {
-    Ast.spec_name = a.spec_name;
-    resources = dedup_by (fun r -> r.Ast.res_name) (a.resources @ b.resources);
-    syscalls = dedup_by Ast.syscall_full_name (a.syscalls @ b.syscalls);
-    types = dedup_by (fun c -> c.Ast.comp_name) (a.types @ b.types);
-    flag_sets = dedup_by (fun f -> f.Ast.set_name) (a.flag_sets @ b.flag_sets);
-  }
-
-(** Merge a list of specs into one suite named [name]. *)
+(** Merge a list of specs into one suite named [name]: each item kind
+    is concatenated in input order and deduplicated once, so the cost is
+    linear in the suite. A lone spec is only renamed: it keeps its own
+    duplicates, if it has any. *)
 let merge_all ~name (specs : Ast.spec list) : Ast.spec =
   match specs with
-  | [] -> Ast.empty_spec name
-  | first :: rest ->
-      let merged = List.fold_left merge2 first rest in
-      { merged with Ast.spec_name = name }
+  | [ s ] -> { s with Ast.spec_name = name }
+  | _ ->
+      let union items key = dedup_by key (List.concat_map items specs) in
+      {
+        Ast.spec_name = name;
+        resources = union (fun s -> s.Ast.resources) (fun r -> r.Ast.res_name);
+        syscalls = union (fun s -> s.Ast.syscalls) Ast.syscall_full_name;
+        types = union (fun s -> s.Ast.types) (fun c -> c.Ast.comp_name);
+        flag_sets = union (fun s -> s.Ast.flag_sets) (fun f -> f.Ast.set_name);
+      }
 
 (** Syscalls present in [next] but absent from [base] — the paper's
     "new syscalls" metric (Table 2). *)

@@ -94,9 +94,14 @@ let validate ~(kernel : Csrc.Index.t) (spec : Ast.spec) : error list =
     errors :=
       { err_spec = spec.spec_name; err_item = item; err_msg = msg; err_ident = ident } :: !errors
   in
-  let type_names = List.map (fun c -> c.Ast.comp_name) spec.types in
-  let resource_names = List.map (fun r -> r.Ast.res_name) spec.resources in
-  let flag_set_names = List.map (fun f -> f.Ast.set_name) spec.flag_sets in
+  let name_set key xs =
+    let set = Hashtbl.create (List.length xs) in
+    List.iter (fun x -> Hashtbl.replace set (key x) ()) xs;
+    set
+  in
+  let type_names = name_set (fun c -> c.Ast.comp_name) spec.types in
+  let resource_names = name_set (fun r -> r.Ast.res_name) spec.resources in
+  let flag_set_names = name_set (fun f -> f.Ast.set_name) spec.flag_sets in
   let check_const item (c : Ast.const_ref) =
     match resolve_const kernel c with
     | Some _ -> ()
@@ -108,13 +113,13 @@ let validate ~(kernel : Csrc.Index.t) (spec : Ast.spec) : error list =
     match t with
     | Ast.Const (c, _) -> check_const item c
     | Ast.Flags (name, _) ->
-        if not (List.mem name flag_set_names) then
+        if not (Hashtbl.mem flag_set_names name) then
           err ~ident:name item (Printf.sprintf "undefined flags %s" name)
     | Ast.Struct_ref name | Ast.Union_ref name ->
-        if not (List.mem name type_names) then
+        if not (Hashtbl.mem type_names name) then
           err ~ident:name item (Printf.sprintf "undefined type %s" name)
     | Ast.Resource_ref name ->
-        if not (List.mem name resource_names) then
+        if not (Hashtbl.mem resource_names name) then
           err ~ident:name item (Printf.sprintf "undefined resource %s" name)
     | Ast.Len (target, _) | Ast.Bytesize (target, _) ->
         if not (List.mem target siblings) then
@@ -147,7 +152,7 @@ let validate ~(kernel : Csrc.Index.t) (spec : Ast.spec) : error list =
       let siblings = List.map (fun f -> f.Ast.fname) c.Ast.args in
       List.iter (fun f -> check_typ item ~siblings f.Ast.ftyp) c.Ast.args;
       (match c.Ast.ret with
-      | Some r when not (List.mem r resource_names) ->
+      | Some r when not (Hashtbl.mem resource_names r) ->
           err ~ident:r item (Printf.sprintf "return resource %s is not declared" r)
       | _ -> ());
       (* an ioctl needs a constant (or flag-set) command argument *)
@@ -177,7 +182,7 @@ let validate ~(kernel : Csrc.Index.t) (spec : Ast.spec) : error list =
   (* resources *)
   List.iter
     (fun r ->
-      if r.Ast.res_underlying <> "fd" && not (List.mem r.Ast.res_underlying resource_names)
+      if r.Ast.res_underlying <> "fd" && not (Hashtbl.mem resource_names r.Ast.res_underlying)
       then
         err ~ident:r.Ast.res_underlying (In_resource r.Ast.res_name)
           (Printf.sprintf "unknown underlying resource %s" r.Ast.res_underlying))

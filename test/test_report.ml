@@ -3,15 +3,57 @@
 
 let ctx = lazy (Report.Suites.build ())
 
+(* Table 3's suites, pinned: item counts (syscalls, types, resources,
+   flag sets) and the MD5 of the printed suite, so a change in what a
+   merge keeps or in what order fails here. *)
 let test_suites_assemble () =
   let ctx = Lazy.force ctx in
-  let syz = Report.Suites.syzkaller_suite ctx in
-  let sd = Report.Suites.syzdescribe_suite ctx in
-  let kg = Report.Suites.kernelgpt_suite ctx in
-  let n s = Syzlang.Ast.count_syscalls s in
-  Alcotest.(check bool) "syzkaller suite non-trivial" true (n syz > 500);
-  Alcotest.(check bool) "syzdescribe adds syscalls" true (n sd > n syz);
-  Alcotest.(check bool) "kernelgpt adds syscalls" true (n kg > n syz)
+  List.iter
+    (fun (suite, shape, md5) ->
+      let s : Syzlang.Ast.spec = suite ctx in
+      Alcotest.(check (list int)) (s.spec_name ^ " shape") shape
+        List.
+          [ length s.syscalls; length s.types; length s.resources; length s.flag_sets ];
+      Alcotest.(check string) (s.spec_name ^ " printed md5") md5
+        (Digest.to_hex (Digest.string (Syzlang.Printer.spec_str s))))
+    [
+      (Report.Suites.syzkaller_suite, [ 2122; 851; 308; 1 ], "7e54fccf5464a7977dfda71db4868685");
+      (Report.Suites.syzdescribe_suite, [ 2901; 993; 336; 1 ], "efe3baa58a5484f2e0d25cc3d3b5508d");
+      (Report.Suites.kernelgpt_suite, [ 3228; 1275; 369; 2 ], "bc5dbf0e0c21ef41155023ae50893361");
+    ]
+
+(* Merging is linear in the suite: four copies of the manual specs, each
+   renamed so nothing collides, allocate about four times what one copy
+   does. A merge that re-walks the suite built so far for every spec it
+   adds allocates about sixteen times (14.5x for a pairwise fold), so the
+   6x bound tells the two apart. *)
+let test_merge_allocation_linear () =
+  let manual =
+    List.filter_map Baseline.Syzkaller_specs.spec_of_entry (Corpus.Registry.loaded ())
+  in
+  let copy i =
+    let sfx n = Printf.sprintf "%s_%d" n i in
+    List.map
+      (fun (s : Syzlang.Ast.spec) ->
+        Syzlang.Ast.
+          {
+            s with
+            resources = List.map (fun r -> { r with res_name = sfx r.res_name }) s.resources;
+            syscalls = List.map (fun c -> { c with call_name = sfx c.call_name }) s.syscalls;
+            types = List.map (fun c -> { c with comp_name = sfx c.comp_name }) s.types;
+            flag_sets = List.map (fun f -> { f with set_name = sfx f.set_name }) s.flag_sets;
+          })
+      manual
+  in
+  let words specs =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Syzlang.Merge.merge_all ~name:"m" specs));
+    Gc.minor_words () -. w0
+  in
+  let one = copy 0 and four = List.concat_map copy [ 0; 1; 2; 3 ] in
+  let w1 = words one and w4 = words four in
+  if w4 >= 6.0 *. w1 then
+    Alcotest.failf "merging 4 copies allocated %.0f words, %.1fx one copy's %.0f" w4 (w4 /. w1) w1
 
 let test_table1_shape () =
   let t = Report.Exp_specs.table1 (Lazy.force ctx) in
@@ -135,6 +177,7 @@ let () =
       ( "experiments",
         [
           t "suites assemble" test_suites_assemble;
+          t "merge allocation linear" test_merge_allocation_linear;
           t "table1 shape" test_table1_shape;
           t "table2 shape" test_table2_shape;
           t "fig7 partitions" test_fig7_sums;

@@ -179,7 +179,7 @@ let test_resolve_spec_fills_values () =
 let test_merge_dedup () =
   let a = parse simple_spec in
   let b = parse simple_spec in
-  let merged = Syzlang.Merge.merge2 a b in
+  let merged = Syzlang.Merge.merge_all ~name:"t" [ a; b ] in
   Alcotest.(check int) "no duplicate syscalls" 2 (List.length merged.syscalls);
   Alcotest.(check int) "no duplicate types" 2 (List.length merged.types)
 
@@ -192,6 +192,232 @@ let test_new_syscalls () =
   Alcotest.(check int) "one new syscall" 1 (List.length fresh);
   Alcotest.(check string) "its name" "ioctl$DM_DEV_CREATE"
     (Syzlang.Ast.syscall_full_name (List.hd fresh))
+
+(* ------------------------------------------------------------------ *)
+(* Merge and validator differentials                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The pairwise-fold merge and the [List.mem] validator that
+   [Merge.merge_all] and [Validate.validate] replaced, kept as reference
+   oracles: every merged suite must equal the fold's, item order
+   included, and every error list the old validator's. *)
+module Reference = struct
+  open Syzlang
+
+  let dedup_by key xs =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun x ->
+        let k = key x in
+        if Hashtbl.mem seen k then false
+        else (
+          Hashtbl.replace seen k ();
+          true))
+      xs
+
+  let merge2 (a : Ast.spec) (b : Ast.spec) : Ast.spec =
+    {
+      Ast.spec_name = a.spec_name;
+      resources = dedup_by (fun r -> r.Ast.res_name) (a.resources @ b.resources);
+      syscalls = dedup_by Ast.syscall_full_name (a.syscalls @ b.syscalls);
+      types = dedup_by (fun c -> c.Ast.comp_name) (a.types @ b.types);
+      flag_sets = dedup_by (fun f -> f.Ast.set_name) (a.flag_sets @ b.flag_sets);
+    }
+
+  let merge_all ~name (specs : Ast.spec list) : Ast.spec =
+    match specs with
+    | [] -> Ast.empty_spec name
+    | first :: rest ->
+        let merged = List.fold_left merge2 first rest in
+        { merged with Ast.spec_name = name }
+
+  (* the validator with [List.mem] name lookups *)
+  let validate ~(kernel : Csrc.Index.t) (spec : Ast.spec) : Validate.error list =
+    let open Validate in
+    let errors = ref [] in
+    let err ?ident item msg =
+      errors :=
+        { err_spec = spec.spec_name; err_item = item; err_msg = msg; err_ident = ident }
+        :: !errors
+    in
+    let type_names = List.map (fun c -> c.Ast.comp_name) spec.types in
+    let resource_names = List.map (fun r -> r.Ast.res_name) spec.resources in
+    let flag_set_names = List.map (fun f -> f.Ast.set_name) spec.flag_sets in
+    let check_const item (c : Ast.const_ref) =
+      match resolve_const kernel c with
+      | Some _ -> ()
+      | None ->
+          err ?ident:c.const_name item
+            (Printf.sprintf "unknown const %s" (Ast.const_ref_to_string c))
+    in
+    let rec check_typ item ?(siblings = []) (t : Ast.typ) =
+      match t with
+      | Ast.Const (c, _) -> check_const item c
+      | Ast.Flags (name, _) ->
+          if not (List.mem name flag_set_names) then
+            err ~ident:name item (Printf.sprintf "undefined flags %s" name)
+      | Ast.Struct_ref name | Ast.Union_ref name ->
+          if not (List.mem name type_names) then
+            err ~ident:name item (Printf.sprintf "undefined type %s" name)
+      | Ast.Resource_ref name ->
+          if not (List.mem name resource_names) then
+            err ~ident:name item (Printf.sprintf "undefined resource %s" name)
+      | Ast.Len (target, _) | Ast.Bytesize (target, _) ->
+          if not (List.mem target siblings) then
+            err ~ident:target item
+              (Printf.sprintf "len target %s is not a sibling field" target)
+      | Ast.Array (elem, size) ->
+          (match size with
+          | Some n when n < 0 || n > max_array_size ->
+              err item (Printf.sprintf "array size %d out of range" n)
+          | _ -> ());
+          check_typ item ~siblings elem
+      | Ast.Ptr (_, inner) -> check_typ item ~siblings inner
+      | Ast.Int (_, Some { lo; hi }) ->
+          if Int64.compare lo hi > 0 then
+            err item (Printf.sprintf "empty int range [%Ld:%Ld]" lo hi)
+      | Ast.Int (_, None) | Ast.Buffer _ | Ast.String _ | Ast.Fd | Ast.Void -> ()
+    in
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun c ->
+        let full = Ast.syscall_full_name c in
+        if Hashtbl.mem seen full then err (In_syscall full) "duplicate syscall name"
+        else Hashtbl.replace seen full ())
+      spec.syscalls;
+    List.iter
+      (fun c ->
+        let full = Ast.syscall_full_name c in
+        let item = In_syscall full in
+        let siblings = List.map (fun f -> f.Ast.fname) c.Ast.args in
+        List.iter (fun f -> check_typ item ~siblings f.Ast.ftyp) c.Ast.args;
+        (match c.Ast.ret with
+        | Some r when not (List.mem r resource_names) ->
+            err ~ident:r item (Printf.sprintf "return resource %s is not declared" r)
+        | _ -> ());
+        if c.Ast.call_name = "ioctl" then
+          match c.Ast.args with
+          | _fd :: cmd :: _ -> (
+              match cmd.Ast.ftyp with
+              | Ast.Const _ | Ast.Flags _ -> ()
+              | _ -> err item "ioctl command argument must be a const or flags")
+          | _ -> err item "ioctl must take at least (fd, cmd)")
+      spec.syscalls;
+    List.iter
+      (fun cd ->
+        let item = In_type cd.Ast.comp_name in
+        if cd.Ast.comp_fields = [] then err item "empty struct/union";
+        let siblings = List.map (fun f -> f.Ast.fname) cd.Ast.comp_fields in
+        List.iter (fun f -> check_typ item ~siblings f.Ast.ftyp) cd.Ast.comp_fields)
+      spec.types;
+    List.iter
+      (fun fs ->
+        let item = In_flag_set fs.Ast.set_name in
+        if fs.Ast.set_values = [] then err item "empty flag set";
+        List.iter (check_const item) fs.Ast.set_values)
+      spec.flag_sets;
+    List.iter
+      (fun r ->
+        if r.Ast.res_underlying <> "fd" && not (List.mem r.Ast.res_underlying resource_names)
+        then
+          err ~ident:r.Ast.res_underlying (In_resource r.Ast.res_name)
+            (Printf.sprintf "unknown underlying resource %s" r.Ast.res_underlying))
+      spec.resources;
+    List.rev !errors
+end
+
+(* Random specs over small name pools, so names collide within a spec
+   and across specs in every item kind, and references dangle. Items
+   that share a name usually differ in content, so which occurrence
+   survives a merge is observable. *)
+let gen_spec : Syzlang.Ast.spec QCheck.Gen.t =
+  let open QCheck.Gen in
+  let open Syzlang.Ast in
+  let type_name = oneofl [ "t0"; "t1"; "t2"; "t_ghost" ] in
+  let res_name = oneofl [ "r0"; "r1"; "r2"; "r_ghost" ] in
+  let flag_name = oneofl [ "f0"; "f1"; "f_ghost" ] in
+  let field_name = oneofl [ "x"; "y"; "z" ] in
+  let const = map const_of_name (oneofl [ "DM_VERSION"; "O_RDWR"; "NO_SUCH_MACRO" ]) in
+  let typ =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              map (fun n -> Struct_ref n) type_name;
+              map (fun n -> Union_ref n) type_name;
+              map (fun n -> Flags (n, I32)) flag_name;
+              map (fun n -> Resource_ref n) res_name;
+              map (fun n -> Len (n, I32)) field_name;
+              map (fun c -> Const (c, I32)) const;
+              map (fun n -> Int (I32, Some { lo = Int64.of_int n; hi = 4L })) (int_bound 8);
+              return Fd;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          oneof
+            [
+              leaf;
+              map (fun t -> Ptr (In, t)) (self (depth - 1));
+              map2 (fun t n -> Array (t, Some n)) (self (depth - 1)) (int_range (-1) 4);
+            ])
+      2
+  in
+  let fields =
+    list_size (int_bound 3) (map2 (fun fname ftyp -> { fname; ftyp }) field_name typ)
+  in
+  let syscall =
+    map4
+      (fun call_name variant args ret -> { call_name; variant; args; ret })
+      (oneofl [ "ioctl"; "openat"; "read" ])
+      (opt (oneofl [ "A"; "B"; "C" ]))
+      fields
+      (opt res_name)
+  in
+  let comp =
+    map3
+      (fun comp_name comp_kind comp_fields -> { comp_name; comp_kind; comp_fields })
+      type_name (oneofl [ Struct; Union ]) fields
+  in
+  let resource =
+    map2
+      (fun res_name res_underlying -> { res_name; res_underlying })
+      res_name
+      (oneofl [ "fd"; "r0"; "r1"; "r_ghost" ])
+  in
+  let flag_set =
+    map2 (fun set_name set_values -> { set_name; set_values }) flag_name
+      (list_size (int_bound 2) const)
+  in
+  let items g = list_size (int_bound 4) g in
+  map4
+    (fun resources syscalls types flag_sets ->
+      { spec_name = "g"; resources; syscalls; types; flag_sets })
+    (items resource) (items syscall) (items comp) (items flag_set)
+
+let arb_spec = QCheck.make ~print:Syzlang.Printer.spec_str gen_spec
+
+(* no specs, a lone spec (which keeps its own duplicates), or many *)
+let arb_spec_list =
+  QCheck.make
+    ~print:(fun specs -> String.concat "\n----\n" (List.map Syzlang.Printer.spec_str specs))
+    QCheck.Gen.(
+      oneof
+        [
+          return [];
+          map (fun s -> [ s ]) gen_spec;
+          list_size (int_range 2 5) gen_spec;
+        ])
+
+let qcheck_merge_matches_reference =
+  QCheck.Test.make ~name:"merge_all = fold of merge2" ~count:500 arb_spec_list (fun specs ->
+      Syzlang.Merge.merge_all ~name:"m" specs = Reference.merge_all ~name:"m" specs)
+
+let qcheck_validate_matches_reference =
+  QCheck.Test.make ~name:"validate = List.mem validator" ~count:500 arb_spec (fun spec ->
+      let kernel = Lazy.force kernel in
+      Syzlang.Validate.validate ~kernel spec = Reference.validate ~kernel spec)
 
 let test_rewrite_substitution () =
   let spec = parse simple_spec in
@@ -299,11 +525,13 @@ let () =
           t "err_ident absent for structural" test_validate_err_ident_absent_for_structural;
           t "err_ident mid-message" test_validate_len_target_ident;
           t "resolve fills values" test_resolve_spec_fills_values;
+          QCheck_alcotest.to_alcotest qcheck_validate_matches_reference;
         ] );
       ( "merge-and-rewrite",
         [
           t "merge dedup" test_merge_dedup;
           t "new syscalls" test_new_syscalls;
+          QCheck_alcotest.to_alcotest qcheck_merge_matches_reference;
           t "rewrite substitution" test_rewrite_substitution;
           t "counts" test_counts;
         ] );
