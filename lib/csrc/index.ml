@@ -28,6 +28,9 @@ type t = {
       (** memoized {!all_macro_values} result — per index, so worker
           domains (each with its own index) never share the slot and two
           alternating indexes never evict each other *)
+  ioc_by_nr_cache : (string * int64) list array option ref;
+      (** memoized {!ioc_macros_by_nr} result, per index like
+          [all_macro_values_cache] *)
 }
 
 let empty () =
@@ -47,6 +50,7 @@ let empty () =
     macro_value_cache = Hashtbl.create 16;
     ident_cache = Hashtbl.create 16;
     all_macro_values_cache = ref None;
+    ioc_by_nr_cache = ref None;
   }
 
 let add_file t (f : Ast.file) : t =
@@ -87,6 +91,7 @@ let add_file t (f : Ast.file) : t =
       | Ast.D_global gd -> Hashtbl.replace t.globals gd.global_name gd)
     f.decls;
   t.all_macro_values_cache := None;
+  t.ioc_by_nr_cache := None;
   { t with files = t.files @ [ f ] }
 
 let of_files files = List.fold_left add_file (empty ()) files
@@ -334,6 +339,26 @@ let all_macro_values t : (string * int64) list =
       in
       t.all_macro_values_cache := Some vs;
       vs
+
+(** The {!all_macro_values} that can be [_IO*] encodings, grouped by
+    their nr byte: group [nr] holds, in {!all_macro_values} order, every
+    value [v] with [v land 0xff = nr] that lies above [0xff] and has a
+    non-zero type byte. An [_IO*] encoding always has one; plain small
+    constants (option numbers, sizes) do not. Memoized per index. *)
+let ioc_macros_by_nr t : (string * int64) list array =
+  match !(t.ioc_by_nr_cache) with
+  | Some groups -> groups
+  | None ->
+      let groups = Array.make 256 [] in
+      List.iter
+        (fun ((_, v) as mv) ->
+          if Int64.compare v 0xffL > 0 && Int64.logand v 0xff00L <> 0L then begin
+            let nr = Int64.to_int (Int64.logand v 0xffL) in
+            groups.(nr) <- mv :: groups.(nr)
+          end)
+        (List.rev (all_macro_values t));
+      t.ioc_by_nr_cache := Some groups;
+      groups
 
 (** A macro that expands to a string constant (device names, paths). *)
 let rec string_macro t name : string option =

@@ -105,24 +105,54 @@ let cover_sid (t : t) (sid : int) : bool =
     true
   end
 
+(* The last suite this domain prepared: consecutive campaigns of one
+   suite on one machine (Table 3's reps, Table 4's seeds) resolve,
+   prepare and compile it once. The key is physical identity — the
+   machine's index is frozen after boot and a spec is immutable, so the
+   prepared suite is a pure function of the pair and the engine. One
+   slot per domain: pool workers never share it, and the slot holds at
+   most one machine and suite alive. *)
+type prepared = {
+  p_machine : Vkernel.Machine.t;
+  p_spec : Syzlang.Ast.spec;
+  p_engine : engine;
+  p_gen : Proggen.t;
+}
+
+let last_prepared : prepared option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+(* A campaign's own generator: the prepared suite's specs and plans are
+   never written after [Proggen.prepare], so they are shared; the two
+   per-campaign fields, [latest] and [cur_str], are fresh. *)
+let prepared_gen ~engine ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : Proggen.t =
+  let slot = Domain.DLS.get last_prepared in
+  let gen =
+    match !slot with
+    | Some p when p.p_machine == machine && p.p_spec == spec && p.p_engine = engine -> p.p_gen
+    | _ ->
+        let resolved = Syzlang.Validate.resolve_spec ~kernel:machine.Vkernel.Machine.index spec in
+        let gen = Proggen.prepare ~compiled:(engine = Compiled) resolved in
+        slot := Some { p_machine = machine; p_spec = spec; p_engine = engine; p_gen = gen };
+        gen
+  in
+  { gen with latest = Array.make (Array.length gen.Proggen.latest) (-1); cur_str = None }
+
 let init ?(seed = 1) ?(budget = 2000) ?(step_budget = 50_000) ?(max_corpus = max_corpus)
     ?(supervisor = Supervisor.default) ?(engine = Compiled) ?(sched = Schedule.Uniform)
     ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : t =
-  let spec_name = spec.Syzlang.Ast.spec_name in
-  let spec = Syzlang.Validate.resolve_spec ~kernel:machine.Vkernel.Machine.index spec in
   (* pay the whole-index compilation before the first execution, not
      inside it: keeps the first measured exec honest and the lazy cell
      out of the hot path's first touch *)
   if engine = Compiled then ignore (Lazy.force machine.Vkernel.Machine.jit);
   {
     machine;
-    gen = Proggen.prepare ~compiled:(engine = Compiled) spec;
+    gen = prepared_gen ~engine ~machine spec;
     engine;
     sink = Vkernel.Machine.new_sink machine;
     rng = Rng.make seed;
     sup = Supervisor.create supervisor;
     sched = Schedule.create ~mode:sched ~max_corpus ~n_ops:(Array.length Mutator.all);
-    spec_name;
+    spec_name = spec.Syzlang.Ast.spec_name;
     seed;
     budget;
     t_step_budget = step_budget;
@@ -341,6 +371,15 @@ let of_snapshot ?engine ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
          "checkpoint records %d mutation operators but this build has %d"
          (List.length s.op_stats) (Array.length Mutator.all))
   else
+    (* a well-formed checkpoint from another machine can still hold sids
+       past this one's bitmap, which [cover_sid] indexes unchecked *)
+    let n_sids = machine.Vkernel.Machine.n_sids in
+    match List.find_opt (fun sid -> sid < 0 || sid >= n_sids) s.coverage with
+    | Some sid ->
+        Error
+          (Printf.sprintf
+             "checkpoint coverage sid %d is out of range: this machine has n_sids = %d" sid n_sids)
+    | None ->
     match
       Supervisor.restore s.supervisor ~health:s.sup_health ~counters:s.sup_counters
     with

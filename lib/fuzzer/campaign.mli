@@ -55,7 +55,11 @@ type engine = Compiled | Interpreted
 
 (** Build the campaign state: resolve the spec, seed the RNG, size the
     corpus ring (default 512), create the {!Supervisor} (default: 4
-    instances, wedge threshold 3, no injected faults). [sched] selects
+    instances, wedge threshold 3, no injected faults). Each domain keeps
+    the last suite it resolved and prepared, keyed by the physical
+    identity of [machine] and the spec and by [engine], so consecutive
+    campaigns of one suite on one machine prepare it once; each campaign
+    still gets its own generator scratch. [sched] selects
     corpus/operator scheduling (default {!Schedule.Uniform}, the
     historical draw-per-pick behavior; {!Schedule.Ucb} schedules by
     UCB1 over checkpointed statistics and consumes no RNG words on
@@ -92,8 +96,9 @@ val snapshot : t -> Checkpoint.snapshot
 (** Rebuild a campaign from a snapshot over the given machine and spec
     (the scheduling mode is campaign state and comes from the snapshot).
     Fails descriptively when the snapshot belongs to a different spec,
-    exceeds its own budget, carries inconsistent supervisor state, or
-    records a different operator-ensemble size than this build. *)
+    exceeds its own budget, covers a statement id outside the machine's
+    [n_sids], carries inconsistent supervisor state, or records a
+    different operator-ensemble size than this build. *)
 val of_snapshot :
   ?engine:engine ->
   machine:Vkernel.Machine.t ->

@@ -246,24 +246,24 @@ let walk_handler (local : local) (fd : Csrc.Ast.func_def) : body_facts =
 let all_macro_values (knowledge : Csrc.Index.t) : (string * int64) list =
   Csrc.Index.all_macro_values knowledge
 
-let ioc_nr v = Int64.logand v 0xffL
 let ioc_type v = Int64.logand (Int64.shift_right_logical v 8) 0xffL
 
 (** Map a rewritten (_IOC_NR) value back to the user-visible macro: find
     the kernel command macro whose nr (and magic, when known) match,
     preferring macros the prompt itself defines (the module's own
-    headers) over global header knowledge. *)
+    headers) over global header knowledge. The candidates come from the
+    knowledge index's per-nr groups, so only macros with this nr are
+    scanned. *)
 let resolve_nr_macro (local : local) ~(magic : int64 option) (nr : int64) : string option =
+  let group =
+    if Int64.compare nr 0L >= 0 && Int64.compare nr 0xffL <= 0 then
+      (Csrc.Index.ioc_macros_by_nr local.knowledge).(Int64.to_int nr)
+    else []
+  in
   let candidates =
-    List.filter
-      (fun (_, v) ->
-        (* an _IOC encoding always has a non-zero type byte; plain small
-           constants (option numbers, sizes) do not *)
-        Int64.compare v 0xffL > 0
-        && (not (Int64.equal (ioc_type v) 0L))
-        && Int64.equal (ioc_nr v) nr
-        && match magic with Some m -> Int64.equal (ioc_type v) m | None -> true)
-      (all_macro_values local.knowledge)
+    match magic with
+    | Some m -> List.filter (fun (_, v) -> Int64.equal (ioc_type v) m) group
+    | None -> group
   in
   let in_prompt (name, _) = Csrc.Index.find_macro local.index name <> None in
   match List.find_opt in_prompt candidates with

@@ -31,7 +31,7 @@ let table1 (ctx : Suites.ctx) : table1 =
                (fun (f : Syzlang.Ast.field) ->
                  match f.ftyp with
                  | Syzlang.Ast.Ptr (_, Syzlang.Ast.String (Some p)) ->
-                     List.mem_assoc p ctx.machine.Vkernel.Machine.devices
+                     Hashtbl.mem ctx.machine.Vkernel.Machine.devices p
                  | _ -> false)
                c.args)
         spec.syscalls

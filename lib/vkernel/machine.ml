@@ -39,8 +39,10 @@ type socket_reg = { sock_module : string; sock_ops : string }
 
 type t = {
   index : Csrc.Index.t;
-  devices : (string * device) list;
-  sockets : ((int * int * int) * socket_reg) list;
+  devices : (string, device) Hashtbl.t;
+      (** device path -> device; the first registration of a path wins *)
+  sockets : (int, ((int * int * int) * socket_reg) list) Hashtbl.t;
+      (** socket domain -> that domain's registrations, in boot order *)
   sid_module : (int, string) Hashtbl.t;
   modules : string list;
   jit : Jit.t Lazy.t;
@@ -79,25 +81,25 @@ let boot (entries : Corpus.Types.entry list) : t =
       entries
   in
   let index = Csrc.Index.of_files (Corpus.Headers.header :: files) in
-  let devices =
-    List.concat_map
-      (fun (e : Corpus.Types.entry) ->
-        if e.kind = Corpus.Types.Driver then
-          List.map
-            (fun path -> (path, { dev_module = e.name; dev_fops = e.gt.gt_fops }))
+  (* both tables are sized from the entry list, so a single-module boot
+     allocates a minimal table, not one sized for the whole kernel *)
+  let devices = Hashtbl.create (List.length entries) in
+  let sockets = Hashtbl.create (List.length entries) in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      match (e.kind, e.gt.gt_socket) with
+      | Corpus.Types.Driver, _ ->
+          List.iter
+            (fun path ->
+              if not (Hashtbl.mem devices path) then
+                Hashtbl.add devices path { dev_module = e.name; dev_fops = e.gt.gt_fops })
             e.gt.gt_paths
-        else [])
-      entries
-  in
-  let sockets =
-    List.filter_map
-      (fun (e : Corpus.Types.entry) ->
-        match e.gt.gt_socket with
-        | Some triple when e.kind = Corpus.Types.Socket ->
-            Some (triple, { sock_module = e.name; sock_ops = e.gt.gt_fops })
-        | _ -> None)
-      entries
-  in
+      | Corpus.Types.Socket, Some ((d, _, _) as triple) ->
+          let reg = (triple, { sock_module = e.name; sock_ops = e.gt.gt_fops }) in
+          let regs = Option.value (Hashtbl.find_opt sockets d) ~default:[] in
+          Hashtbl.replace sockets d (regs @ [ reg ])
+      | Corpus.Types.Socket, None -> ())
+    entries;
   {
     index;
     devices;
@@ -111,6 +113,33 @@ let boot (entries : Corpus.Types.entry list) : t =
   }
 
 let module_of_sid t sid = Hashtbl.find_opt t.sid_module sid
+
+let find_device t path = Hashtbl.find_opt t.devices path
+
+(* Families commonly accept several socket types, so the most specific
+   registration wins. Each rule takes the requested type and protocol,
+   then a registration's; in order: the exact triple, (type, protocol 0),
+   the protocol under any type, the domain's first registration. Every
+   rule also requires the domain to match, so they run over that
+   domain's registrations only. *)
+let socket_rules =
+  [
+    (fun typ proto ty p -> ty = typ && p = proto);
+    (fun typ _ ty p -> ty = typ && p = 0);
+    (fun _ proto _ p -> proto <> 0 && p = proto);
+    (fun _ _ _ _ -> true);
+  ]
+
+let find_socket t ~domain ~typ ~proto =
+  match Hashtbl.find_opt t.sockets domain with
+  | None -> None
+  | Some regs ->
+      List.find_map
+        (fun rule ->
+          List.find_map
+            (fun ((_, ty, p), reg) -> if rule typ proto ty p then Some reg else None)
+            regs)
+        socket_rules
 
 (* ------------------------------------------------------------------ *)
 (* Coverage sink                                                       *)
@@ -299,7 +328,7 @@ let op_open (run : run) (retvals : int64 array) (c : call) : int64 =
     if c.c_name = "open" then (match get args 0 with P_str s -> s | _ -> path) else path
   in
   ignore retvals;
-  match List.assoc_opt path run.machine.devices with
+  match find_device run.machine path with
   | None -> errno 2 (* ENOENT *)
   | Some dev ->
       let file = Interp.typed_obj st ~fn "file" in
@@ -327,28 +356,7 @@ let op_socket (run : run) (retvals : int64 array) (c : call) : int64 =
   let domain = Int64.to_int (int_of args retvals 0) in
   let styp = Int64.to_int (int_of args retvals 1) in
   let proto = Int64.to_int (int_of args retvals 2) in
-  let lookup k = List.assoc_opt k run.machine.sockets in
-  let by_pred pred =
-    List.find_map
-      (fun ((d, t, p), reg) -> if pred d t p then Some reg else None)
-      run.machine.sockets
-  in
-  (* families commonly accept several socket types; match the most
-     specific registration available *)
-  let resolved =
-    match lookup (domain, styp, proto) with
-    | Some s -> Some s
-    | None -> (
-        match lookup (domain, styp, 0) with
-        | Some s -> Some s
-        | None -> (
-            match
-              if proto <> 0 then by_pred (fun d _ p -> d = domain && p = proto) else None
-            with
-            | Some s -> Some s
-            | None -> by_pred (fun d _ _ -> d = domain)))
-  in
-  match resolved with
+  match find_socket run.machine ~domain ~typ:styp ~proto with
   | None -> errno 97 (* EAFNOSUPPORT *)
   | Some reg ->
       let sock = Interp.typed_obj st ~fn "socket" in

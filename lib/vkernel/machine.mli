@@ -39,8 +39,11 @@ type socket_reg = { sock_module : string; sock_ops : string }
 
 type t = {
   index : Csrc.Index.t;
-  devices : (string * device) list;
-  sockets : ((int * int * int) * socket_reg) list;
+  devices : (string, device) Hashtbl.t;
+      (** device path -> device; the first registration of a path wins *)
+  sockets : (int, ((int * int * int) * socket_reg) list) Hashtbl.t;
+      (** socket domain -> that domain's (domain, type, protocol)
+          registrations, in boot order *)
   sid_module : (int, string) Hashtbl.t;
   modules : string list;
   jit : Jit.t Lazy.t;
@@ -63,6 +66,16 @@ val boot : Corpus.Types.entry list -> t
 
 (** Which module a covered statement belongs to. *)
 val module_of_sid : t -> int -> string option
+
+(** The device an [openat] of this path opens: one hash probe. *)
+val find_device : t -> string -> device option
+
+(** The registration a [socket(domain, typ, proto)] call binds to, by the
+    most specific rule that matches: the exact triple, then
+    [(domain, typ, 0)], then (when [proto <> 0]) the first registration
+    of the domain with that protocol, then the domain's first
+    registration. [None] is [EAFNOSUPPORT]. *)
+val find_socket : t -> domain:int -> typ:int -> proto:int -> socket_reg option
 
 (** Which executor runs handler bodies. Both are exact semantic mirrors
     — identical coverage, crashes, and return values; [`Jit] (the

@@ -479,6 +479,49 @@ if ! grep -q 'unsupported checkpoint version 1 (this build reads version 2)' "$t
 fi
 echo "OK: a version-1 checkpoint is rejected naming both versions"
 
+echo "== checkpoint from another machine: out-of-range sid refused =="
+# A checkpoint can pass its checksum and still cover statement ids the
+# booted machine does not have (one saved against another corpus build).
+# --resume must refuse it with the CLI's error status and a message that
+# names the sid, never abort (134) or segfault (139); --resume-or-fresh
+# must fall back and print exactly the fresh campaign's report.
+python3 - "$tmp/ck.jsonl" "$tmp/ck_sid.jsonl" <<'EOF'
+import json, sys
+lines = [l for l in open(sys.argv[1], "rb").read().split(b"\n") if l]
+body_lines = lines[:-1]  # drop the checksum record
+assert body_lines[3].startswith(b'{"coverage":['), b"unexpected record: " + body_lines[3][:40]
+cov = json.loads(body_lines[3])
+cov["coverage"].append(100000000)
+record = json.dumps(cov, separators=(",", ":")).encode()
+assert record.replace(b",100000000]", b"]") == body_lines[3], "coverage record did not round-trip"
+body_lines[3] = record
+body = b"\n".join(body_lines) + b"\n"
+h = 0xcbf29ce484222325
+for c in body:
+    h = ((h ^ c) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+open(sys.argv[2], "wb").write(body + b'{"checksum":"fnv1a64:%016x"}\n' % h)
+EOF
+status=0
+dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
+  --checkpoint "$tmp/ck_sid.jsonl" --resume >/dev/null 2>"$tmp/sid.err" || status=$?
+if [ "$status" -ne 124 ]; then
+  echo "FAIL: --resume of an out-of-range sid exited $status, not the CLI error status 124" >&2
+  cat "$tmp/sid.err" >&2
+  exit 1
+fi
+if ! grep -q 'checkpoint coverage sid 100000000 is out of range' "$tmp/sid.err"; then
+  echo "FAIL: out-of-range sid error is not descriptive:" >&2
+  cat "$tmp/sid.err" >&2
+  exit 1
+fi
+dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
+  --checkpoint "$tmp/ck_sid.jsonl" --resume-or-fresh 2>/dev/null | normalize_time > "$tmp/fuzz_sid.out"
+if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_sid.out"; then
+  echo "FAIL: --resume-or-fresh past an out-of-range sid differs from a fresh run" >&2
+  exit 1
+fi
+echo "OK: an out-of-range sid fails --resume descriptively; --resume-or-fresh runs fresh"
+
 echo "== pool fault injection: deterministic recovery, pass-through, quarantine =="
 # Worker-pool faults fire on a pure hash of (seed, label, attempt), so a
 # plan's stdout — retry counts, quarantine counts, degraded rows — must

@@ -105,6 +105,55 @@ let test_resume_rejects_other_spec () =
   | Ok _ -> Alcotest.fail "expected a spec-name mismatch error"
   | Error e -> Alcotest.(check bool) "error names the foreign spec" true (contains e "other")
 
+let test_resume_rejects_foreign_sids () =
+  (* a checkpoint that passes its checksum can still carry sids from a
+     different machine: resume must refuse them before touching the
+     coverage bitmap, and an in-range resume must stay exact *)
+  let machine, spec = Lazy.force dm_ctx in
+  let t = Fuzzer.Campaign.init ~seed:2 ~budget:300 ~machine spec in
+  ignore (Fuzzer.Campaign.drive ~stop_after:120 t);
+  let snap = Fuzzer.Campaign.snapshot t in
+  let n_sids = machine.Vkernel.Machine.n_sids in
+  List.iter
+    (fun sid ->
+      let bad = { snap with Fuzzer.Checkpoint.coverage = snap.coverage @ [ sid ] } in
+      match Fuzzer.Campaign.of_snapshot ~machine spec bad with
+      | Ok _ -> Alcotest.failf "resume accepted coverage sid %d" sid
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names sid %d and n_sids" e sid)
+            true
+            (contains e (Printf.sprintf "sid %d " sid)
+            && contains e (Printf.sprintf "n_sids = %d" n_sids)))
+    [ n_sids; -5; 100_000_000 ];
+  let finish snap =
+    match Fuzzer.Campaign.of_snapshot ~machine spec snap with
+    | Error e -> Alcotest.fail e
+    | Ok t ->
+        ignore (Fuzzer.Campaign.drive t);
+        Fuzzer.Campaign.snapshot t
+  in
+  ignore (Fuzzer.Campaign.drive t);
+  Alcotest.(check bool) "in-range resume is exact" true (finish snap = Fuzzer.Campaign.snapshot t)
+
+let test_resume_on_warm_memo () =
+  (* a resume whose init reuses this domain's prepared suite must finish
+     exactly as one on an empty memo (a fresh domain) *)
+  let machine, spec = Lazy.force dm_ctx in
+  let t = Fuzzer.Campaign.init ~seed:6 ~budget:400 ~machine spec in
+  ignore (Fuzzer.Campaign.drive ~stop_after:170 t);
+  let snap = Fuzzer.Campaign.snapshot t in
+  let finish () =
+    match Fuzzer.Campaign.of_snapshot ~machine spec snap with
+    | Error e -> failwith e
+    | Ok t ->
+        ignore (Fuzzer.Campaign.drive t);
+        Fuzzer.Campaign.snapshot t
+  in
+  let warm = finish () in
+  let cold = Domain.join (Domain.spawn finish) in
+  Alcotest.(check bool) "warm-memo resume = empty-memo resume" true (warm = cold)
+
 (* ------------------------------------------------------------------ *)
 (* Corruption detection                                                *)
 (* ------------------------------------------------------------------ *)
@@ -321,6 +370,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_resume_identity;
           t "snapshot save/load exact" test_snapshot_roundtrip_exact;
           t "rejects foreign spec" test_resume_rejects_other_spec;
+          t "rejects out-of-range sids" test_resume_rejects_foreign_sids;
+          t "resume on a warm memo" test_resume_on_warm_memo;
         ] );
       ( "corruption",
         [

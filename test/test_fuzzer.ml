@@ -342,11 +342,18 @@ let reference_insert_dependent (t : Fuzzer.Proggen.t) (r : Fuzzer.Rng.t)
     List.rev ({ c_name = syscalls.(idx).call_name; c_args = args } :: rev_prog)
   end
 
-let kernel_suite =
+(* the whole kernel with Table 3's merged suite, as campaigns receive it *)
+let kernel_ctx =
   lazy
     (let ctx = Report.Suites.build () in
-     Syzlang.Validate.resolve_spec ~kernel:ctx.Report.Suites.machine.Vkernel.Machine.index
-       (Report.Suites.kernelgpt_suite ctx))
+     ( ctx.Report.Suites.machine,
+       Report.Suites.kernelgpt_suite ctx,
+       Report.Suites.syzkaller_suite ctx ))
+
+let kernel_suite =
+  lazy
+    (let machine, merged, _ = Lazy.force kernel_ctx in
+     Syzlang.Validate.resolve_spec ~kernel:machine.Vkernel.Machine.index merged)
 
 (* The operator under test and the oracle must see the same generator
    state: the interpreted engine reads and writes the program's working
@@ -598,6 +605,65 @@ let test_rng_golden_range () =
       (Fuzzer.Rng.int64_in_range a ~lo:Int64.min_int ~hi:Int64.max_int)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Prepared-suite reuse                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Campaigns on suites A, A, B, A of one machine, initialised in that
+   order (the second A reuses the first's preparation, B and the last A
+   prepare again) and stepped round-robin, so two campaigns sharing a
+   prepared suite interleave their generator scratch. Each must finish
+   exactly as the same campaign run alone in a fresh domain, whose memo
+   is empty. *)
+let test_reuse_matches_fresh_domain () =
+  let machine, a, b = Lazy.force kernel_ctx in
+  let plan = [ (a, 11); (a, 12); (b, 13); (a, 14) ] in
+  let budget = 250 in
+  let ts =
+    List.map (fun (spec, seed) -> Fuzzer.Campaign.init ~seed ~budget ~machine spec) plan
+  in
+  let rec round_robin () =
+    if List.fold_left (fun stepped t -> Fuzzer.Campaign.step t || stepped) false ts then
+      round_robin ()
+  in
+  round_robin ();
+  List.iter2
+    (fun t (spec, seed) ->
+      let alone =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let t = Fuzzer.Campaign.init ~seed ~budget ~machine spec in
+               ignore (Fuzzer.Campaign.drive t);
+               Fuzzer.Campaign.snapshot t))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s seed %d matches a fresh domain" spec.Syzlang.Ast.spec_name seed)
+        true
+        (Fuzzer.Campaign.snapshot t = alone))
+    ts plan
+
+(* A repeat [Campaign.init] of the merged suite reuses the prepared
+   suite: it allocates under 1% of the minor words of the first, which
+   resolves, prepares and compiles 3228 syscalls. Measured in a fresh
+   domain so the first call cannot hit a memo an earlier test filled. *)
+let test_reuse_allocation_guard () =
+  let machine, merged, _ = Lazy.force kernel_ctx in
+  ignore (Lazy.force machine.Vkernel.Machine.jit);
+  let first, again =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let words () =
+             let w0 = Gc.minor_words () in
+             ignore (Sys.opaque_identity (Fuzzer.Campaign.init ~seed:1 ~budget:10 ~machine merged));
+             Gc.minor_words () -. w0
+           in
+           let first = words () in
+           (first, words ())))
+  in
+  if again >= first /. 100.0 then
+    Alcotest.failf "a repeat init allocated %.0f minor words, %.2f%% of the first's %.0f" again
+      (100.0 *. again /. first) first
+
 let test_rng_golden_fuzz_int () =
   let r = Fuzzer.Rng.make 42 in
   Alcotest.(check (list int64)) "fuzz_int 32-bit stream"
@@ -663,5 +729,7 @@ let () =
           t "no eviction unsaturated" test_campaign_no_eviction_unsaturated;
           t "eviction deterministic" test_campaign_eviction_deterministic;
           t "repro minimization" test_repro_minimize;
+          t "suite reuse matches a fresh domain" test_reuse_matches_fresh_domain;
+          t "suite reuse allocation guard" test_reuse_allocation_guard;
         ] );
     ]

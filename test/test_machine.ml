@@ -283,6 +283,176 @@ let test_detach_frees () =
     r.retvals;
   Alcotest.(check bool) "no false leak after detach+reattach" true (r.crash = None)
 
+(* ------------------------------------------------------------------ *)
+(* Dispatch lookups against the association-list reference            *)
+(* ------------------------------------------------------------------ *)
+
+(* The registrations as [Machine.boot] listed them before the hashed
+   tables, and the scans [op_open] and [op_socket] ran over them, kept as
+   the reference oracle for [Machine.find_device] and
+   [Machine.find_socket]. *)
+let ref_devices entries =
+  List.concat_map
+    (fun (e : Corpus.Types.entry) ->
+      if e.kind = Corpus.Types.Driver then
+        List.map
+          (fun path -> (path, { Machine.dev_module = e.name; dev_fops = e.gt.gt_fops }))
+          e.gt.gt_paths
+      else [])
+    entries
+
+let ref_sockets entries =
+  List.filter_map
+    (fun (e : Corpus.Types.entry) ->
+      match e.gt.gt_socket with
+      | Some triple when e.kind = Corpus.Types.Socket ->
+          Some (triple, { Machine.sock_module = e.name; sock_ops = e.gt.gt_fops })
+      | _ -> None)
+    entries
+
+let ref_find_device devices path = List.assoc_opt path devices
+
+let ref_find_socket sockets (domain, styp, proto) =
+  let lookup k = List.assoc_opt k sockets in
+  let by_pred pred =
+    List.find_map (fun ((d, t, p), reg) -> if pred d t p then Some reg else None) sockets
+  in
+  match lookup (domain, styp, proto) with
+  | Some s -> Some s
+  | None -> (
+      match lookup (domain, styp, 0) with
+      | Some s -> Some s
+      | None -> (
+          match if proto <> 0 then by_pred (fun d _ p -> d = domain && p = proto) else None with
+          | Some s -> Some s
+          | None -> by_pred (fun d _ _ -> d = domain)))
+
+(* Four real socket modules re-registered under one domain, so that each
+   of the four socket rules decides some triple built from registered
+   parts: (40,2,9) is exact, (40,2,7) needs the (domain, type, 0) rule,
+   (40,4,9) the protocol rule and (40,4,0) the domain's first entry. *)
+let shared_domain_entries () =
+  let socks =
+    List.filter
+      (fun (e : Corpus.Types.entry) -> e.kind = Corpus.Types.Socket)
+      (Corpus.Registry.loaded ())
+  in
+  List.map2
+    (fun (e : Corpus.Types.entry) triple -> { e with gt = { e.gt with gt_socket = Some triple } })
+    (List.filteri (fun i _ -> i < 4) socks)
+    [ (40, 1, 7); (40, 2, 0); (40, 2, 9); (40, 3, 9) ]
+
+(* every machine the differential runs on: the whole kernel, each loaded
+   module booted alone, and the shared-domain machine *)
+let dispatch_machines =
+  lazy
+    (let loaded = Corpus.Registry.loaded () in
+     List.map
+       (fun entries -> (Machine.boot entries, ref_devices entries, ref_sockets entries))
+       ((loaded :: List.map (fun e -> [ e ]) loaded) @ [ shared_domain_entries () ]))
+
+let kernel_machine () =
+  let m, _, _ = List.hd (Lazy.force dispatch_machines) in
+  m
+
+let registered_paths = lazy (List.map fst (ref_devices (Corpus.Registry.loaded ())))
+
+let registered_triples =
+  lazy
+    (List.map fst (ref_sockets (Corpus.Registry.loaded () @ shared_domain_entries ())))
+
+let gen_path =
+  let open QCheck.Gen in
+  let registered = oneofl (Lazy.force registered_paths) in
+  oneof
+    [
+      registered;
+      (registered >>= fun p -> int_bound (String.length p) >|= fun k -> String.sub p 0 k);
+      (registered >|= fun p -> p ^ "0");
+      string_size ~gen:printable (int_range 0 16);
+    ]
+
+let gen_triple =
+  let open QCheck.Gen in
+  let triples = Lazy.force registered_triples in
+  let noise = oneof [ return 0; int_range (-3) 300; int ] in
+  let from xs = oneof [ oneofl xs; noise ] in
+  let own d = List.filter (fun (d', _, _) -> d' = d) triples in
+  let domains = List.sort_uniq compare (List.map (fun (d, _, _) -> d) triples) in
+  let shared = List.filter (fun d -> List.length (own d) > 1) domains in
+  (* a domain's own types and protocols recombined, most often in a
+     domain with several registrations, where the rules disagree *)
+  let within d =
+    let parts f = from (List.map f (own d)) in
+    pair (parts (fun (_, t, _) -> t)) (parts (fun (_, _, p) -> p)) >|= fun (t, p) -> (d, t, p)
+  in
+  frequency
+    [
+      (3, oneofl shared >>= within);
+      (2, oneofl domains >>= within);
+      (1, triple (from domains) noise noise);
+    ]
+
+let qcheck_find_device =
+  QCheck.Test.make ~name:"find_device = List.assoc_opt on every machine" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_path)
+    (fun path ->
+      List.for_all
+        (fun (m, devices, _) -> Machine.find_device m path = ref_find_device devices path)
+        (Lazy.force dispatch_machines))
+
+let qcheck_find_socket =
+  QCheck.Test.make ~name:"find_socket = four-rule scan on every machine" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(triple int int int) gen_triple)
+    (fun ((domain, typ, proto) as k) ->
+      List.for_all
+        (fun (m, _, sockets) ->
+          Machine.find_socket m ~domain ~typ ~proto = ref_find_socket sockets k)
+        (Lazy.force dispatch_machines))
+
+let test_dispatch_pins () =
+  let m = kernel_machine () in
+  let sock_module = Option.map (fun (r : Machine.socket_reg) -> r.sock_module) in
+  let shared =
+    Hashtbl.fold
+      (fun d regs acc ->
+        if List.length regs > 1 then
+          (d, List.map (fun (_, (r : Machine.socket_reg)) -> r.sock_module) regs) :: acc
+        else acc)
+      m.Machine.sockets []
+  in
+  Alcotest.(check (list (pair int (list string))))
+    "one domain registered twice, in boot order"
+    [ (31, [ "rfcomm_sock"; "sco_sock" ]) ]
+    shared;
+  Alcotest.(check (option string)) "the first registration wins the domain fallback"
+    (Some "rfcomm_sock") (sock_module (Machine.find_socket m ~domain:31 ~typ:2 ~proto:0));
+  Alcotest.(check (option string)) "unregistered domain" None
+    (sock_module (Machine.find_socket m ~domain:39 ~typ:1 ~proto:0));
+  let r =
+    Machine.exec_prog m
+      [ { Machine.c_name = "socket"; c_args = [ P_int 39L; P_int 1L; P_int 0L ] } ]
+  in
+  Alcotest.(check int64) "falls through to EAFNOSUPPORT" (-97L) r.retvals.(0);
+  let shared_entries = shared_domain_entries () in
+  let shared_machine = Machine.boot shared_entries in
+  List.iter
+    (fun ((domain, typ, proto), rule, i) ->
+      Alcotest.(check (option string)) rule
+        (Some (List.nth shared_entries i).Corpus.Types.name)
+        (sock_module (Machine.find_socket shared_machine ~domain ~typ ~proto)))
+    [
+      ((40, 2, 9), "exact triple", 2);
+      ((40, 2, 7), "(domain, type, 0) before the protocol rule", 1);
+      ((40, 4, 9), "protocol under any type", 2);
+      ((40, 4, 0), "the domain's first registration", 0);
+    ];
+  Alcotest.(check (option string)) "registered path" (Some "dm")
+    (Option.map
+       (fun (d : Machine.device) -> d.dev_module)
+       (Machine.find_device m "/dev/mapper/control"));
+  Alcotest.(check bool) "a prefix is not a path" true (Machine.find_device m "/dev/mapper" = None)
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "machine"
@@ -295,6 +465,12 @@ let () =
           t "setsockopt dispatch" test_setsockopt_dispatch;
           t "null sockaddr" test_bind_null_addr_efault;
           t "sendto lowering" test_sendto_lowered_to_sendmsg;
+        ] );
+      ( "dispatch",
+        [
+          t "pins" test_dispatch_pins;
+          QCheck_alcotest.to_alcotest qcheck_find_device;
+          QCheck_alcotest.to_alcotest qcheck_find_socket;
         ] );
       ("anon-fds", [ t "kvm vm/vcpu chain" test_kvm_anon_fd_chain ]);
       ( "interp",

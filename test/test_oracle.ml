@@ -244,6 +244,76 @@ let test_macro_memo_per_index () =
   Alcotest.(check int64) "idx2 again" 222L (List.assoc "SHARED_MAGIC" (Analysis.all_macro_values idx2));
   Alcotest.(check int64) "idx1 after idx2" 111L (List.assoc "SHARED_MAGIC" (Analysis.all_macro_values idx1))
 
+(* The pre-PR [_IOC_NR] lookup, kept as the reference: a linear filter
+   over every integer macro of the knowledge index. *)
+let ref_resolve_nr_macro (local : Analysis.local) ~(magic : int64 option) (nr : int64) =
+  let ioc_nr v = Int64.logand v 0xffL in
+  let ioc_type v = Int64.logand (Int64.shift_right_logical v 8) 0xffL in
+  let candidates =
+    List.filter
+      (fun (_, v) ->
+        Int64.compare v 0xffL > 0
+        && (not (Int64.equal (ioc_type v) 0L))
+        && Int64.equal (ioc_nr v) nr
+        && match magic with Some m -> Int64.equal (ioc_type v) m | None -> true)
+      (Analysis.all_macro_values local.knowledge)
+  in
+  let in_prompt (name, _) = Csrc.Index.find_macro local.index name <> None in
+  match List.find_opt in_prompt candidates with
+  | Some (name, _) -> Some name
+  | None -> ( match candidates with (name, _) :: _ -> Some name | [] -> None)
+
+let test_nr_groups_match_reference () =
+  let booted = (Vkernel.Machine.boot (Corpus.Registry.loaded ())).Vkernel.Machine.index in
+  let prompt =
+    [
+      { Prompt.snip_name = "dm"; snip_text = Corpus.Drv_dm.source };
+      { Prompt.snip_name = "cec"; snip_text = Corpus.Drv_cec.source };
+    ]
+  in
+  let check label (local : Analysis.local) =
+    let magics =
+      None
+      :: List.map Option.some
+           (List.sort_uniq compare
+              (List.map
+                 (fun (_, v) -> Int64.logand (Int64.shift_right_logical v 8) 0xffL)
+                 (Analysis.all_macro_values local.knowledge)))
+    in
+    let nrs = -1L :: 0x100L :: List.init 256 Int64.of_int in
+    List.iter
+      (fun magic ->
+        List.iter
+          (fun nr ->
+            let got = Analysis.resolve_nr_macro local ~magic nr in
+            if got <> ref_resolve_nr_macro local ~magic nr then
+              Alcotest.failf "%s: nr %Ld magic %s resolves to %s" label nr
+                (match magic with Some m -> Int64.to_string m | None -> "none")
+                (Option.value got ~default:"nothing"))
+          nrs)
+      magics
+  in
+  let on_booted = Analysis.parse_snippets ~knowledge:booted prompt in
+  check "booted index" on_booted;
+  check "header + dm index" (Analysis.parse_snippets ~knowledge:(Lazy.force dm_kernel) prompt);
+  check "prompt index" { on_booted with knowledge = on_booted.index }
+
+let test_nr_groups_follow_add_file () =
+  (* the per-nr groups are memoized in the index: adding a file must
+     drop them along with the macro-value memo *)
+  let idx = kernel_of [ "#define A_CMD 0x7805\n" ] in
+  let local knowledge = { Analysis.index = Csrc.Index.of_files []; knowledge } in
+  Alcotest.(check (option string)) "before" (Some "A_CMD")
+    (Analysis.resolve_nr_macro (local idx) ~magic:(Some 0x78L) 5L);
+  Alcotest.(check (option string)) "absent before" None
+    (Analysis.resolve_nr_macro (local idx) ~magic:(Some 0x79L) 6L);
+  let idx =
+    Csrc.Index.add_file idx
+      (Csrc.Parser.parse_file ~file:"b.c" ~sid:(ref 0) "#define B_CMD 0x7906\n")
+  in
+  Alcotest.(check (option string)) "after add_file" (Some "B_CMD")
+    (Analysis.resolve_nr_macro (local idx) ~magic:(Some 0x79L) 6L)
+
 let test_repair_strips_suffix () =
   let idx = Lazy.force dm_kernel in
   let _, resp =
@@ -315,6 +385,8 @@ let () =
         [
           t "delegation unknown" test_identifier_delegation_unknown;
           t "_IOC_NR resolution" test_identifier_nr_resolution;
+          t "_IOC_NR groups = linear filter" test_nr_groups_match_reference;
+          t "_IOC_NR groups follow add_file" test_nr_groups_follow_add_file;
           t "gpt-3.5 no delegation" test_identifier_gpt35_no_delegation;
         ] );
       ( "types",
