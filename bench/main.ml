@@ -1,5 +1,5 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
-    evaluation section, plus Bechamel micro-benchmarks of the substrate.
+    evaluation section.
 
     Usage:
       dune exec bench/main.exe                 # all tables+figures, quick scale
@@ -7,13 +7,11 @@
       dune exec bench/main.exe -- --scale full # EXPERIMENTS.md numbers
       dune exec bench/main.exe -- --jobs 8     # shard campaigns over 8 domains
       dune exec bench/main.exe -- --jobs 0     # one worker per core
-      dune exec bench/main.exe -- --micro      # Bechamel component benches only
       dune exec bench/main.exe -- --trace t.jsonl --metrics  # observability
       dune exec bench/main.exe -- --faults 15:1 --query-budget 50000  # resilience
       dune exec bench/main.exe -- --exp table3 --exec-faults 10:3     # executor wedges
       dune exec bench/main.exe -- --exp table3 --pool-faults 15:7     # worker faults
       dune exec bench/main.exe -- --oracle-cache warm.jsonl           # answer cache
-      dune exec bench/main.exe -- --interpreted    # legacy AST-walking engine
       dune exec bench/main.exe -- --sched ucb      # UCB seed/operator scheduling
       dune exec bench/main.exe -- --bench-out b.json  # BENCH artifact path
 
@@ -23,87 +21,16 @@
     fuzzing live in perfbench/ (see perfbench/README.md).
 
     Tables on stdout are byte-identical for any --jobs value, with or
-    without --faults (fault handling is scoped per module), and for
-    either campaign engine (--interpreted vs the default compiled one).
-    The one exception is --query-budget with --jobs > 1: the shared
-    budget is consumed in scheduler order, so which queries it refuses
-    varies run to run — budget-bound runs reproduce exactly only at
-    --jobs 1. The pool speedup summary, the --metrics registry, and
+    without --faults (fault handling is scoped per module). The one
+    exception is --query-budget with --jobs > 1: the shared budget is
+    consumed in scheduler order, so which queries it refuses varies run
+    to run — budget-bound runs reproduce exactly only at --jobs 1. The pool speedup summary, the --metrics registry, and
     --trace spans go to stderr or the trace file, never stdout.
 
     Every report run also writes a machine-readable throughput artifact
     ({!Report.Bench_json}) to BENCH_<which>_<scale>.json (or
     --bench-out PATH); the write is atomic and self-checked, and a
     one-line summary goes to stderr. *)
-
-let micro_benchmarks () =
-  let open Bechamel in
-  let entry = Corpus.Registry.find_exn "dm" in
-  let machine = Vkernel.Machine.boot [ entry ] in
-  let kernel = machine.Vkernel.Machine.index in
-  let spec =
-    let oracle = Oracle.create ~profile:Profile.gpt4 ~knowledge:kernel () in
-    match (Kernelgpt.Pipeline.run ~oracle ~kernel entry).o_spec with
-    | Some s -> s
-    | None -> failwith "dm spec generation failed"
-  in
-  let prog =
-    [
-      {
-        Vkernel.Machine.c_name = "openat";
-        c_args = [ Vkernel.Machine.P_int (-100L); Vkernel.Machine.P_str "/dev/mapper/control" ];
-      };
-      {
-        Vkernel.Machine.c_name = "ioctl";
-        c_args =
-          [
-            Vkernel.Machine.P_result 0;
-            Vkernel.Machine.P_int (Option.get (Csrc.Index.eval_macro kernel "DM_DEV_CREATE"));
-            Vkernel.Machine.P_data
-              (Vkernel.Value.U_struct
-                 ( "dm_ioctl",
-                   [
-                     ("version", Vkernel.Value.U_arr [ Vkernel.Value.U_int 4L ]);
-                     ("data_size", Vkernel.Value.U_int 400L);
-                     ("name", Vkernel.Value.U_str "v0");
-                   ] ));
-          ];
-      };
-    ]
-  in
-  let tests =
-    [
-      Test.make ~name:"parse-dm-module"
-        (Staged.stage (fun () ->
-             let sid = ref 0 in
-             ignore (Csrc.Parser.parse_file ~file:"dm.c" ~sid Corpus.Drv_dm.source)));
-      Test.make ~name:"exec-dm-program"
-        (Staged.stage (fun () -> ignore (Vkernel.Machine.exec_prog machine prog)));
-      Test.make ~name:"kernelgpt-pipeline-dm"
-        (Staged.stage (fun () ->
-             let oracle = Oracle.create ~profile:Profile.gpt4 ~knowledge:kernel () in
-             ignore (Kernelgpt.Pipeline.run ~oracle ~kernel entry)));
-      Test.make ~name:"validate-dm-spec"
-        (Staged.stage (fun () -> ignore (Syzlang.Validate.validate ~kernel spec)));
-      Test.make ~name:"fuzz-100-execs"
-        (Staged.stage (fun () -> ignore (Fuzzer.Campaign.run ~seed:1 ~budget:100 ~machine spec)));
-    ]
-  in
-  let benchmark test =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg instances test in
-    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    Hashtbl.iter
-      (fun name result ->
-        match Bechamel.Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-36s %14.1f ns/run\n" name est
-        | _ -> Printf.printf "  %-36s (no estimate)\n" name)
-      results
-  in
-  print_endline "\nMicro-benchmarks (Bechamel, monotonic clock):";
-  List.iter (fun t -> benchmark (Bechamel.Test.make_grouped ~name:"kernelgpt" [ t ])) tests
 
 (* Strict flags: an unknown flag, a flag given twice, a missing value or
    a malformed value exits 2 with a message naming the flag. *)
@@ -113,7 +40,7 @@ let value_flags =
     "--pool-faults"; "--oracle-cache"; "--sched"; "--bench-out";
   ]
 
-let switch_flags = [ "--metrics"; "--oracle-cache-readonly"; "--interpreted"; "--micro" ]
+let switch_flags = [ "--metrics"; "--oracle-cache-readonly" ]
 
 let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
 
@@ -232,9 +159,6 @@ let () =
             Printf.eprintf "%s\n" msg;
             exit 2)
   in
-  let engine =
-    if has "--interpreted" then Fuzzer.Campaign.Interpreted else Fuzzer.Campaign.Compiled
-  in
   let sched =
     match value_of "--sched" with
     | None -> Fuzzer.Schedule.Uniform
@@ -245,29 +169,23 @@ let () =
             Printf.eprintf "--sched %s: expected uniform or ucb\n" s;
             exit 2)
   in
-  if has "--micro" then micro_benchmarks ()
-  else begin
-    let scale_str = match scale with Report.Runner.Full -> "full" | Quick -> "quick" in
-    let bench =
-      Report.Bench_json.create
-        ~engine:(match engine with Fuzzer.Campaign.Compiled -> "compiled" | Interpreted -> "interpreted")
-        ~sched:(Fuzzer.Schedule.mode_to_string sched)
-        ~scale:scale_str
-        ~which:(Report.Runner.string_of_which which)
-        ~jobs
-    in
-    Report.Runner.run ~scale ~which ~jobs ?faults ?query_budget ?exec_faults ?pool_faults
-      ?oracle_cache ~engine ~sched ~bench ();
-    let bench_file =
-      match value_of "--bench-out" with
-      | Some f -> f
-      | None ->
-          Printf.sprintf "BENCH_%s_%s.json" (Report.Runner.string_of_which which) scale_str
-    in
-    Report.Bench_json.write bench ~file:bench_file;
-    Printf.eprintf "Bench artifact: %s\n%!" bench_file;
-    if which = Report.Runner.All then micro_benchmarks ()
-  end;
+  let scale_str = match scale with Report.Runner.Full -> "full" | Quick -> "quick" in
+  let bench =
+    Report.Bench_json.create
+      ~sched:(Fuzzer.Schedule.mode_to_string sched)
+      ~scale:scale_str
+      ~which:(Report.Runner.string_of_which which)
+      ~jobs
+  in
+  Report.Runner.run ~scale ~which ~jobs ?faults ?query_budget ?exec_faults ?pool_faults
+    ?oracle_cache ~sched ~bench ();
+  let bench_file =
+    match value_of "--bench-out" with
+    | Some f -> f
+    | None -> Printf.sprintf "BENCH_%s_%s.json" (Report.Runner.string_of_which which) scale_str
+  in
+  Report.Bench_json.write bench ~file:bench_file;
+  Printf.eprintf "Bench artifact: %s\n%!" bench_file;
   match oracle_cache with
   | None -> ()
   | Some cache -> (

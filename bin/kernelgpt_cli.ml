@@ -301,10 +301,7 @@ let baseline_cmd =
 let fuzz_cmd =
   let run () name suite budget seed profile repro faults query_budget cache_file
       cache_readonly exec_faults pool_faults checkpoint checkpoint_every resume
-      resume_or_fresh stop_after interpreted sched =
-    let engine =
-      if interpreted then Fuzzer.Campaign.Interpreted else Fuzzer.Campaign.Compiled
-    in
+      resume_or_fresh stop_after sched =
     (* fuzz drives one campaign on the calling domain today; installing
        the plan anyway keeps the flag honest for any pool-sharded work
        the command grows *)
@@ -355,7 +352,7 @@ let fuzz_cmd =
             else Ok ()
           in
           let fresh () =
-            Fuzzer.Campaign.init ~seed ~budget ~supervisor ~engine ~sched ~machine spec
+            Fuzzer.Campaign.init ~seed ~budget ~supervisor ~sched ~machine spec
           in
           let campaign =
             if not (resume || resume_or_fresh) then Ok (fresh ())
@@ -367,7 +364,7 @@ let fuzz_cmd =
                 | Ok snap -> (
                     match validate snap with
                     | Error e -> Error (Printf.sprintf "%s: %s" file e)
-                    | Ok () -> Fuzzer.Campaign.of_snapshot ~engine ~machine spec snap)
+                    | Ok () -> Fuzzer.Campaign.of_snapshot ~machine spec snap)
               in
               match loaded with
               | Ok t ->
@@ -489,15 +486,6 @@ let fuzz_cmd =
             "Gracefully stop after $(docv) total executions, writing a final checkpoint — \
              the deterministic stand-in for killing the process at a checkpoint boundary.")
   in
-  let interpreted =
-    Arg.(
-      value & flag
-      & info [ "interpreted" ]
-          ~doc:
-            "Run the campaign on the legacy AST-walking engine instead of the compiled \
-             plan/jump-table one. Output is byte-identical either way; the flag exists \
-             so CI can diff the two engines.")
-  in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Fuzz a module with a specification suite")
     Term.(
@@ -505,7 +493,7 @@ let fuzz_cmd =
         (const run $ obs_term $ module_arg $ suite $ budget $ seed $ model_arg $ repro
        $ faults_arg $ query_budget_arg $ oracle_cache_arg $ oracle_cache_readonly_arg
        $ exec_faults_arg $ pool_faults_arg $ checkpoint $ checkpoint_every $ resume
-       $ resume_or_fresh $ stop_after $ interpreted $ sched_arg))
+       $ resume_or_fresh $ stop_after $ sched_arg))
 
 let bugs_cmd =
   let run () budget seeds jobs faults query_budget cache_file cache_readonly exec_faults

@@ -1,8 +1,8 @@
 (** Executor stress driver ([/dev/stress0]) — not part of the paper
     population.
 
-    This module exists for the engine-differential suite: it leans on
-    exactly the executor machinery the compiled engine reimplements
+    This module exists for the Jit-vs-Interp executor differential: it
+    leans on exactly the executor machinery the {!Vkernel.Jit} reimplements
     (top-level labels driven by [goto] loops, a six-parameter helper
     called with too few and too many arguments, a parameter shadowing a
     global, a [goto] that jumps over a local's first write, implicit

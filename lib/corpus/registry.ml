@@ -50,7 +50,7 @@ let drivers () = List.filter (fun (e : Types.entry) -> e.kind = Types.Driver) (L
 let sockets () = List.filter (fun (e : Types.entry) -> e.kind = Types.Socket) (Lazy.force all)
 
 (** Off-population extras: modules that exist for the executor's
-    engine-differential stress tests. Deliberately NOT part of {!all}
+    Jit-vs-Interp differential tests. Deliberately NOT part of {!all}
     (or any population/table selector): the §5.1 population counts and
     every seeded campaign schedule stay byte-identical to a tree
     without them. Reachable only by name through {!find}. *)

@@ -47,19 +47,9 @@ let crash_titles res =
 
 let max_corpus = 512
 
-(** Which generation/execution pipeline the campaign uses. [Compiled]
-    (the default) walks {!Compiled} plans and executes through the
-    {!Vkernel.Jit} with a reusable coverage sink; [Interpreted] re-walks
-    the syzlang types and the mini-C AST per program. Both consume the
-    RNG identically and produce identical results — the engine is a
-    throughput choice, not campaign state, which is why it is not part
-    of the checkpoint. *)
-type engine = Compiled | Interpreted
-
 type t = {
   machine : Vkernel.Machine.t;
   gen : Proggen.t;
-  engine : engine;
   sink : Vkernel.Machine.cov_sink;
   rng : Rng.t;
   sup : Supervisor.t;
@@ -109,45 +99,43 @@ let cover_sid (t : t) (sid : int) : bool =
    suite on one machine (Table 3's reps, Table 4's seeds) resolve,
    prepare and compile it once. The key is physical identity — the
    machine's index is frozen after boot and a spec is immutable, so the
-   prepared suite is a pure function of the pair and the engine. One
-   slot per domain: pool workers never share it, and the slot holds at
-   most one machine and suite alive. *)
+   prepared suite is a pure function of the pair. One slot per domain:
+   pool workers never share it, and the slot holds at most one machine
+   and suite alive. *)
 type prepared = {
   p_machine : Vkernel.Machine.t;
   p_spec : Syzlang.Ast.spec;
-  p_engine : engine;
   p_gen : Proggen.t;
 }
 
 let last_prepared : prepared option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-(* A campaign's own generator: the prepared suite's specs and plans are
-   never written after [Proggen.prepare], so they are shared; the two
-   per-campaign fields, [latest] and [cur_str], are fresh. *)
-let prepared_gen ~engine ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : Proggen.t =
+(* A campaign's own generator: the prepared suite's arrays and plans
+   are never written after [Proggen.prepare], so they are shared; the
+   two per-campaign fields, [latest] and [cur_str], are fresh. *)
+let prepared_gen ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : Proggen.t =
   let slot = Domain.DLS.get last_prepared in
   let gen =
     match !slot with
-    | Some p when p.p_machine == machine && p.p_spec == spec && p.p_engine = engine -> p.p_gen
+    | Some p when p.p_machine == machine && p.p_spec == spec -> p.p_gen
     | _ ->
         let resolved = Syzlang.Validate.resolve_spec ~kernel:machine.Vkernel.Machine.index spec in
-        let gen = Proggen.prepare ~compiled:(engine = Compiled) resolved in
-        slot := Some { p_machine = machine; p_spec = spec; p_engine = engine; p_gen = gen };
+        let gen = Proggen.prepare resolved in
+        slot := Some { p_machine = machine; p_spec = spec; p_gen = gen };
         gen
   in
   { gen with latest = Array.make (Array.length gen.Proggen.latest) (-1); cur_str = None }
 
 let init ?(seed = 1) ?(budget = 2000) ?(step_budget = 50_000) ?(max_corpus = max_corpus)
-    ?(supervisor = Supervisor.default) ?(engine = Compiled) ?(sched = Schedule.Uniform)
+    ?(supervisor = Supervisor.default) ?(sched = Schedule.Uniform)
     ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : t =
   (* pay the whole-index compilation before the first execution, not
      inside it: keeps the first measured exec honest and the lazy cell
      out of the hot path's first touch *)
-  if engine = Compiled then ignore (Lazy.force machine.Vkernel.Machine.jit);
+  ignore (Lazy.force machine.Vkernel.Machine.jit);
   {
     machine;
-    gen = prepared_gen ~engine ~machine spec;
-    engine;
+    gen = prepared_gen ~machine spec;
     sink = Vkernel.Machine.new_sink machine;
     rng = Rng.make seed;
     sup = Supervisor.create supervisor;
@@ -171,7 +159,7 @@ let init ?(seed = 1) ?(budget = 2000) ?(step_budget = 50_000) ?(max_corpus = max
 (** Execute one program. False once the budget is spent (or the spec has
     no reachable syscalls): the campaign is complete. *)
 let step (t : t) : bool =
-  if t.gen.Proggen.consumers = [] || t.executions >= t.budget then false
+  if Array.length t.gen.Proggen.syscalls = 0 || t.executions >= t.budget then false
   else begin
     t.executions <- t.executions + 1;
     (* (slot, op) of a scheduled mutation, for crediting its reward *)
@@ -210,13 +198,8 @@ let step (t : t) : bool =
       end
       else begin
         let res =
-          match t.engine with
-          | Compiled ->
-              Vkernel.Machine.exec_prog_sink ~step_budget:t.t_step_budget ~sink:t.sink
-                t.machine prog
-          | Interpreted ->
-              Vkernel.Machine.exec_prog ~step_budget:t.t_step_budget ~engine:`Interp
-                t.machine prog
+          Vkernel.Machine.exec_prog_sink ~step_budget:t.t_step_budget ~sink:t.sink t.machine
+            prog
         in
         ignore
           (Supervisor.record t.sup ~instance ~timed_out:res.Vkernel.Machine.timed_out
@@ -234,22 +217,15 @@ let step (t : t) : bool =
             | Some _ -> ())
         | None -> ());
         let fresh =
-          match t.engine with
-          | Compiled ->
-              (* the sink's touched list replaces the per-exec coverage
-                 list: one pass marks fresh sids and updates the set with
-                 no intermediate allocation *)
-              let sk = t.sink in
-              let fresh = ref false in
-              for i = 0 to sk.Vkernel.Machine.cs_n - 1 do
-                if cover_sid t sk.Vkernel.Machine.cs_buf.(i) then fresh := true
-              done;
-              Vkernel.Machine.sink_reset sk;
-              !fresh
-          | Interpreted ->
-              List.fold_left
-                (fun fresh sid -> cover_sid t sid || fresh)
-                false res.coverage
+          (* one pass over the sink's touched list marks fresh sids and
+             updates the set, with no intermediate allocation *)
+          let sk = t.sink in
+          let fresh = ref false in
+          for i = 0 to sk.Vkernel.Machine.cs_n - 1 do
+            if cover_sid t sk.Vkernel.Machine.cs_buf.(i) then fresh := true
+          done;
+          Vkernel.Machine.sink_reset sk;
+          !fresh
         in
         reward ~fresh;
         if fresh then
@@ -351,7 +327,7 @@ let snapshot (t : t) : Checkpoint.snapshot =
     sup_counters = counters;
   }
 
-let of_snapshot ?engine ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
+let of_snapshot ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
     (s : Checkpoint.snapshot) : (t, string) Stdlib.result =
   if s.Checkpoint.spec_name <> spec.Syzlang.Ast.spec_name then
     Error
@@ -386,7 +362,7 @@ let of_snapshot ?engine ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
     | Error e -> Error e
     | Ok sup ->
         let t =
-          init ?engine ~seed:s.seed ~budget:s.budget ~step_budget:s.step_budget
+          init ~seed:s.seed ~budget:s.budget ~step_budget:s.step_budget
             ~max_corpus:s.max_corpus ~supervisor:s.supervisor ~sched:s.sched ~machine spec
         in
         let t = { t with sup } in
@@ -485,10 +461,8 @@ let drive ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?stop_after (t 
   loop ()
 
 (** Run a campaign of [budget] program executions. *)
-let run ?seed ?budget ?step_budget ?max_corpus ?supervisor ?engine ?sched
+let run ?seed ?budget ?step_budget ?max_corpus ?supervisor ?sched
     ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : result =
-  let t =
-    init ?seed ?budget ?step_budget ?max_corpus ?supervisor ?engine ?sched ~machine spec
-  in
+  let t = init ?seed ?budget ?step_budget ?max_corpus ?supervisor ?sched ~machine spec in
   ignore (drive t);
   result t

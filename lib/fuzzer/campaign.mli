@@ -44,22 +44,15 @@ val crash_titles : result -> string list
 (** Live campaign state. *)
 type t
 
-(** Which generation/execution pipeline the campaign uses. [Compiled]
-    (the default) walks pre-lowered {!Compiled} plans, runs handler
-    bodies through the {!Vkernel.Jit} closures and collects coverage in
-    a reusable bitmap sink; [Interpreted] is the historical per-call
-    AST walk. The two are differentially identical — same programs,
-    coverage sets, and crash tables for any seed — so the engine is a
-    performance choice, not campaign state, and is never checkpointed. *)
-type engine = Compiled | Interpreted
-
 (** Build the campaign state: resolve the spec, seed the RNG, size the
     corpus ring (default 512), create the {!Supervisor} (default: 4
-    instances, wedge threshold 3, no injected faults). Each domain keeps
-    the last suite it resolved and prepared, keyed by the physical
-    identity of [machine] and the spec and by [engine], so consecutive
-    campaigns of one suite on one machine prepare it once; each campaign
-    still gets its own generator scratch. [sched] selects
+    instances, wedge threshold 3, no injected faults). A campaign
+    generates by walking the suite's {!Compiled} plans, executes through
+    the machine's {!Vkernel.Jit} closures, and collects coverage in a
+    reusable sink. Each domain keeps the last suite it resolved and
+    prepared, keyed by the physical identity of [machine] and the spec,
+    so consecutive campaigns of one suite on one machine prepare it
+    once; each campaign still gets its own generator scratch. [sched] selects
     corpus/operator scheduling (default {!Schedule.Uniform}, the
     historical draw-per-pick behavior; {!Schedule.Ucb} schedules by
     UCB1 over checkpointed statistics and consumes no RNG words on
@@ -70,7 +63,6 @@ val init :
   ?step_budget:int ->
   ?max_corpus:int ->
   ?supervisor:Supervisor.config ->
-  ?engine:engine ->
   ?sched:Schedule.mode ->
   machine:Vkernel.Machine.t ->
   Syzlang.Ast.spec ->
@@ -100,7 +92,6 @@ val snapshot : t -> Checkpoint.snapshot
     [n_sids], carries inconsistent supervisor state, or records a
     different operator-ensemble size than this build. *)
 val of_snapshot :
-  ?engine:engine ->
   machine:Vkernel.Machine.t ->
   Syzlang.Ast.spec ->
   Checkpoint.snapshot ->
@@ -134,7 +125,6 @@ val run :
   ?step_budget:int ->
   ?max_corpus:int ->
   ?supervisor:Supervisor.config ->
-  ?engine:engine ->
   ?sched:Schedule.mode ->
   machine:Vkernel.Machine.t ->
   Syzlang.Ast.spec ->

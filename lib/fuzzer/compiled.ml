@@ -1,19 +1,18 @@
 (** Spec compilation: lower a validated {!Syzlang.Ast.spec} once into
     flat generation plans.
 
-    {!Proggen}'s tree walkers re-search the spec on every draw —
-    [List.find_opt] over types and flag sets per field, [assoc] over
-    producers per call. This module performs all of those searches once
-    per campaign: flag-set values become int arrays with constants
-    pre-bound, struct/union references become indices into a composite
-    plan array, len/bytesize fixups become (field, target, scale)
-    triples, and each syscall's argument list becomes a dense array of
-    pre-classified argument plans.
+    Walking the syzlang types directly would re-search the spec on every
+    draw — [List.find_opt] over types and flag sets per field. This
+    module performs all of those searches once per suite: flag-set
+    values become int arrays with constants pre-bound, struct/union
+    references become indices into a composite plan array, len/bytesize
+    fixups become (field, target, scale) triples, and each syscall's
+    argument list becomes a dense array of pre-classified argument
+    plans.
 
-    The plans carry no randomness: {!Proggen} walks them with the same
-    RNG draw sequence as its interpreted walkers, so a compiled and an
-    interpreted campaign from the same seed are byte-identical (the
-    QCheck differential suite and [scripts/ci.sh] enforce this). *)
+    The plans carry no randomness: {!Proggen} walks them. Its draw
+    sequence is that of the per-call type walk, which
+    [test/test_compiled.ml] keeps as a reference and diffs against. *)
 
 open Syzlang.Ast
 
@@ -128,7 +127,7 @@ let rec bytesize_scale ~(types : comp_def list) (ty : typ) : int =
 (* ------------------------------------------------------------------ *)
 
 let compile (spec : spec) : t =
-  (* first definition wins, like the walkers' [List.find_opt]; the
+  (* first definition wins, like a [List.find_opt] over the spec; the
      tables make each lookup O(1) on suites with thousands of types *)
   let first_defs key xs =
     let tbl = Hashtbl.create 64 in
@@ -184,7 +183,7 @@ let compile (spec : spec) : t =
     Array.iteri
       (fun i (f : field) ->
         (* a field shadowed by an earlier same-named one follows the
-           first definition, matching the walker's name lookup *)
+           first definition, as a lookup by name would *)
         let def =
           match first_index_named f.fname with Some j -> fields.(j) | None -> f
         in

@@ -2,10 +2,9 @@
     flat generation plans, so {!Proggen} draws arguments by dense array
     indexing instead of per-call list searches.
 
-    Plans are pure data — all randomness stays in {!Proggen}'s walkers,
-    which follow the exact RNG draw sequence of the interpreted path so
-    compiled and interpreted campaigns from the same seed are
-    byte-identical. *)
+    Plans are pure data — all randomness stays in {!Proggen}'s walk,
+    whose draw sequence is that of the per-call type walk that
+    [test/test_compiled.ml] keeps as a reference. *)
 
 (** Generation plan for one userspace value ({!Vkernel.Value.uval}). *)
 type gen =

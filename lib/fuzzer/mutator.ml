@@ -11,7 +11,7 @@
 
     All operators consume RNG words in a count that depends only on the
     input program (never on hidden state), so campaigns stay
-    deterministic and checkpoint/resume exact under either engine. *)
+    deterministic and checkpoint/resume exact. *)
 
 open Vkernel.Machine
 

@@ -8,12 +8,11 @@
     [len] fields are computed from their targets, [const] fields carry
     the resolved kernel constants, strings come from a small pool.
 
-    Two argument engines share one program-construction core: the
-    default walks {!Compiled} plans (spec lowered once into flat
-    arrays), the fallback re-walks the syzlang types per call. Both
-    consume the RNG identically, so a campaign is byte-identical under
-    either engine — the compiled one just stops paying for list
-    searches in the hot loop. *)
+    Arguments are drawn by walking {!Compiled} plans: the spec is
+    lowered once per suite into flat arrays, so the hot loop does no
+    list searches. [test/test_compiled.ml] keeps the per-call walk over
+    the syzlang types that these plans replaced, as a reference oracle
+    for the draw sequence. *)
 
 open Syzlang.Ast
 
@@ -23,9 +22,7 @@ open Syzlang.Ast
    resources a program already produces in [Mutator.insert_dependent] —
    are array reads instead of string-keyed list walks over the suite. *)
 type t = {
-  spec : spec;  (** resolved: const values filled in *)
-  consumers : syscall list;  (** all syscalls *)
-  syscalls : syscall array;  (** [consumers] as a dense array *)
+  syscalls : syscall array;  (** the resolved suite's syscalls, in spec order *)
   required : int array array;
       (** per-syscall required resource ids, in argument order *)
   dependents : int array;
@@ -39,14 +36,15 @@ type t = {
   latest : int array;
       (** scratch for {!Mutator.insert_dependent}: resource id -> latest
           producing program index, -1 between uses *)
-  plan : Compiled.t option;  (** compiled plans; [None] = interpreted engine *)
+  plan : Compiled.t;  (** the suite's generation plans *)
   mutable cur_str : string option;
       (** the program's working string: reused across calls so that
           name-keyed kernel state (device tables) sees the same key, the
           way Syzkaller reuses buffers *)
 }
 
-let prepare ?(compiled = true) (spec : spec) : t =
+(** Prepare a resolved spec (const values filled in) for generation. *)
+let prepare (spec : spec) : t =
   let syscalls = Array.of_list spec.syscalls in
   let ids = Hashtbl.create 64 in
   let names = ref [] in
@@ -85,8 +83,6 @@ let prepare ?(compiled = true) (spec : spec) : t =
       (List.filter (fun i -> required.(i) <> [||]) (List.init (Array.length syscalls) Fun.id))
   in
   {
-    spec;
-    consumers = spec.syscalls;
     syscalls;
     required;
     dependents;
@@ -94,7 +90,7 @@ let prepare ?(compiled = true) (spec : spec) : t =
     producer_of;
     produces;
     latest = Array.make n_res (-1);
-    plan = (if compiled then Some (Compiled.compile spec) else None);
+    plan = Compiled.compile spec;
     cur_str = None;
   }
 
@@ -106,99 +102,14 @@ let program_string (t : t) (r : Rng.t) ~(max_len : int) : string =
       t.cur_str <- Some s;
       s
 
-let find_type (t : t) name = List.find_opt (fun c -> c.comp_name = name) t.spec.types
-
-let const_value = Compiled.const_value
-
 (* ------------------------------------------------------------------ *)
-(* Interpreted engine: walk the syzlang types per draw                  *)
+(* Argument and payload draws                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec uval_of_typ (t : t) (r : Rng.t) ~(depth : int) (ty : typ) : Vkernel.Value.uval =
-  let open Vkernel.Value in
-  if depth > 6 then U_int 0L
-  else
-    match ty with
-    | Int (w, None) -> U_int (Rng.fuzz_int r ~bits:(8 * width_bytes w))
-    | Int (_, Some { lo; hi }) -> U_int (Rng.int64_in_range r ~lo ~hi)
-    | Const (c, _) -> U_int (const_value c)
-    | Flags (set, w) -> (
-        (* mostly the spec's valid values, occasionally noise *)
-        match List.find_opt (fun fs -> fs.set_name = set) t.spec.flag_sets with
-        | Some fs when fs.set_values <> [] && not (Rng.pct r 25) ->
-            U_int (const_value (Rng.pick r fs.set_values))
-        | _ -> U_int (Rng.fuzz_int r ~bits:(8 * width_bytes w)))
-    | Ptr (_, String (Some s)) -> U_str s
-    | Ptr (_, inner) -> uval_of_typ t r ~depth:(depth + 1) inner
-    | Buffer _ -> U_str (Rng.fuzz_string r ~max_len:32)
-    | String (Some s) -> U_str s
-    | String None -> U_str (program_string t r ~max_len:32)
-    | Array (Int (I8, _), len) ->
-        let n = match len with Some n -> min n 64 | None -> Rng.int r 32 in
-        if Rng.pct r 40 then U_str (program_string t r ~max_len:(max 1 n))
-        else U_str (Rng.fuzz_string r ~max_len:(max 1 n))
-    | Array (elem, len) ->
-        let n = match len with Some n -> min n 8 | None -> 1 + Rng.int r 4 in
-        U_arr (List.init n (fun _ -> uval_of_typ t r ~depth:(depth + 1) elem))
-    | Len _ | Bytesize _ -> U_int 0L (* fixed up afterwards *)
-    | Resource_ref _ | Fd -> U_int (Int64.of_int (Rng.int r 8))
-    | Struct_ref name -> (
-        match find_type t name with
-        | Some cd -> uval_of_comp t r ~depth cd
-        | None -> U_int 0L)
-    | Union_ref name -> (
-        match find_type t name with
-        | Some cd when cd.comp_fields <> [] ->
-            let f = Rng.pick r cd.comp_fields in
-            U_struct (name, [ (f.fname, uval_of_typ t r ~depth:(depth + 1) f.ftyp) ])
-        | _ -> U_int 0L)
-    | Void -> U_int 0L
-
-and uval_of_comp (t : t) (r : Rng.t) ~(depth : int) (cd : comp_def) : Vkernel.Value.uval =
-  let open Vkernel.Value in
-  let fields =
-    List.map (fun f -> (f.fname, uval_of_typ t r ~depth:(depth + 1) f.ftyp)) cd.comp_fields
-  in
-  (* second pass: compute len/bytesize fields from their targets *)
-  let elem_count = function
-    | U_str s -> Int64.of_int (String.length s)
-    | U_arr xs -> Int64.of_int (List.length xs)
-    | U_struct _ -> 1L
-    | U_int _ | U_null -> 1L
-  in
-  let target_scale target ~bytes =
-    if not bytes then 1L
-    else
-      (* bytesize counts bytes, not elements: scale the count by the
-         target's element width *)
-      match List.find_opt (fun f -> f.fname = target) cd.comp_fields with
-      | Some f -> Int64.of_int (Compiled.bytesize_scale ~types:t.spec.types f.ftyp)
-      | None -> 1L
-  in
-  let fields =
-    List.map
-      (fun (fname, v) ->
-        let fixed target ~bytes =
-          match List.assoc_opt target fields with
-          | Some tv -> (fname, U_int (Int64.mul (elem_count tv) (target_scale target ~bytes)))
-          | None -> (fname, v)
-        in
-        match List.find_opt (fun f -> f.fname = fname) cd.comp_fields with
-        | Some { ftyp = Len (target, _); _ } -> fixed target ~bytes:false
-        | Some { ftyp = Bytesize (target, _); _ } -> fixed target ~bytes:true
-        | _ -> (fname, v))
-      fields
-  in
-  U_struct (cd.comp_name, fields)
-
-(* ------------------------------------------------------------------ *)
-(* Compiled engine: walk the lowered plans                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Same draw sequence as [uval_of_typ]/[uval_of_comp], but every list
-   search already happened in [Compiled.compile]. *)
-let rec uval_of_gen (t : t) (plan : Compiled.t) (r : Rng.t) ~(depth : int)
-    (g : Compiled.gen) : Vkernel.Value.uval =
+(* every type lookup already happened in [Compiled.compile]; a walk only
+   draws *)
+let rec uval_of_gen (t : t) (r : Rng.t) ~(depth : int) (g : Compiled.gen) : Vkernel.Value.uval
+    =
   let open Vkernel.Value in
   if depth > 6 then U_int 0L
   else
@@ -207,6 +118,7 @@ let rec uval_of_gen (t : t) (plan : Compiled.t) (r : Rng.t) ~(depth : int)
     | Compiled.G_range (lo, hi) -> U_int (Rng.int64_in_range r ~lo ~hi)
     | Compiled.G_const v -> U_int v
     | Compiled.G_flags (values, bits) ->
+        (* mostly the spec's valid values, occasionally noise *)
         if Rng.pct r 25 then U_int (Rng.fuzz_int r ~bits)
         else U_int values.(Rng.int r (Array.length values))
     | Compiled.G_str s -> U_str s
@@ -218,32 +130,31 @@ let rec uval_of_gen (t : t) (plan : Compiled.t) (r : Rng.t) ~(depth : int)
         else U_str (Rng.fuzz_string r ~max_len:(max 1 n))
     | Compiled.G_arr (elem, len) ->
         let n = match len with Some n -> n | None -> 1 + Rng.int r 4 in
-        U_arr (List.init n (fun _ -> uval_of_gen t plan r ~depth:(depth + 1) elem))
-    | Compiled.G_ptr inner -> uval_of_gen t plan r ~depth:(depth + 1) inner
+        U_arr (List.init n (fun _ -> uval_of_gen t r ~depth:(depth + 1) elem))
+    | Compiled.G_ptr inner -> uval_of_gen t r ~depth:(depth + 1) inner
     | Compiled.G_res -> U_int (Int64.of_int (Rng.int r 8))
-    | Compiled.G_comp i -> uval_of_cplan t plan r ~depth plan.Compiled.comps.(i)
+    | Compiled.G_comp i -> uval_of_cplan t r ~depth t.plan.Compiled.comps.(i)
     | Compiled.G_union i ->
-        let cp = plan.Compiled.comps.(i) in
+        let cp = t.plan.Compiled.comps.(i) in
         let n = Array.length cp.Compiled.cp_fields in
         (* [Compiled.compile] only emits G_union for non-empty unions,
-           but a degenerate spec must degrade like the interpreted walk
-           (U_int 0, no draw) rather than raise out of the default
-           engine only *)
+           but a degenerate spec must still degrade to U_int 0, with no
+           draw, rather than raise *)
         if n = 0 then U_int 0L
         else
           let j = Rng.int r n in
           let fname, fg = cp.Compiled.cp_fields.(j) in
-          U_struct (cp.Compiled.cp_name, [ (fname, uval_of_gen t plan r ~depth:(depth + 1) fg) ])
+          U_struct (cp.Compiled.cp_name, [ (fname, uval_of_gen t r ~depth:(depth + 1) fg) ])
     | Compiled.G_zero -> U_int 0L
 
-and uval_of_cplan (t : t) (plan : Compiled.t) (r : Rng.t) ~(depth : int)
-    (cp : Compiled.comp_plan) : Vkernel.Value.uval =
+and uval_of_cplan (t : t) (r : Rng.t) ~(depth : int) (cp : Compiled.comp_plan) :
+    Vkernel.Value.uval =
   let open Vkernel.Value in
   let n = Array.length cp.Compiled.cp_fields in
   let vals = Array.make (max 1 n) U_null in
   for i = 0 to n - 1 do
     let _, g = cp.Compiled.cp_fields.(i) in
-    vals.(i) <- uval_of_gen t plan r ~depth:(depth + 1) g
+    vals.(i) <- uval_of_gen t r ~depth:(depth + 1) g
   done;
   let elem_count = function
     | U_str s -> Int64.of_int (String.length s)
@@ -264,37 +175,10 @@ and uval_of_cplan (t : t) (plan : Compiled.t) (r : Rng.t) ~(depth : int)
 (* Call and program construction                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Generate the machine-level arguments of one syscall; [resource_at]
-    maps resource names to the producing call's program index. *)
-let args_of_call (t : t) (r : Rng.t) ~(resource_at : (string * int) list) (c : syscall) :
-    Vkernel.Machine.parg list =
-  List.map
-    (fun (f : field) ->
-      match f.ftyp with
-      | Resource_ref res -> (
-          match List.assoc_opt res resource_at with
-          | Some i -> Vkernel.Machine.P_result i
-          | None -> Vkernel.Machine.P_int (-1L))
-      | Fd -> Vkernel.Machine.P_int (Int64.of_int (Rng.int r 8))
-      | Const (cr, _) -> Vkernel.Machine.P_int (const_value cr)
-      | Int (w, None) -> Vkernel.Machine.P_int (Rng.fuzz_int r ~bits:(8 * width_bytes w))
-      | Int (_, Some { lo; hi }) -> Vkernel.Machine.P_int (Rng.int64_in_range r ~lo ~hi)
-      | Flags (_, w) -> Vkernel.Machine.P_int (Rng.fuzz_int r ~bits:(8 * width_bytes w))
-      | Ptr (_, String (Some s)) -> Vkernel.Machine.P_str s
-      | String (Some s) -> Vkernel.Machine.P_str s
-      | String None -> Vkernel.Machine.P_str (Rng.fuzz_string r ~max_len:32)
-      | Ptr (_, inner) ->
-          if Rng.pct r 4 then Vkernel.Machine.P_null
-          else Vkernel.Machine.P_data (uval_of_typ t r ~depth:0 inner)
-      | Buffer _ -> Vkernel.Machine.P_data (Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:32))
-      | Array _ | Struct_ref _ | Union_ref _ ->
-          Vkernel.Machine.P_data (uval_of_typ t r ~depth:0 f.ftyp)
-      | Len _ | Bytesize _ -> Vkernel.Machine.P_int (Rng.fuzz_int r ~bits:32)
-      | Void -> Vkernel.Machine.P_int 0L)
-    (c : syscall).args
-
-let args_of_plan (t : t) (plan : Compiled.t) (r : Rng.t)
-    ~(resource_at : (string * int) list) (sp : Compiled.syscall_plan) :
+(** Generate the machine-level arguments of spec syscall [idx];
+    [resource_at] maps resource names to the producing call's program
+    index. *)
+let args_of_index (t : t) (r : Rng.t) ~(resource_at : (string * int) list) (idx : int) :
     Vkernel.Machine.parg list =
   List.map
     (fun (a : Compiled.arg) ->
@@ -311,19 +195,13 @@ let args_of_plan (t : t) (plan : Compiled.t) (r : Rng.t)
       | Compiled.A_rand_str -> Vkernel.Machine.P_str (Rng.fuzz_string r ~max_len:32)
       | Compiled.A_ptr g ->
           if Rng.pct r 4 then Vkernel.Machine.P_null
-          else Vkernel.Machine.P_data (uval_of_gen t plan r ~depth:0 g)
+          else Vkernel.Machine.P_data (uval_of_gen t r ~depth:0 g)
       | Compiled.A_buffer ->
           Vkernel.Machine.P_data (Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:32))
-      | Compiled.A_data g -> Vkernel.Machine.P_data (uval_of_gen t plan r ~depth:0 g)
+      | Compiled.A_data g -> Vkernel.Machine.P_data (uval_of_gen t r ~depth:0 g)
       | Compiled.A_len -> Vkernel.Machine.P_int (Rng.fuzz_int r ~bits:32)
       | Compiled.A_zero -> Vkernel.Machine.P_int 0L)
-    (Array.to_list sp.Compiled.sp_args)
-
-let args_of_index (t : t) (r : Rng.t) ~(resource_at : (string * int) list) (idx : int) :
-    Vkernel.Machine.parg list =
-  match t.plan with
-  | Some plan -> args_of_plan t plan r ~resource_at plan.Compiled.plans.(idx)
-  | None -> args_of_call t r ~resource_at t.syscalls.(idx)
+    (Array.to_list t.plan.Compiled.plans.(idx).Compiled.sp_args)
 
 (** Append syscall [idx] to the program under construction, inserting
     producer calls for missing resources first. The program accumulates
@@ -387,27 +265,12 @@ let generate (t : t) (r : Rng.t) ?(max_len = 5) () : Vkernel.Machine.prog =
     List.rev_map snd !rev_prog
   end
 
-(* mutation retyping: the payload plan for a call name's first pointer
-   argument, resolved through the plan table or the spec list *)
+(* mutation retyping: the payload plan of a call name's first pointer
+   argument *)
 let retype_payload (t : t) (r : Rng.t) (c_name : string) : Vkernel.Value.uval =
-  match t.plan with
-  | Some plan -> (
-      match Hashtbl.find_opt plan.Compiled.retypes c_name with
-      | Some g -> uval_of_gen t plan r ~depth:0 g
-      | None -> Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:16))
-  | None -> (
-      let retyped = List.find_opt (fun sc -> sc.call_name = c_name) t.consumers in
-      match retyped with
-      | Some sc -> (
-          let ptr_arg =
-            List.find_opt
-              (fun f -> match f.ftyp with Ptr (_, _) -> true | _ -> false)
-              sc.args
-          in
-          match ptr_arg with
-          | Some { ftyp = Ptr (_, inner); _ } -> uval_of_typ t r ~depth:0 inner
-          | _ -> Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:16))
-      | None -> Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:16))
+  match Hashtbl.find_opt t.plan.Compiled.retypes c_name with
+  | Some g -> uval_of_gen t r ~depth:0 g
+  | None -> Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:16)
 
 (* Mutation itself lives in {!Mutator}: an ensemble of named operators
    over the programs this module generates, each preserving the

@@ -23,7 +23,7 @@ let next_int64 r =
     the dividend non-negative (so [Int64.rem] returns a value in
     [0, n)) while staying well inside OCaml's 63-bit native [int], and
     every seeded campaign stream — checkpoints, golden outputs, the
-    engine-differential suite — is derived from draws reduced through
+    perfbench digests — is derived from draws reduced through
     it. Changing the mask width silently reseeds the whole corpus;
     see the golden-value tests in [test/test_fuzzer.ml]. *)
 let int r n =

@@ -14,7 +14,7 @@
     a statement the campaign had never seen), so the statistics stay in
     exact integer arithmetic everywhere except the UCB score itself —
     and that score is recomputed from the integers on every pick, which
-    keeps both engines and any [--jobs] value bit-identical. *)
+    keeps any [--jobs] value and any resume bit-identical. *)
 
 type mode = Uniform | Ucb
 

@@ -7,8 +7,7 @@
 
     {v
     { "format": "kernelgpt-bench", "schema": 1,
-      "engine": "compiled", "sched": "uniform",
-      "scale": "quick", "which": "all", "jobs": 1,
+      "sched": "uniform", "scale": "quick", "which": "all", "jobs": 1,
       "generation": { "wall_s": ..., "specs": N, "specs_per_s": ...,
                       "oracle_queries": N, "oracle_queries_per_s": ... },
       "tables": [ { "name": "table4", "wall_s": ...,
@@ -31,7 +30,6 @@ module J = Obs.Json
 type table = { bt_name : string; bt_wall_s : float; bt_executions : int }
 
 type t = {
-  b_engine : string;
   b_sched : string;
   b_scale : string;
   b_which : string;
@@ -43,9 +41,8 @@ type t = {
   mutable b_total_wall_s : float;
 }
 
-let create ~engine ~sched ~scale ~which ~jobs =
+let create ~sched ~scale ~which ~jobs =
   {
-    b_engine = engine;
     b_sched = sched;
     b_scale = scale;
     b_which = which;
@@ -74,7 +71,6 @@ let to_json (t : t) : J.t =
     [
       ("format", J.Str "kernelgpt-bench");
       ("schema", J.Int 1);
-      ("engine", J.Str t.b_engine);
       ("sched", J.Str t.b_sched);
       ("scale", J.Str t.b_scale);
       ("which", J.Str t.b_which);

@@ -19,7 +19,7 @@ type variant_result = {
    Per-driver partials fold in registry order, so the floating-point
    coverage sum matches the sequential loop exactly. *)
 let measure ~(name : string) ~(profile : Profile.t) ~(mode : Kernelgpt.Pipeline.mode)
-    ?(reps = 2) ?(budget = 3000) ?(jobs = 1) ?cache ?engine () : variant_result =
+    ?(reps = 2) ?(budget = 3000) ?(jobs = 1) ?cache () : variant_result =
   let drivers = Array.of_list (Corpus.Registry.ablation_drivers ()) in
   let partials =
     Kernelgpt.Pool.map_outcomes ~jobs
@@ -37,7 +37,7 @@ let measure ~(name : string) ~(profile : Profile.t) ~(mode : Kernelgpt.Pipeline.
             let covs = ref 0.0 in
             let execs = ref 0 in
             for rep = 1 to reps do
-              let res = Fuzzer.Campaign.run ~seed:(rep * 31337) ~budget ?engine ~machine spec in
+              let res = Fuzzer.Campaign.run ~seed:(rep * 31337) ~budget ~machine spec in
               execs := !execs + res.executions;
               covs := !covs +. float_of_int (Fuzzer.Campaign.module_coverage machine res e.name)
             done;
@@ -84,8 +84,8 @@ let measure ~(name : string) ~(profile : Profile.t) ~(mode : Kernelgpt.Pipeline.
 
 type ablation = { iter_rows : variant_result list; llm_rows : variant_result list }
 
-let run ?(reps = 2) ?(budget = 3000) ?(jobs = 1) ?cache ?engine () : ablation =
-  let m = measure ~reps ~budget ~jobs ?cache ?engine in
+let run ?(reps = 2) ?(budget = 3000) ?(jobs = 1) ?cache () : ablation =
+  let m = measure ~reps ~budget ~jobs ?cache in
   {
     iter_rows =
       [
@@ -151,7 +151,7 @@ type sched_ablation = { sched_rows : sched_row list; sa_execs : int }
    each. Time-to-first-crash is the best (minimum) first-crash execution
    counter across seeds — the "how fast does the scheduler steer into
    the bug" number. *)
-let run_sched ?(budget = 20_000) ?(seeds = 3) ?(jobs = 1) ?engine (ctx : Suites.ctx) :
+let run_sched ?(budget = 20_000) ?(seeds = 3) ?(jobs = 1) (ctx : Suites.ctx) :
     sched_ablation =
   let modules =
     List.sort_uniq compare
@@ -195,7 +195,7 @@ let run_sched ?(budget = 20_000) ?(seeds = 3) ?(jobs = 1) ?engine (ctx : Suites.
             let execs = ref 0 in
             for s = 1 to seeds do
               let res =
-                Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ?engine ~sched:mode
+                Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ~sched:mode
                   ~machine spec
               in
               execs := !execs + res.executions;

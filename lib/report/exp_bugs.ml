@@ -21,7 +21,7 @@ type table4 = {
 }
 
 let fuzz_module ?(cache : (string, Vkernel.Machine.t) Hashtbl.t option) ~(budget : int)
-    ~(seeds : int) ?supervisor ?engine ?sched (name : string) (spec : Syzlang.Ast.spec) :
+    ~(seeds : int) ?supervisor ?sched (name : string) (spec : Syzlang.Ast.spec) :
     (string, unit) Hashtbl.t * Exp_resilience.exec_totals =
   let titles = Hashtbl.create 8 in
   let exec = ref Exp_resilience.exec_empty in
@@ -44,7 +44,7 @@ let fuzz_module ?(cache : (string, Vkernel.Machine.t) Hashtbl.t option) ~(budget
       in
       for s = 1 to seeds do
         let res =
-          Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ?supervisor ?engine ?sched ~machine
+          Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ?supervisor ?sched ~machine
             spec
         in
         exec := Exp_resilience.exec_add !exec res;
@@ -52,7 +52,7 @@ let fuzz_module ?(cache : (string, Vkernel.Machine.t) Hashtbl.t option) ~(budget
       done);
   (titles, !exec)
 
-let table4 ?(budget = 30_000) ?(seeds = 3) ?(jobs = 1) ?supervisor ?engine ?sched
+let table4 ?(budget = 30_000) ?(seeds = 3) ?(jobs = 1) ?supervisor ?sched
     (ctx : Suites.ctx) : table4 =
   let modules =
     List.sort_uniq compare (List.map (fun b -> b.Corpus.Types.bug_module) Corpus.Registry.bugs)
@@ -79,7 +79,7 @@ let table4 ?(budget = 30_000) ?(seeds = 3) ?(jobs = 1) ?supervisor ?engine ?sche
       ~label:(fun _ (tag, m, _) -> Printf.sprintf "table4:%s:%s" tag m)
       ~init:(fun () -> Hashtbl.create 8)
       ~f:(fun cache (_, m, spec) ->
-        fuzz_module ~cache ~budget ~seeds ?supervisor ?engine ?sched m spec)
+        fuzz_module ~cache ~budget ~seeds ?supervisor ?sched m spec)
       tasks
   in
   let degraded = Hashtbl.create 8 in

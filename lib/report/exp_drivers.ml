@@ -40,7 +40,7 @@ type task = {
   tk_budget : int;
 }
 
-let run_task ?engine ?sched (cache : (string, Vkernel.Machine.t) Hashtbl.t) (tk : task) :
+let run_task ?sched (cache : (string, Vkernel.Machine.t) Hashtbl.t) (tk : task) :
     float * float * int =
   let machine =
     match Hashtbl.find_opt cache tk.tk_entry.name with
@@ -51,8 +51,8 @@ let run_task ?engine ?sched (cache : (string, Vkernel.Machine.t) Hashtbl.t) (tk 
         m
   in
   let res =
-    Fuzzer.Campaign.run ~seed:(tk.tk_rep * tk.tk_seed_base) ~budget:tk.tk_budget ?engine
-      ?sched ~machine tk.tk_spec
+    Fuzzer.Campaign.run ~seed:(tk.tk_rep * tk.tk_seed_base) ~budget:tk.tk_budget ?sched
+      ~machine tk.tk_spec
   in
   ( float_of_int (Fuzzer.Campaign.module_coverage machine res tk.tk_entry.name),
     float_of_int (Hashtbl.length res.crashes),
@@ -75,7 +75,7 @@ let cell_of_reps (spec : Syzlang.Ast.spec)
     c_dropped = dropped;
   }
 
-let table5 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?engine ?sched (ctx : Suites.ctx) :
+let table5 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
     table5 =
   let entries = Corpus.Registry.table5 () in
   let specs_of (e : Corpus.Types.entry) =
@@ -109,7 +109,7 @@ let table5 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?engine ?sched (ctx : Suites
     Kernelgpt.Pool.map_outcomes ~jobs
       ~label:(fun _ tk -> Printf.sprintf "table5:%s:%s:rep%d" tk.tk_entry.name tk.tk_suite tk.tk_rep)
       ~init:(fun () -> Hashtbl.create 8)
-      ~f:(run_task ?engine ?sched) (Array.of_list tasks)
+      ~f:(run_task ?sched) (Array.of_list tasks)
   in
   (* walk cells in the same order the tasks were laid out *)
   let cursor = ref 0 in

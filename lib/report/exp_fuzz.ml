@@ -45,7 +45,7 @@ type table3 = {
   t3_exec : Exp_resilience.exec_totals;  (** executor-supervisor totals *)
 }
 
-let table3 ?(reps = 3) ?(budget = 6000) ?(jobs = 1) ?supervisor ?engine ?sched
+let table3 ?(reps = 3) ?(budget = 6000) ?(jobs = 1) ?supervisor ?sched
     (ctx : Suites.ctx) : table3 =
   let suites =
     [|
@@ -70,7 +70,7 @@ let table3 ?(reps = 3) ?(budget = 6000) ?(jobs = 1) ?supervisor ?engine ?sched
       ~init:(fun () ->
         if jobs <= 1 then ctx.Suites.machine else Vkernel.Machine.boot ctx.entries)
       ~f:(fun machine (si, rep) ->
-        Fuzzer.Campaign.run ~seed:(rep * 7919) ~budget ?supervisor ?engine ?sched ~machine
+        Fuzzer.Campaign.run ~seed:(rep * 7919) ~budget ?supervisor ?sched ~machine
           (snd suites.(si)))
       tasks
   in

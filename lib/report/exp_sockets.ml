@@ -19,7 +19,7 @@ type table6 = {
    (socket, suite, repetition), machines cached per worker, cells merged
    in task-layout order (see Exp_drivers). *)
 
-let table6 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?engine ?sched (ctx : Suites.ctx) :
+let table6 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
     table6 =
   let entries = Corpus.Registry.table6 () in
   let specs_of (e : Corpus.Types.entry) =
@@ -53,7 +53,7 @@ let table6 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?engine ?sched (ctx : Suites
       ~label:(fun _ (tk : Exp_drivers.task) ->
         Printf.sprintf "table6:%s:%s:rep%d" tk.tk_entry.name tk.tk_suite tk.tk_rep)
       ~init:(fun () -> Hashtbl.create 8)
-      ~f:(Exp_drivers.run_task ?engine ?sched) (Array.of_list tasks)
+      ~f:(Exp_drivers.run_task ?sched) (Array.of_list tasks)
   in
   let cursor = ref 0 in
   let take spec =

@@ -110,11 +110,6 @@ let string_of_which = function
     stdout stays byte-identical between cold and warm runs) is the
     caller's job.
 
-    [engine] picks the campaign execution engine for every fuzzing
-    table ({!Fuzzer.Campaign.engine}; default [Compiled]). The two
-    engines print byte-identical tables — the knob exists so CI can
-    diff them and BENCH artifacts can compare their throughput.
-
     [sched] picks the corpus/operator scheduling mode for every fuzzing
     table ({!Fuzzer.Schedule.mode}; default [Uniform]). The scheduling
     ablation ([Ablation_sched]) always runs both modes side by side,
@@ -125,7 +120,7 @@ let string_of_which = function
     with and without a collector print identical tables; writing the
     file is the caller's job. *)
 let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_faults
-    ?pool_faults ?oracle_cache ?engine ?sched ?bench () =
+    ?pool_faults ?oracle_cache ?sched ?bench () =
   let b = budgets_of scale in
   Obs.with_span
     ~attrs:(fun () ->
@@ -183,7 +178,7 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
     let t3 =
       timed "table3" (fun t -> t.Exp_fuzz.t3_exec.Exp_resilience.e_execs) @@ fun () ->
       Exp_fuzz.table3 ~reps:b.t3_reps ~budget:b.t3_budget ~jobs ?supervisor:exec_faults
-        ?engine ?sched ctx
+        ?sched ctx
     in
     exec_totals := Exp_resilience.exec_sum !exec_totals t3.Exp_fuzz.t3_exec;
     Exp_fuzz.print_table3 t3
@@ -192,7 +187,7 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
     let t4 =
       timed "table4" (fun t -> t.Exp_bugs.t4_exec.Exp_resilience.e_execs) @@ fun () ->
       Exp_bugs.table4 ~budget:b.t4_budget ~seeds:b.t4_seeds ~jobs ?supervisor:exec_faults
-        ?engine ?sched ctx
+        ?sched ctx
     in
     exec_totals := Exp_resilience.exec_sum !exec_totals t4.Exp_bugs.t4_exec;
     Exp_bugs.print_table4 t4
@@ -200,11 +195,11 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
   if wants which Table5 then
     Exp_drivers.print_table5
       (timed "table5" (fun t -> t.Exp_drivers.t5_execs) @@ fun () ->
-       Exp_drivers.table5 ~reps:b.t5_reps ~budget:b.t5_budget ~jobs ?engine ?sched ctx);
+       Exp_drivers.table5 ~reps:b.t5_reps ~budget:b.t5_budget ~jobs ?sched ctx);
   if wants which Table6 then
     Exp_sockets.print_table6
       (timed "table6" (fun t -> t.Exp_sockets.t6_execs) @@ fun () ->
-       Exp_sockets.table6 ~reps:b.t6_reps ~budget:b.t6_budget ~jobs ?engine ?sched ctx);
+       Exp_sockets.table6 ~reps:b.t6_reps ~budget:b.t6_budget ~jobs ?sched ctx);
   let abl_execs (a : Exp_ablation.ablation) =
     List.fold_left
       (fun acc (v : Exp_ablation.variant_result) -> acc + v.v_execs)
@@ -214,13 +209,11 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
   | All ->
       Exp_ablation.print
         (timed "ablation" abl_execs @@ fun () ->
-         Exp_ablation.run ~reps:b.abl_reps ~budget:b.abl_budget ~jobs ?cache:oracle_cache
-           ?engine ())
+         Exp_ablation.run ~reps:b.abl_reps ~budget:b.abl_budget ~jobs ?cache:oracle_cache ())
   | Ablation_iter | Ablation_llm ->
       let a =
         timed "ablation" abl_execs @@ fun () ->
-        Exp_ablation.run ~reps:b.abl_reps ~budget:b.abl_budget ~jobs ?cache:oracle_cache
-          ?engine ()
+        Exp_ablation.run ~reps:b.abl_reps ~budget:b.abl_budget ~jobs ?cache:oracle_cache ()
       in
       if which = Ablation_iter then Exp_ablation.print_rows "Ablation 1" a.iter_rows
       else Exp_ablation.print_rows "Ablation 2" a.llm_rows
@@ -228,8 +221,7 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
   if wants which Ablation_sched then
     Exp_ablation.print_sched
       (timed "ablation-sched" (fun a -> a.Exp_ablation.sa_execs) @@ fun () ->
-       Exp_ablation.run_sched ~budget:b.absched_budget ~seeds:b.absched_seeds ~jobs ?engine
-         ctx);
+       Exp_ablation.run_sched ~budget:b.absched_budget ~seeds:b.absched_seeds ~jobs ctx);
   if wants which Correctness then Exp_correctness.print (Exp_correctness.audit ctx);
   if exec_faults <> None then Exp_resilience.print_exec !exec_totals;
   (* the pool section also prints when a run without a plan quarantined

@@ -35,6 +35,19 @@ if ! diff -u "$tmp/seq.out" "$tmp/par.out"; then
 fi
 echo "OK: --jobs 4 table3 output is byte-identical to sequential"
 
+echo "== parallel-vs-sequential equivalence (every table, quick) =="
+# The same contract over the whole report: every table, figure and
+# ablation that --exp all prints.
+dune exec --no-build bench/main.exe -- --exp all --jobs 1 \
+  --bench-out "$tmp/bench_all1.json" 2>/dev/null | filter > "$tmp/all_seq.out"
+dune exec --no-build bench/main.exe -- --exp all --jobs 4 \
+  --bench-out "$tmp/bench_all4.json" 2>/dev/null | filter > "$tmp/all_par.out"
+if ! diff -u "$tmp/all_seq.out" "$tmp/all_par.out"; then
+  echo "FAIL: --exp all --jobs 4 output differs from --jobs 1" >&2
+  exit 1
+fi
+echo "OK: --exp all --jobs 4 output is byte-identical to --jobs 1"
+
 echo "== traced run: stdout unchanged, JSONL valid =="
 # Tracing and metrics must not leak into stdout, and the emitted trace
 # must parse and cover every major span kind.
@@ -247,94 +260,28 @@ if ! grep -q 'truncated oracle cache' "$tmp/cache_bad.err"; then
 fi
 echo "OK: a truncated oracle cache fails descriptively"
 
-echo "== engine differential: compiled and interpreted are byte-identical =="
-# The compiled (jump-table) engine is a pure performance layer: for any
-# seed it must generate the same programs, observe the same coverage
-# and crashes, and print the same report as the legacy AST-walking
-# engine — plain, under executor fault injection, and across a
-# checkpoint written by one engine and resumed by the other (the
-# engine is a run-time choice, never part of the checkpoint).
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --interpreted 2>/dev/null | normalize_time > "$tmp/fuzz_interp.out"
-if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_interp.out"; then
-  echo "FAIL: --interpreted fuzz output differs from the compiled engine" >&2
-  exit 1
-fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --exec-faults 10:3 2>/dev/null | normalize_time > "$tmp/fuzz_ef_c.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --exec-faults 10:3 --interpreted 2>/dev/null | normalize_time > "$tmp/fuzz_ef_i.out"
-if ! diff -u "$tmp/fuzz_ef_c.out" "$tmp/fuzz_ef_i.out"; then
-  echo "FAIL: engines diverge under --exec-faults 10:3" >&2
-  exit 1
-fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --interpreted --checkpoint "$tmp/ck_engine.jsonl" --stop-after 1400 2>/dev/null >/dev/null
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --checkpoint "$tmp/ck_engine.jsonl" --resume 2>/dev/null | normalize_time > "$tmp/fuzz_xres.out"
-if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_xres.out"; then
-  echo "FAIL: compiled resume of an interpreted checkpoint diverges" >&2
-  exit 1
-fi
+echo "== table4: sharding does not change output; BENCH artifacts =="
+# The quick Table 4 runs feed the BENCH artifact check and the
+# throughput gate below; their stdout must not depend on --jobs.
 dune exec --no-build bench/main.exe -- --exp table4 --jobs 1 \
   --bench-out "$tmp/bench_c1.json" 2>/dev/null | filter > "$tmp/t4_c1.out"
 dune exec --no-build bench/main.exe -- --exp table4 --jobs 4 \
   --bench-out "$tmp/bench_c4.json" 2>/dev/null | filter > "$tmp/t4_c4.out"
-dune exec --no-build bench/main.exe -- --exp table4 --jobs 1 --interpreted \
-  --bench-out "$tmp/bench_i1.json" 2>/dev/null | filter > "$tmp/t4_i1.out"
-dune exec --no-build bench/main.exe -- --exp table4 --jobs 4 --interpreted \
-  --bench-out "$tmp/bench_i4.json" 2>/dev/null | filter > "$tmp/t4_i4.out"
-for v in c4 i1 i4; do
-  if ! diff -u "$tmp/t4_c1.out" "$tmp/t4_$v.out"; then
-    echo "FAIL: table4 stdout ($v) differs across engine/jobs" >&2
-    exit 1
-  fi
-done
-echo "OK: both engines are byte-identical (plain, --exec-faults, cross-engine resume, table4 jobs 1/4)"
-
-echo "== stress module: engine differential on the executor stress driver =="
-# The stress corpus module (goto loops over top-level labels, a
-# six-parameter helper called with 2 and 9 arguments, a parameter
-# shadowing a global, implicit locals, high-arity builtins) lives
-# outside the population (Registry.extras) and is reachable only by
-# name, so running it here cannot perturb any other seeded output.
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz stress --budget 3000 --seed 5 --repro \
-  2>/dev/null | normalize_time > "$tmp/stress_c.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz stress --budget 3000 --seed 5 --repro \
-  --interpreted 2>/dev/null | normalize_time > "$tmp/stress_i.out"
-if ! diff -u "$tmp/stress_c.out" "$tmp/stress_i.out"; then
-  echo "FAIL: engines diverge on the stress module" >&2
+if ! diff -u "$tmp/t4_c1.out" "$tmp/t4_c4.out"; then
+  echo "FAIL: table4 --jobs 4 output differs from --jobs 1" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz stress --budget 3000 --seed 5 --repro \
-  --exec-faults 10:3 2>/dev/null | normalize_time > "$tmp/stress_ef_c.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz stress --budget 3000 --seed 5 --repro \
-  --exec-faults 10:3 --interpreted 2>/dev/null | normalize_time > "$tmp/stress_ef_i.out"
-if ! diff -u "$tmp/stress_ef_c.out" "$tmp/stress_ef_i.out"; then
-  echo "FAIL: engines diverge on the stress module under --exec-faults 10:3" >&2
-  exit 1
-fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz stress --budget 3000 --seed 5 --repro \
-  --interpreted --checkpoint "$tmp/ck_stress.jsonl" --stop-after 1400 2>/dev/null >/dev/null
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz stress --budget 3000 --seed 5 --repro \
-  --checkpoint "$tmp/ck_stress.jsonl" --resume 2>/dev/null | normalize_time > "$tmp/stress_xres.out"
-if ! diff -u "$tmp/stress_c.out" "$tmp/stress_xres.out"; then
-  echo "FAIL: compiled resume of an interpreted stress checkpoint diverges" >&2
-  exit 1
-fi
-echo "OK: stress-module differentials (plain, --exec-faults 10:3, cross-engine resume)"
+echo "OK: table4 --jobs 4 output is byte-identical to --jobs 1"
 
 echo "== BENCH artifact: well-formed JSON with non-zero throughput =="
 # Every report run writes a BENCH_*.json throughput artifact. It must
-# parse as JSON, carry the engine that produced it, and report a
-# strictly positive execution count and execs/sec for the table it ran.
+# parse as JSON and report a strictly positive execution count and
+# execs/sec for the table it ran.
 check_bench() {
-  file=$1; want_engine=$2
-  python3 - "$file" "$want_engine" <<'EOF'
+  python3 - "$1" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["format"] == "kernelgpt-bench" and d["schema"] == 1, "bad format/schema"
-assert d["engine"] == sys.argv[2], "engine %r != %r" % (d["engine"], sys.argv[2])
 tables = {t["name"]: t for t in d["tables"]}
 t4 = tables["table4"]
 assert t4["executions"] > 0, "zero executions"
@@ -342,72 +289,50 @@ assert t4["execs_per_s"] > 0, "zero execs/sec"
 assert d["total_wall_s"] > 0, "zero total wall clock"
 EOF
 }
-for spec in "bench_c1 compiled" "bench_c4 compiled" "bench_i1 interpreted" "bench_i4 interpreted"; do
-  set -- $spec
-  if ! check_bench "$tmp/$1.json" "$2"; then
-    echo "FAIL: BENCH artifact $1.json is malformed" >&2
+for name in bench_c1 bench_c4; do
+  if ! check_bench "$tmp/$name.json"; then
+    echo "FAIL: BENCH artifact $name.json is malformed" >&2
     exit 1
   fi
 done
-echo "OK: all four table4 BENCH artifacts are well-formed with non-zero execs/sec"
-
-echo "== BENCH sanity: compiled engine beats interpreted =="
-# The compiled engine exists to be faster; a ratio at or below 1.0
-# means a regression snuck past the micro-benchmarks.
-if ! python3 - "$tmp/bench_c1.json" "$tmp/bench_i1.json" <<'EOF'
-import json, sys
-c = {t["name"]: t for t in json.load(open(sys.argv[1]))["tables"]}["table4"]["execs_per_s"]
-i = {t["name"]: t for t in json.load(open(sys.argv[2]))["tables"]}["table4"]["execs_per_s"]
-assert c > i, "compiled %.0f execs/s <= interpreted %.0f execs/s" % (c, i)
-print("compiled %.0f execs/s vs interpreted %.0f execs/s (%.2fx)" % (c, i, c / i))
-EOF
-then
-  echo "FAIL: compiled engine is not faster than the interpreted engine" >&2
-  exit 1
-fi
-echo "OK: compiled throughput exceeds interpreted on table4"
+echo "OK: both table4 BENCH artifacts are well-formed with non-zero execs/sec"
 
 echo "== BENCH regression gate: within 0.9x of the committed baseline =="
-# The committed BENCH_*_quick.json artifacts record the throughput this
-# machine reached when they were last refreshed. A run below 0.9x the
+# The committed BENCH_table4_quick.json artifact records the throughput
+# this machine reached when it was last refreshed. A run below 0.9x the
 # committed number means an execution-path performance regression (the
 # 10% headroom absorbs scheduler noise). Ambient machine load can eat
 # that headroom on any single run, so a failing measurement is retried
 # on a fresh run, best of three: a real regression fails all three, a
 # load spike doesn't. A gate passing well above 1.0x means the
-# artifacts are stale and should be refreshed.
+# artifact is stale and should be refreshed.
 check_regression() {
-  fresh=$1; committed=$2; label=$3
-  python3 - "$fresh" "$committed" "$label" <<'EOF'
+  fresh=$1; committed=$2
+  python3 - "$fresh" "$committed" <<'EOF'
 import json, sys
 fresh = {t["name"]: t for t in json.load(open(sys.argv[1]))["tables"]}["table4"]["execs_per_s"]
 committed = {t["name"]: t for t in json.load(open(sys.argv[2]))["tables"]}["table4"]["execs_per_s"]
 ratio = fresh / committed
-print("%s: %.0f execs/s vs committed %.0f (%.2fx)" % (sys.argv[3], fresh, committed, ratio))
-assert ratio >= 0.9, "%s throughput regressed to %.2fx of the committed baseline" % (sys.argv[3], ratio)
+print("table4: %.0f execs/s vs committed %.0f (%.2fx)" % (fresh, committed, ratio))
+assert ratio >= 0.9, "table4 throughput regressed to %.2fx of the committed baseline" % ratio
 EOF
 }
 gate() {
-  first=$1; committed=$2; label=$3; engine_flag=$4
-  if check_regression "$first" "$committed" "$label"; then return 0; fi
+  first=$1; committed=$2
+  if check_regression "$first" "$committed"; then return 0; fi
   for retry in 1 2; do
-    echo "retrying $label bench (attempt $((retry + 1))/3, ruling out a load spike)"
-    # shellcheck disable=SC2086
-    dune exec --no-build bench/main.exe -- --exp table4 --jobs 1 $engine_flag \
+    echo "retrying table4 bench (attempt $((retry + 1))/3, ruling out a load spike)"
+    dune exec --no-build bench/main.exe -- --exp table4 --jobs 1 \
       --bench-out "$tmp/bench_retry.json" >/dev/null 2>&1
-    if check_regression "$tmp/bench_retry.json" "$committed" "$label"; then return 0; fi
+    if check_regression "$tmp/bench_retry.json" "$committed"; then return 0; fi
   done
   return 1
 }
-if ! gate "$tmp/bench_c1.json" BENCH_table4_quick.json compiled ""; then
-  echo "FAIL: compiled table4 throughput fell below 0.9x the committed baseline (best of 3)" >&2
+if ! gate "$tmp/bench_c1.json" BENCH_table4_quick.json; then
+  echo "FAIL: table4 throughput fell below 0.9x the committed baseline (best of 3)" >&2
   exit 1
 fi
-if ! gate "$tmp/bench_i1.json" BENCH_table4-interpreted_quick.json interpreted "--interpreted"; then
-  echo "FAIL: interpreted table4 throughput fell below 0.9x the committed baseline (best of 3)" >&2
-  exit 1
-fi
-echo "OK: both engines are within 0.9x of their committed BENCH baselines"
+echo "OK: table4 throughput is within 0.9x of the committed BENCH baseline"
 
 echo "== UCB scheduling: stop/resume, shard independence, sched pinning =="
 # The UCB scheduler's state (per-slot visit/reward counters, operator

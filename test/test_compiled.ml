@@ -1,9 +1,11 @@
-(* Differential tests for the compiled spec/execution pipeline: the
-   compiled engine (lowered generation plans + JIT-closured handler
-   bodies + bitmap coverage sink) must be byte-identical to the
-   interpreted baseline — same programs, same RNG stream, same coverage
-   sets, same crash tables — plus regressions for the generator range,
-   bytesize, and push-order bugfixes that shipped with it. *)
+(* Differential tests for the compiled spec/execution pipeline, each
+   against a reference implementation kept as its oracle: the generator's
+   walk over {!Fuzzer.Compiled} plans against the per-call walk over the
+   syzlang types it replaced (same values, RNG stream and working
+   string), and the {!Vkernel.Jit} closures and coverage sink against
+   the {!Vkernel.Interp} tree walker (same return values, crashes and
+   coverage) — plus regressions for the generator range, bytesize, and
+   push-order bugfixes that shipped with them. *)
 
 let dm_ctx =
   lazy
@@ -32,43 +34,249 @@ let ctx_of_seed seed =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Generation: compiled plans vs per-call type walks                   *)
+(* Reference generator: per-call walks over the syzlang types          *)
 (* ------------------------------------------------------------------ *)
 
-let qcheck_generate_differential =
-  let _, spec = Lazy.force dm_ctx in
-  let tc = Fuzzer.Proggen.prepare ~compiled:true spec in
-  let ti = Fuzzer.Proggen.prepare ~compiled:false spec in
-  QCheck.Test.make ~name:"compiled and interpreted generation are identical" ~count:100
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rc = Fuzzer.Rng.make seed and ri = Fuzzer.Rng.make seed in
-      let ok = ref true in
-      for _ = 1 to 20 do
-        let pc = Fuzzer.Proggen.generate tc rc () in
-        let pi = Fuzzer.Proggen.generate ti ri () in
-        if pc <> pi then ok := false
-      done;
-      (* the RNG streams must stay in lockstep, not just the outputs *)
-      !ok && Fuzzer.Rng.next_int64 rc = Fuzzer.Rng.next_int64 ri)
+(* The generator that {!Fuzzer.Compiled} plans replaced: every draw
+   re-searches the spec's types and flag sets. It is the oracle for the
+   compiled walk's draw sequence, and shares only the working string
+   ([Proggen.program_string], which is generator state) and the sizing
+   helpers with the code under test. *)
+module Reference = struct
+  open Syzlang.Ast
+  module Rng = Fuzzer.Rng
 
-let qcheck_mutate_differential =
-  let _, spec = Lazy.force dm_ctx in
-  let tc = Fuzzer.Proggen.prepare ~compiled:true spec in
-  let ti = Fuzzer.Proggen.prepare ~compiled:false spec in
-  QCheck.Test.make ~name:"compiled and interpreted mutation are identical" ~count:60
+  let const_value = Fuzzer.Compiled.const_value
+
+  let find_type (spec : spec) name = List.find_opt (fun c -> c.comp_name = name) spec.types
+
+  let rec uval_of_typ (spec : spec) (t : Fuzzer.Proggen.t) (r : Rng.t) ~(depth : int)
+      (ty : typ) : Vkernel.Value.uval =
+    let open Vkernel.Value in
+    if depth > 6 then U_int 0L
+    else
+      match ty with
+      | Int (w, None) -> U_int (Rng.fuzz_int r ~bits:(8 * width_bytes w))
+      | Int (_, Some { lo; hi }) -> U_int (Rng.int64_in_range r ~lo ~hi)
+      | Const (c, _) -> U_int (const_value c)
+      | Flags (set, w) -> (
+          match List.find_opt (fun fs -> fs.set_name = set) spec.flag_sets with
+          | Some fs when fs.set_values <> [] && not (Rng.pct r 25) ->
+              U_int (const_value (Rng.pick r fs.set_values))
+          | _ -> U_int (Rng.fuzz_int r ~bits:(8 * width_bytes w)))
+      | Ptr (_, String (Some s)) -> U_str s
+      | Ptr (_, inner) -> uval_of_typ spec t r ~depth:(depth + 1) inner
+      | Buffer _ -> U_str (Rng.fuzz_string r ~max_len:32)
+      | String (Some s) -> U_str s
+      | String None -> U_str (Fuzzer.Proggen.program_string t r ~max_len:32)
+      | Array (Int (I8, _), len) ->
+          let n = match len with Some n -> min n 64 | None -> Rng.int r 32 in
+          if Rng.pct r 40 then U_str (Fuzzer.Proggen.program_string t r ~max_len:(max 1 n))
+          else U_str (Rng.fuzz_string r ~max_len:(max 1 n))
+      | Array (elem, len) ->
+          let n = match len with Some n -> min n 8 | None -> 1 + Rng.int r 4 in
+          U_arr (List.init n (fun _ -> uval_of_typ spec t r ~depth:(depth + 1) elem))
+      | Len _ | Bytesize _ -> U_int 0L (* fixed up afterwards *)
+      | Resource_ref _ | Fd -> U_int (Int64.of_int (Rng.int r 8))
+      | Struct_ref name -> (
+          match find_type spec name with
+          | Some cd -> uval_of_comp spec t r ~depth cd
+          | None -> U_int 0L)
+      | Union_ref name -> (
+          match find_type spec name with
+          | Some cd when cd.comp_fields <> [] ->
+              let f = Rng.pick r cd.comp_fields in
+              U_struct (name, [ (f.fname, uval_of_typ spec t r ~depth:(depth + 1) f.ftyp) ])
+          | _ -> U_int 0L)
+      | Void -> U_int 0L
+
+  and uval_of_comp spec t r ~depth (cd : comp_def) : Vkernel.Value.uval =
+    let open Vkernel.Value in
+    let fields =
+      List.map (fun f -> (f.fname, uval_of_typ spec t r ~depth:(depth + 1) f.ftyp)) cd.comp_fields
+    in
+    (* second pass: compute len/bytesize fields from their targets *)
+    let elem_count = function
+      | U_str s -> Int64.of_int (String.length s)
+      | U_arr xs -> Int64.of_int (List.length xs)
+      | U_struct _ | U_int _ | U_null -> 1L
+    in
+    let target_scale target ~bytes =
+      if not bytes then 1L
+      else
+        match List.find_opt (fun f -> f.fname = target) cd.comp_fields with
+        | Some f -> Int64.of_int (Fuzzer.Compiled.bytesize_scale ~types:spec.types f.ftyp)
+        | None -> 1L
+    in
+    let fields =
+      List.map
+        (fun (fname, v) ->
+          let fixed target ~bytes =
+            match List.assoc_opt target fields with
+            | Some tv -> (fname, U_int (Int64.mul (elem_count tv) (target_scale target ~bytes)))
+            | None -> (fname, v)
+          in
+          match List.find_opt (fun f -> f.fname = fname) cd.comp_fields with
+          | Some { ftyp = Len (target, _); _ } -> fixed target ~bytes:false
+          | Some { ftyp = Bytesize (target, _); _ } -> fixed target ~bytes:true
+          | _ -> (fname, v))
+        fields
+    in
+    U_struct (cd.comp_name, fields)
+
+  let args_of_call spec t r ~(resource_at : (string * int) list) (c : syscall) :
+      Vkernel.Machine.parg list =
+    let open Vkernel.Machine in
+    List.map
+      (fun (f : field) ->
+        match f.ftyp with
+        | Resource_ref res -> (
+            match List.assoc_opt res resource_at with
+            | Some i -> P_result i
+            | None -> P_int (-1L))
+        | Fd -> P_int (Int64.of_int (Rng.int r 8))
+        | Const (cr, _) -> P_int (const_value cr)
+        | Int (w, None) -> P_int (Rng.fuzz_int r ~bits:(8 * width_bytes w))
+        | Int (_, Some { lo; hi }) -> P_int (Rng.int64_in_range r ~lo ~hi)
+        | Flags (_, w) -> P_int (Rng.fuzz_int r ~bits:(8 * width_bytes w))
+        | Ptr (_, String (Some s)) | String (Some s) -> P_str s
+        | String None -> P_str (Rng.fuzz_string r ~max_len:32)
+        | Ptr (_, inner) ->
+            if Rng.pct r 4 then P_null else P_data (uval_of_typ spec t r ~depth:0 inner)
+        | Buffer _ -> P_data (Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:32))
+        | Array _ | Struct_ref _ | Union_ref _ -> P_data (uval_of_typ spec t r ~depth:0 f.ftyp)
+        | Len _ | Bytesize _ -> P_int (Rng.fuzz_int r ~bits:32)
+        | Void -> P_int 0L)
+      c.args
+
+  (* the payload of the first pointer argument of the first syscall with
+     this call name *)
+  let retype_payload (spec : spec) t r (c_name : string) : Vkernel.Value.uval =
+    let fuzzed () = Vkernel.Value.U_str (Rng.fuzz_string r ~max_len:16) in
+    match List.find_opt (fun sc -> sc.call_name = c_name) spec.syscalls with
+    | Some sc -> (
+        match List.find_opt (fun f -> match f.ftyp with Ptr _ -> true | _ -> false) sc.args with
+        | Some { ftyp = Ptr (_, inner); _ } -> uval_of_typ spec t r ~depth:0 inner
+        | _ -> fuzzed ())
+    | None -> fuzzed ()
+end
+
+(* ------------------------------------------------------------------ *)
+(* Generation: compiled plans vs the reference walk                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One call's arguments and its retyped payload, drawn both ways from
+   the same RNG and working string: the values, the RNG state afterwards
+   and the working string must all agree. About half of the call's
+   resources are wired to earlier calls, so both the P_result and the
+   missing-producer arms are drawn. *)
+let same_call_draws (spec : Syzlang.Ast.spec) (t : Fuzzer.Proggen.t) ~seed idx =
+  let c = t.syscalls.(idx) in
+  let resource_at =
+    List.filteri
+      (fun k _ -> (seed lsr (1 + (k mod 20))) land 1 = 0)
+      (List.mapi (fun k id -> (t.res_names.(id), k)) (Array.to_list t.required.(idx)))
+  in
+  let start = if seed land 1 = 0 then None else Some "dm-0" in
+  let draw f =
+    t.cur_str <- start;
+    let r = Fuzzer.Rng.make (seed + idx) in
+    let out = f r in
+    (out, Fuzzer.Rng.state r, t.cur_str)
+  in
+  draw (fun r -> Fuzzer.Proggen.args_of_index t r ~resource_at idx)
+  = draw (fun r -> Reference.args_of_call spec t r ~resource_at c)
+  && draw (fun r -> Fuzzer.Proggen.retype_payload t r c.call_name)
+     = draw (fun r -> Reference.retype_payload spec t r c.call_name)
+
+let prepared spec = (spec, Fuzzer.Proggen.prepare spec)
+
+(* a property input that does not depend on the case's seed *)
+let fixed input _seed = Some (Lazy.force input)
+
+(* the whole kernel's merged KernelGPT suite (3228 syscalls), resolved *)
+let kernel_suite =
+  lazy
+    (let ctx = Report.Suites.build () in
+     let machine = ctx.Report.Suites.machine in
+     prepared
+       (Syzlang.Validate.resolve_spec ~kernel:machine.Vkernel.Machine.index
+          (Report.Suites.kernelgpt_suite ctx)))
+
+(* Every syzlang type constructor, at the top level and in data:
+   ranges, flag sets (which the generated suites almost never use),
+   len/bytesize fixups (one with a missing target), unions, a
+   self-referential struct, byte arrays, strings and resources; and a
+   call name whose first syscall has no pointer to retype. *)
+let every_type_suite =
+  lazy
+    (prepared
+       (Syzlang.Parser.parse_spec ~name:"every-type"
+          {|resource fd_t[fd]
+resource sub_t[fd]
+vals = 224, 1, 7
+leaf {
+	a int32[0:100]
+	b int64
+	c int8[-5:5]
+	f flags[vals, int16]
+	k const[42, int32]
+	r sub_t
+	d fd
+	v void
+}
+choice [
+	l leaf
+	s string
+	n int16
+]
+node {
+	val flags[vals, int32]
+	next ptr[in, node]
+}
+outer {
+	nbytes bytesize[items, int32]
+	nelems len[items, int32]
+	items array[leaf]
+	name array[int8, 12]
+	raw array[int8]
+	tag string["t"]
+	pick choice
+	fixed array[int64, 20]
+	buf buffer[in]
+	p ptr[inout, leaf]
+	strp ptr[in, string["/dev/x"]]
+	ws string
+	tail node
+	blen bytesize[name, int16]
+	plen len[missing, int32]
+}
+openat$x(fd const[-100], file ptr[in, string["/dev/x"]], flags const[2], mode const[0]) fd_t
+ioctl$MK(fd fd_t, cmd const[1], arg ptr[out, int32]) sub_t
+ioctl$ALL(fd fd_t, cmd const[2], arg ptr[in, outer])
+ioctl$TOP(fd fd_t, sub sub_t, a int32[3:9], b int64, f flags[vals, int32], s string, l len[arg, int32], z bytesize[arg, int64], arg ptr[in, choice], arr array[int16, 3], u choice, buf buffer[in], v void, d fd, st outer)
+ioctl$PF(fd fd_t, cmd const[3], arg ptr[in, flags[vals, int32]])
+mmap$a(fd fd_t, n int32)
+mmap$b(fd fd_t, p ptr[in, leaf])
+|}))
+
+(* Every syscall index of the suite [suite_of seed] (None when the
+   pipeline declines a random seed). The reference re-searches the
+   suite's types per draw, hence the smaller count on the kernel. *)
+let qcheck_call_draws ~name ~count suite_of =
+  QCheck.Test.make
+    ~name:(name ^ ": compiled call draws = type-walk reference")
+    ~count
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let rc = Fuzzer.Rng.make seed and ri = Fuzzer.Rng.make seed in
-      let pc = ref (Fuzzer.Proggen.generate tc rc ()) in
-      let pi = ref (Fuzzer.Proggen.generate ti ri ()) in
-      let ok = ref (!pc = !pi) in
-      for _ = 1 to 30 do
-        pc := Fuzzer.Mutator.mutate tc rc !pc;
-        pi := Fuzzer.Mutator.mutate ti ri !pi;
-        if !pc <> !pi then ok := false
-      done;
-      !ok && Fuzzer.Rng.next_int64 rc = Fuzzer.Rng.next_int64 ri)
+      match suite_of seed with
+      | None -> true
+      | Some (spec, t) ->
+          let ok = ref true in
+          for idx = 0 to Array.length t.Fuzzer.Proggen.syscalls - 1 do
+            if not (same_call_draws spec t ~seed idx) then ok := false
+          done;
+          !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Execution: JIT closures vs AST interpreter, sink vs hashtable       *)
@@ -77,17 +285,43 @@ let qcheck_mutate_differential =
 let sorted_result (r : Vkernel.Machine.exec_result) =
   (r.retvals, r.crash, List.sort compare r.coverage, r.timed_out)
 
-let qcheck_exec_differential =
-  let machine, spec = Lazy.force dm_ctx in
-  let t = Fuzzer.Proggen.prepare spec in
-  QCheck.Test.make ~name:"JIT and interpreter execute programs identically" ~count:60
+(* A generated program and every operator's mutant of it execute
+   identically on both engines. *)
+let same_execution machine (t : Fuzzer.Proggen.t) ~seed =
+  let r = Fuzzer.Rng.make seed in
+  let partner = Fuzzer.Proggen.generate t r () in
+  let prog = Fuzzer.Proggen.generate t r () in
+  let same p =
+    sorted_result (Vkernel.Machine.exec_prog ~engine:`Jit machine p)
+    = sorted_result (Vkernel.Machine.exec_prog ~engine:`Interp machine p)
+  in
+  same prog
+  && Array.for_all
+       (fun op -> same (Fuzzer.Mutator.apply t r op ~partner:(fun () -> partner) prog))
+       Fuzzer.Mutator.all
+
+(* programs of the machine and prepared suite [ctx_of seed] (None when
+   the pipeline declines a random seed) *)
+let qcheck_exec_differential ?(on = "") ~count ctx_of =
+  QCheck.Test.make ~name:(on ^ "JIT and interpreter execute programs identically") ~count
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let r = Fuzzer.Rng.make seed in
-      let prog = Fuzzer.Proggen.generate t r () in
-      let a = Vkernel.Machine.exec_prog ~engine:`Jit machine prog in
-      let b = Vkernel.Machine.exec_prog ~engine:`Interp machine prog in
-      sorted_result a = sorted_result b)
+      match ctx_of seed with None -> true | Some (machine, t) -> same_execution machine t ~seed)
+
+let with_gen (machine, spec) = (machine, Fuzzer.Proggen.prepare spec)
+
+(* The stress corpus module (goto loops over top-level labels, a
+   six-parameter helper called with 2 and 9 arguments, a parameter
+   shadowing a global, implicit locals, high-arity builtins) lives
+   outside the population and is reachable only by name. *)
+let stress_ctx =
+  lazy
+    (let entry = Corpus.Registry.find_exn "stress" in
+     let machine = Vkernel.Machine.boot [ entry ] in
+     let kernel = machine.Vkernel.Machine.index in
+     let oracle = Oracle.create ~profile:Profile.gpt4 ~knowledge:kernel () in
+     let spec = Option.get (Kernelgpt.Pipeline.run ~oracle ~kernel entry).o_spec in
+     with_gen (machine, Syzlang.Validate.resolve_spec ~kernel spec))
 
 let test_sink_matches_coverage () =
   let machine, spec = Lazy.force dm_ctx in
@@ -111,50 +345,6 @@ let test_sink_matches_coverage () =
       ( sunk.retvals = plain.retvals && sunk.crash = plain.crash
       && sunk.timed_out = plain.timed_out )
   done
-
-(* ------------------------------------------------------------------ *)
-(* Whole campaigns                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let campaign_fingerprint (res : Fuzzer.Campaign.result) =
-  let cov = Hashtbl.fold (fun sid () acc -> sid :: acc) res.coverage [] in
-  let crashes =
-    Hashtbl.fold (fun title prog acc -> (title, prog) :: acc) res.crashes []
-  in
-  ( res.executions,
-    List.sort compare cov,
-    List.sort compare crashes,
-    res.corpus_size,
-    res.corpus_evictions )
-
-let test_campaign_differential () =
-  let machine, spec = Lazy.force dm_ctx in
-  let run engine = Fuzzer.Campaign.run ~seed:5 ~budget:2000 ~engine ~machine spec in
-  Alcotest.(check bool) "compiled campaign = interpreted campaign" true
-    (campaign_fingerprint (run Fuzzer.Campaign.Compiled)
-    = campaign_fingerprint (run Fuzzer.Campaign.Interpreted))
-
-let test_campaign_differential_under_eviction () =
-  let machine, spec = Lazy.force dm_ctx in
-  let run engine =
-    Fuzzer.Campaign.run ~seed:9 ~budget:1500 ~max_corpus:4 ~engine ~machine spec
-  in
-  Alcotest.(check bool) "identical with a saturated corpus ring" true
-    (campaign_fingerprint (run Fuzzer.Campaign.Compiled)
-    = campaign_fingerprint (run Fuzzer.Campaign.Interpreted))
-
-let qcheck_campaign_differential_random_specs =
-  QCheck.Test.make ~name:"campaigns agree on random pipeline specs" ~count:8
-    QCheck.(int_bound 5000)
-    (fun seed ->
-      match ctx_of_seed seed with
-      | None -> true
-      | Some (machine, spec) ->
-          let run engine =
-            Fuzzer.Campaign.run ~seed ~budget:400 ~engine ~machine spec
-          in
-          campaign_fingerprint (run Fuzzer.Campaign.Compiled)
-          = campaign_fingerprint (run Fuzzer.Campaign.Interpreted))
 
 (* ------------------------------------------------------------------ *)
 (* Bugfix regressions                                                  *)
@@ -220,19 +410,17 @@ t_struct {
 ioctl$X(fd fd_t, cmd const[1], arg ptr[in, t_struct])
 |}
   in
-  List.iter
-    (fun compiled ->
-      let t = Fuzzer.Proggen.prepare ~compiled spec in
-      let r = Fuzzer.Rng.make 5 in
-      for _ = 1 to 50 do
-        match Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Struct_ref "t_struct") with
-        | Vkernel.Value.U_struct (_, fields) ->
-            Alcotest.(check bool) "bytesize = 4 * len" true
-              (List.assoc "nbytes" fields = Vkernel.Value.U_int 16L
-              && List.assoc "nelems" fields = Vkernel.Value.U_int 4L)
-        | _ -> Alcotest.fail "expected a struct"
-      done)
-    [ true; false ]
+  let t = Fuzzer.Proggen.prepare spec in
+  let r = Fuzzer.Rng.make 5 in
+  for _ = 1 to 50 do
+    match Fuzzer.Proggen.args_of_index t r ~resource_at:[] 0 with
+    | [ _; _; Vkernel.Machine.P_null ] -> ()
+    | [ _; _; Vkernel.Machine.P_data (Vkernel.Value.U_struct (_, fields)) ] ->
+        Alcotest.(check bool) "bytesize = 4 * len" true
+          (List.assoc "nbytes" fields = Vkernel.Value.U_int 16L
+          && List.assoc "nelems" fields = Vkernel.Value.U_int 4L)
+    | _ -> Alcotest.fail "expected a struct payload"
+  done
 
 let test_push_call_linear_order () =
   (* push_call accumulates reversed with an explicit count; pushing the
@@ -563,19 +751,27 @@ let () =
     [
       ( "generation",
         [
-          QCheck_alcotest.to_alcotest qcheck_generate_differential;
-          QCheck_alcotest.to_alcotest qcheck_mutate_differential;
+          QCheck_alcotest.to_alcotest
+            (qcheck_call_draws ~name:"dm" ~count:100
+               (fixed (lazy (prepared (snd (Lazy.force dm_ctx))))));
+          QCheck_alcotest.to_alcotest
+            (qcheck_call_draws ~name:"kernel" ~count:5 (fixed kernel_suite));
+          QCheck_alcotest.to_alcotest
+            (qcheck_call_draws ~name:"every type" ~count:300 (fixed every_type_suite));
+          QCheck_alcotest.to_alcotest
+            (qcheck_call_draws ~name:"random pipeline specs" ~count:8 (fun seed ->
+                 Option.map (fun (_, spec) -> prepared spec) (ctx_of_seed seed)));
         ] );
       ( "execution",
         [
-          QCheck_alcotest.to_alcotest qcheck_exec_differential;
+          QCheck_alcotest.to_alcotest
+            (qcheck_exec_differential ~count:60 (fixed (lazy (with_gen (Lazy.force dm_ctx)))));
+          QCheck_alcotest.to_alcotest
+            (qcheck_exec_differential ~on:"stress module: " ~count:60 (fixed stress_ctx));
+          QCheck_alcotest.to_alcotest
+            (qcheck_exec_differential ~on:"random pipeline specs: " ~count:8 (fun seed ->
+                 Option.map with_gen (ctx_of_seed seed)));
           t "sink matches coverage" test_sink_matches_coverage;
-        ] );
-      ( "campaign",
-        [
-          t "differential" test_campaign_differential;
-          t "differential under eviction" test_campaign_differential_under_eviction;
-          QCheck_alcotest.to_alcotest qcheck_campaign_differential_random_specs;
         ] );
       ( "fast-paths",
         [

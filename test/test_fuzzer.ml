@@ -71,13 +71,14 @@ ioctl$X(fd fd_t, cmd const[1], arg ptr[in, t_struct])
   let t = Fuzzer.Proggen.prepare spec in
   let r = Fuzzer.Rng.make 5 in
   for _ = 1 to 50 do
-    match Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Struct_ref "t_struct") with
-    | Vkernel.Value.U_struct (_, fields) -> (
+    match Fuzzer.Proggen.args_of_index t r ~resource_at:[] 0 with
+    | [ _; _; Vkernel.Machine.P_null ] -> ()
+    | [ _; _; Vkernel.Machine.P_data (Vkernel.Value.U_struct (_, fields)) ] -> (
         match (List.assoc "count" fields, List.assoc "items" fields) with
         | Vkernel.Value.U_int n, Vkernel.Value.U_arr xs ->
             Alcotest.(check int64) "count matches items" (Int64.of_int (List.length xs)) n
         | _ -> Alcotest.fail "unexpected field shapes")
-    | _ -> Alcotest.fail "expected a struct"
+    | _ -> Alcotest.fail "expected a struct payload"
   done
 
 let test_flags_use_set_values () =
@@ -90,11 +91,14 @@ ioctl$X(fd fd_t, cmd const[1], arg ptr[in, flags[vals, int32]])
   in
   let t = Fuzzer.Proggen.prepare spec in
   let r = Fuzzer.Rng.make 6 in
-  let hits = ref 0 in
-  for _ = 1 to 200 do
-    match Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Flags ("vals", Syzlang.Ast.I32)) with
-    | Vkernel.Value.U_int v when v = 224L || v = 1L -> incr hits
-    | _ -> ()
+  let draws = ref 0 and hits = ref 0 in
+  while !draws < 200 do
+    match Fuzzer.Proggen.args_of_index t r ~resource_at:[] 0 with
+    | [ _; _; Vkernel.Machine.P_null ] -> ()
+    | [ _; _; Vkernel.Machine.P_data (Vkernel.Value.U_int v) ] ->
+        incr draws;
+        if v = 224L || v = 1L then incr hits
+    | _ -> Alcotest.fail "expected an integer payload"
   done;
   Alcotest.(check bool) "mostly the valid values" true (!hits > 100)
 
@@ -141,31 +145,27 @@ let qcheck_mutation_dependency_invariant =
         match c.Syzlang.Ast.ret with Some _ -> Some c.Syzlang.Ast.call_name | None -> None)
       spec.Syzlang.Ast.syscalls
   in
-  QCheck.Test.make
-    ~name:"mutation chains keep P_result at a backward producer (both engines)" ~count:60
+  let t = Fuzzer.Proggen.prepare spec in
+  QCheck.Test.make ~name:"mutation chains keep P_result at a backward producer" ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      List.for_all
-        (fun compiled ->
-          let t = Fuzzer.Proggen.prepare ~compiled spec in
-          let r = Fuzzer.Rng.make seed in
-          let partner = Fuzzer.Proggen.generate t r () in
-          let prog = ref (Fuzzer.Proggen.generate t r ()) in
-          let ok =
-            ref
-              (dependency_invariant ~producer_names partner
-              && dependency_invariant ~producer_names !prog)
-          in
-          let n_ops = Array.length Fuzzer.Mutator.all in
-          (* round-robin over the ensemble so every operator — splice and
-             insert-dependent included — is exercised on every run *)
-          for i = 0 to (4 * n_ops) - 1 do
-            let op = Fuzzer.Mutator.all.(i mod n_ops) in
-            prog := Fuzzer.Mutator.apply t r op ~partner:(fun () -> partner) !prog;
-            if not (dependency_invariant ~producer_names !prog) then ok := false
-          done;
-          !ok)
-        [ true; false ])
+      let r = Fuzzer.Rng.make seed in
+      let partner = Fuzzer.Proggen.generate t r () in
+      let prog = ref (Fuzzer.Proggen.generate t r ()) in
+      let ok =
+        ref
+          (dependency_invariant ~producer_names partner
+          && dependency_invariant ~producer_names !prog)
+      in
+      let n_ops = Array.length Fuzzer.Mutator.all in
+      (* round-robin over the ensemble so every operator — splice and
+         insert-dependent included — is exercised on every run *)
+      for i = 0 to (4 * n_ops) - 1 do
+        let op = Fuzzer.Mutator.all.(i mod n_ops) in
+        prog := Fuzzer.Mutator.apply t r op ~partner:(fun () -> partner) !prog;
+        if not (dependency_invariant ~producer_names !prog) then ok := false
+      done;
+      !ok)
 
 let mk name args = { Vkernel.Machine.c_name = name; c_args = args }
 
@@ -243,8 +243,7 @@ let test_swap_remaps_later_refs () =
 
 let test_empty_union_degrades () =
   (* a degenerate spec with a fieldless union must degrade to a zero
-     value — identically, and without a draw — on both engines, instead
-     of raising out of the compiled path only *)
+     value, without a draw, instead of raising *)
   let open Syzlang.Ast in
   let spec =
     {
@@ -265,27 +264,32 @@ let test_empty_union_degrades () =
         ];
     }
   in
-  let ti = Fuzzer.Proggen.prepare ~compiled:false spec in
+  let t = Fuzzer.Proggen.prepare spec in
+  (* the plan walk's own guard, for a union plan without fields *)
   let r = Fuzzer.Rng.make 7 in
-  Alcotest.(check bool) "degrades to zero" true
-    (Fuzzer.Proggen.uval_of_typ ti r ~depth:0 (Union_ref "u") = Vkernel.Value.U_int 0L);
+  Alcotest.(check bool) "union plan degrades to zero" true
+    (Fuzzer.Proggen.uval_of_gen t r ~depth:0 (Fuzzer.Compiled.G_union 0) = Vkernel.Value.U_int 0L);
   Alcotest.(check int64) "no draw consumed"
     (Fuzzer.Rng.next_int64 (Fuzzer.Rng.make 7))
     (Fuzzer.Rng.next_int64 r);
-  let runs =
-    List.map
-      (fun compiled ->
-        let t = Fuzzer.Proggen.prepare ~compiled spec in
-        let r = Fuzzer.Rng.make 3 in
-        let ps = List.init 20 (fun _ -> Fuzzer.Proggen.generate t r ()) in
-        (ps, Fuzzer.Rng.next_int64 r))
-      [ true; false ]
+  (* drawn through the spec, the pointer's NULL roll is the only draw *)
+  let zero_payload (c : Vkernel.Machine.call) =
+    match c.c_args with
+    | [ P_int 1L; (P_null | P_data (Vkernel.Value.U_int 0L)) ] -> ()
+    | _ -> Alcotest.fail "expected a zero or NULL payload"
   in
-  match runs with
-  | [ (pc, wc); (pi, wi) ] ->
-      Alcotest.(check bool) "engines generate identically" true (pc = pi);
-      Alcotest.(check int64) "RNG streams in lockstep" wc wi
-  | _ -> assert false
+  for seed = 0 to 19 do
+    let r = Fuzzer.Rng.make seed in
+    zero_payload { c_name = "ioctl"; c_args = Fuzzer.Proggen.args_of_index t r ~resource_at:[] 0 };
+    let ctrl = Fuzzer.Rng.make seed in
+    ignore (Fuzzer.Rng.pct ctrl 4);
+    Alcotest.(check int64) "one draw per call" (Fuzzer.Rng.next_int64 ctrl)
+      (Fuzzer.Rng.next_int64 r)
+  done;
+  let r = Fuzzer.Rng.make 3 in
+  for _ = 1 to 20 do
+    List.iter zero_payload (Fuzzer.Proggen.generate t r ())
+  done
 
 (* The association-list [insert_dependent] that the dense-id operator
    replaced, kept as the reference oracle: the latest producer of each
@@ -342,10 +346,12 @@ let reference_insert_dependent (t : Fuzzer.Proggen.t) (r : Fuzzer.Rng.t)
     List.rev ({ c_name = syscalls.(idx).call_name; c_args = args } :: rev_prog)
   end
 
+let suites_ctx = lazy (Report.Suites.build ())
+
 (* the whole kernel with Table 3's merged suite, as campaigns receive it *)
 let kernel_ctx =
   lazy
-    (let ctx = Report.Suites.build () in
+    (let ctx = Lazy.force suites_ctx in
      ( ctx.Report.Suites.machine,
        Report.Suites.kernelgpt_suite ctx,
        Report.Suites.syzkaller_suite ctx ))
@@ -356,8 +362,8 @@ let kernel_suite =
      Syzlang.Validate.resolve_spec ~kernel:machine.Vkernel.Machine.index merged)
 
 (* The operator under test and the oracle must see the same generator
-   state: the interpreted engine reads and writes the program's working
-   string. *)
+   state: drawing a call's arguments reads and writes the program's
+   working string. *)
 let same_as_reference t seed prog =
   let saved = t.Fuzzer.Proggen.cur_str in
   let run f =
@@ -376,21 +382,17 @@ let qcheck_insert_dependent_matches_reference ~name ~count suite =
     ~count
     QCheck.(pair (int_bound 1_000_000) (int_bound 8))
     (fun (seed, steps) ->
-      let spec = Lazy.force suite in
-      List.for_all
-        (fun compiled ->
-          let t = Fuzzer.Proggen.prepare ~compiled spec in
-          let r = Fuzzer.Rng.make seed in
-          (* generated programs, grown by a few random mutations so longer
-             chains and repeated producers are covered too *)
-          let prog = ref (Fuzzer.Proggen.generate t r ()) in
-          let ok = ref (same_as_reference t seed !prog) in
-          for i = 1 to steps do
-            prog := Fuzzer.Mutator.mutate t r !prog;
-            if not (same_as_reference t (seed + i) !prog) then ok := false
-          done;
-          !ok)
-        [ true; false ])
+      let t = Fuzzer.Proggen.prepare (Lazy.force suite) in
+      let r = Fuzzer.Rng.make seed in
+      (* generated programs, grown by a few random mutations so longer
+         chains and repeated producers are covered too *)
+      let prog = ref (Fuzzer.Proggen.generate t r ()) in
+      let ok = ref (same_as_reference t seed !prog) in
+      for i = 1 to steps do
+        prog := Fuzzer.Mutator.mutate t r !prog;
+        if not (same_as_reference t (seed + i) !prog) then ok := false
+      done;
+      !ok)
 
 let test_insert_dependent_call_name_overapprox () =
   (* the program's one ioctl came from ioctl$MKA, but the machine call
@@ -541,21 +543,40 @@ let test_campaign_eviction_deterministic () =
   Alcotest.(check int) "coverage deterministic under eviction" c1 c2;
   Alcotest.(check int) "eviction count deterministic" e1 e2
 
+(* the payloads of generated programs, on the dm spec and on a spec
+   whose struct points at itself, which only the generator's depth cap
+   stops *)
 let qcheck_uval_depth_bounded =
-  let _, spec = Lazy.force dm_ctx in
-  let t = Fuzzer.Proggen.prepare spec in
+  let _, dm = Lazy.force dm_ctx in
+  let node =
+    Syzlang.Parser.parse_spec ~name:"t"
+      {|resource fd_t[fd]
+node {
+	val int32
+	next ptr[in, node]
+}
+ioctl$X(fd fd_t, cmd const[1], arg ptr[in, node])
+|}
+  in
+  let gens = List.map Fuzzer.Proggen.prepare [ dm; node ] in
+  let rec depth = function
+    | Vkernel.Value.U_struct (_, fs) -> 1 + List.fold_left (fun a (_, v) -> max a (depth v)) 0 fs
+    | Vkernel.Value.U_arr xs -> 1 + List.fold_left (fun a v -> max a (depth v)) 0 xs
+    | _ -> 0
+  in
   QCheck.Test.make ~name:"generated user values have bounded depth" ~count:200
     QCheck.(int_bound 100000)
     (fun seed ->
-      let r = Fuzzer.Rng.make seed in
-      let rec depth = function
-        | Vkernel.Value.U_struct (_, fs) ->
-            1 + List.fold_left (fun a (_, v) -> max a (depth v)) 0 fs
-        | Vkernel.Value.U_arr xs -> 1 + List.fold_left (fun a v -> max a (depth v)) 0 xs
-        | _ -> 0
-      in
-      let uv = Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Struct_ref "dm_ioctl") in
-      depth uv <= 10)
+      List.for_all
+        (fun t ->
+          let r = Fuzzer.Rng.make seed in
+          List.for_all
+            (fun (c : Vkernel.Machine.call) ->
+              List.for_all
+                (function Vkernel.Machine.P_data uv -> depth uv <= 10 | _ -> true)
+                c.c_args)
+            (Fuzzer.Proggen.generate t r ()))
+        gens)
 
 let test_repro_minimize () =
   let machine, spec = Lazy.force dm_ctx in
@@ -664,6 +685,47 @@ let test_reuse_allocation_guard () =
     Alcotest.failf "a repeat init allocated %.0f minor words, %.2f%% of the first's %.0f" again
       (100.0 *. again /. first) first
 
+(* ------------------------------------------------------------------ *)
+(* Campaign allocation pins                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words of a campaign run again after one warm-up run of itself,
+   in a fresh domain: the warm-up fills the domain's prepared-suite memo
+   and whatever the machine builds lazily, so the repeat run counts only
+   the campaign's own work, which is deterministic. Each bound sits about
+   3% above the count measured when the pin was set; a change that lowers
+   a count tightens its pin. *)
+let repeat_campaign_words ~machine ~seed ~budget spec =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let run () =
+           ignore (Sys.opaque_identity (Fuzzer.Campaign.run ~seed ~budget ~machine spec))
+         in
+         run ();
+         let w0 = Gc.minor_words () in
+         run ();
+         Gc.minor_words () -. w0))
+
+let check_pin ~bound words =
+  if words > bound then
+    Alcotest.failf "%.0f minor words, over the pin of %.0f (+%.1f%%)" words bound
+      (100.0 *. (words -. bound) /. bound)
+
+(* Table 4's shape: the dm module booted alone with its module suite;
+   37,264,567 words when pinned *)
+let test_pin_module_campaign () =
+  let ctx = Lazy.force suites_ctx in
+  let machine = Vkernel.Machine.boot [ Corpus.Registry.find_exn "dm" ] in
+  check_pin ~bound:38_383_000.0
+    (repeat_campaign_words ~machine ~seed:1299721 ~budget:10_000
+       (Report.Suites.module_suite ctx "dm"))
+
+(* Table 3's shape: the merged suite on the whole kernel; 5,165,280
+   words when pinned *)
+let test_pin_kernel_campaign () =
+  let machine, merged, _ = Lazy.force kernel_ctx in
+  check_pin ~bound:5_320_300.0 (repeat_campaign_words ~machine ~seed:7919 ~budget:1500 merged)
+
 let test_rng_golden_fuzz_int () =
   let r = Fuzzer.Rng.make 42 in
   Alcotest.(check (list int64)) "fuzz_int 32-bit stream"
@@ -731,5 +793,7 @@ let () =
           t "repro minimization" test_repro_minimize;
           t "suite reuse matches a fresh domain" test_reuse_matches_fresh_domain;
           t "suite reuse allocation guard" test_reuse_allocation_guard;
+          t "dm module campaign allocation pin" test_pin_module_campaign;
+          t "merged kernel campaign allocation pin" test_pin_kernel_campaign;
         ] );
     ]
