@@ -23,16 +23,6 @@ let model_arg =
 let module_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODULE" ~doc:"Registry key, e.g. dm.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ]
-        ~doc:
-          "Worker domains for independent campaigns/repetitions (0 = one per core). The \
-           default 1 runs sequentially; any value produces identical tables.")
-
-let resolve_jobs n = if n <= 0 then Kernelgpt.Pool.cpu_count () else n
-
 (* Fault-injection flags, shared by every command that queries the
    oracle. Without them the client layer is a strict pass-through and
    output stays byte-identical. *)
@@ -60,6 +50,29 @@ let positive_int_conv =
         | Some n when n > 0 -> Ok n
         | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
       Format.pp_print_int )
+
+(* 0 resolves to one worker per core here, so commands see a positive
+   count; a negative value is refused like any malformed one *)
+let jobs_conv =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some 0 -> Ok (Kernelgpt.Pool.cpu_count ())
+        | Some n when n > 0 -> Ok n
+        | _ ->
+            Error
+              (`Msg
+                 (Printf.sprintf
+                    "expected a non-negative integer (0 = one worker per core), got %S" s))),
+      Format.pp_print_int )
+
+let jobs_arg =
+  Arg.(
+    value & opt jobs_conv 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains for independent campaigns/repetitions (0 = one per core). The \
+           default 1 runs sequentially; any value produces identical tables.")
 
 let query_budget_arg =
   Arg.(
@@ -438,7 +451,9 @@ let fuzz_cmd =
       & opt (enum [ ("kernelgpt", "kernelgpt"); ("manual", "manual"); ("syzdescribe", "syzdescribe") ]) "kernelgpt"
       & info [ "suite" ] ~doc:"Which specification to fuzz with.")
   in
-  let budget = Arg.(value & opt int 10_000 & info [ "budget" ] ~doc:"Program executions.") in
+  let budget =
+    Arg.(value & opt positive_int_conv 10_000 & info [ "budget" ] ~doc:"Program executions.")
+  in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed.") in
   let repro =
     Arg.(value & flag & info [ "repro" ] ~doc:"Print a minimized reproducer per crash.")
@@ -498,7 +513,6 @@ let fuzz_cmd =
 let bugs_cmd =
   let run () budget seeds jobs faults query_budget cache_file cache_readonly exec_faults
       pool_faults =
-    let jobs = resolve_jobs jobs in
     Kernelgpt.Pool.reset_stats ();
     Kernelgpt.Pool.set_faults pool_faults;
     Report.Exp_resilience.reset_pool_notes ();
@@ -517,8 +531,12 @@ let bugs_cmd =
     if jobs > 1 then Kernelgpt.Pool.report ~per_task:(Obs.metrics_on ()) stderr;
     `Ok ()
   in
-  let budget = Arg.(value & opt int 30_000 & info [ "budget" ] ~doc:"Executions per module.") in
-  let seeds = Arg.(value & opt int 2 & info [ "seeds" ] ~doc:"Campaign seeds per module.") in
+  let budget =
+    Arg.(value & opt positive_int_conv 30_000 & info [ "budget" ] ~doc:"Executions per module.")
+  in
+  let seeds =
+    Arg.(value & opt positive_int_conv 2 & info [ "seeds" ] ~doc:"Campaign seeds per module.")
+  in
   Cmd.v (Cmd.info "bugs" ~doc:"Hunt the Table 4 bugs")
     Term.(
       ret
@@ -526,32 +544,45 @@ let bugs_cmd =
        $ oracle_cache_arg $ oracle_cache_readonly_arg $ exec_faults_arg $ pool_faults_arg))
 
 let report_cmd =
-  let run () exp full jobs faults query_budget cache_file cache_readonly exec_faults
-      pool_faults sched =
-    match Report.Runner.which_of_string exp with
-    | None ->
-        `Error
-          ( false,
-            "unknown experiment (all, table1, fig7, table2, table3, table4, table5, table6, \
-             ablation-iter, ablation-llm, ablation-sched, correctness)" )
-    | Some which ->
-        let scale = if full then Report.Runner.Full else Report.Runner.Quick in
-        with_oracle_cache ~readonly:cache_readonly cache_file @@ fun cache ->
-        Report.Runner.run ~scale ~which ~jobs:(resolve_jobs jobs) ?faults ?query_budget
-          ?exec_faults ?pool_faults ?oracle_cache:cache ~sched ();
+  let run () which full jobs faults query_budget cache_file cache_readonly exec_faults
+      pool_faults sched bench_out =
+    let scale = if full then Report.Runner.Full else Report.Runner.Quick in
+    with_oracle_cache ~readonly:cache_readonly cache_file @@ fun cache ->
+    let bench =
+      Report.Runner.run ~scale ~which ~jobs ?faults ?query_budget ?exec_faults ?pool_faults
+        ?oracle_cache:cache ~sched ()
+    in
+    let file = Option.value bench_out ~default:(Report.Bench_json.default_file bench) in
+    match Report.Bench_json.write bench ~file with
+    | () ->
+        Printf.eprintf "Bench artifact: %s\n%!" file;
         `Ok ()
+    | exception Sys_error e -> `Error (false, "cannot write the bench artifact: " ^ e)
   in
   let exp =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc:"Which artifact.")
+    Arg.(
+      value
+      & pos 0 (enum Report.Runner.experiments) Report.Runner.All
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:("Which artifact: " ^ Arg.doc_alts_enum Report.Runner.experiments ^ "."))
   in
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Full budgets (EXPERIMENTS.md scale).") in
+  let bench_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "bench-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the run's throughput artifact (per-table wall clocks and execution \
+             counts, JSON) to $(docv) instead of BENCH_<EXPERIMENT>_<quick|full>.json.")
+  in
   Cmd.v
     (Cmd.info "report" ~doc:"Regenerate the paper's tables and figures")
     Term.(
       ret
         (const run $ obs_term $ exp $ full $ jobs_arg $ faults_arg $ query_budget_arg
        $ oracle_cache_arg $ oracle_cache_readonly_arg $ exec_faults_arg $ pool_faults_arg
-       $ sched_arg))
+       $ sched_arg $ bench_out))
 
 let trace_cmd =
   let run file expected =

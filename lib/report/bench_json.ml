@@ -64,6 +64,9 @@ let add_table (t : t) ~name ~wall_s ~executions =
 
 let set_total (t : t) wall_s = t.b_total_wall_s <- wall_s
 
+(** Where a report writes its artifact unless told otherwise. *)
+let default_file (t : t) = Printf.sprintf "BENCH_%s_%s.json" t.b_which t.b_scale
+
 let rate count wall_s = if wall_s > 0.0 then float_of_int count /. wall_s else 0.0
 
 let to_json (t : t) : J.t =

@@ -49,37 +49,21 @@ type which =
   | Ablation_sched
   | Correctness
 
-let which_of_string = function
-  | "all" -> Some All
-  | "table1" -> Some Table1
-  | "fig7" -> Some Fig7
-  | "table2" -> Some Table2
-  | "table3" -> Some Table3
-  | "table4" -> Some Table4
-  | "table5" -> Some Table5
-  | "table6" -> Some Table6
-  | "ablation-iter" -> Some Ablation_iter
-  | "ablation-llm" -> Some Ablation_llm
-  | "ablation-sched" -> Some Ablation_sched
-  | "correctness" -> Some Correctness
-  | _ -> None
+(** Experiment names, in the order [report]'s help lists them. *)
+let experiments =
+  [
+    ("all", All); ("table1", Table1); ("fig7", Fig7); ("table2", Table2); ("table3", Table3);
+    ("table4", Table4); ("table5", Table5); ("table6", Table6);
+    ("ablation-iter", Ablation_iter); ("ablation-llm", Ablation_llm);
+    ("ablation-sched", Ablation_sched); ("correctness", Correctness);
+  ]
+
+let string_of_which which = fst (List.find (fun (_, w) -> w = which) experiments)
+
+let string_of_scale = function Quick -> "quick" | Full -> "full"
 
 let wants which target =
   which = All || which = target
-
-let string_of_which = function
-  | All -> "all"
-  | Table1 -> "table1"
-  | Fig7 -> "fig7"
-  | Table2 -> "table2"
-  | Table3 -> "table3"
-  | Table4 -> "table4"
-  | Table5 -> "table5"
-  | Table6 -> "table6"
-  | Ablation_iter -> "ablation-iter"
-  | Ablation_llm -> "ablation-llm"
-  | Ablation_sched -> "ablation-sched"
-  | Correctness -> "correctness"
 
 (** Regenerate the paper's artifacts. [jobs > 1] shards independent
     campaigns, repetitions, and pipeline runs over a pool of worker
@@ -111,21 +95,25 @@ let string_of_which = function
     caller's job.
 
     [sched] picks the corpus/operator scheduling mode for every fuzzing
-    table ({!Fuzzer.Schedule.mode}; default [Uniform]). The scheduling
-    ablation ([Ablation_sched]) always runs both modes side by side,
-    regardless of this knob.
+    table ({!Fuzzer.Schedule.mode}). The scheduling ablation
+    ([Ablation_sched]) always runs both modes side by side, regardless
+    of this knob.
 
-    [bench] collects per-phase wall clocks and execution counts into a
-    {!Bench_json} artifact. Collection never touches stdout, so runs
-    with and without a collector print identical tables; writing the
+    The result is a {!Bench_json} artifact of per-phase wall clocks and
+    execution counts. Collecting it never touches stdout; writing the
     file is the caller's job. *)
-let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_faults
-    ?pool_faults ?oracle_cache ?sched ?bench () =
+let run ~scale ~which ~jobs ?faults ?query_budget ?exec_faults ?pool_faults ?oracle_cache
+    ~sched () : Bench_json.t =
   let b = budgets_of scale in
+  let bench =
+    Bench_json.create
+      ~sched:(Fuzzer.Schedule.mode_to_string sched)
+      ~scale:(string_of_scale scale) ~which:(string_of_which which) ~jobs
+  in
   Obs.with_span
     ~attrs:(fun () ->
       [
-        ("scale", Obs.Json.Str (match scale with Quick -> "quick" | Full -> "full"));
+        ("scale", Obs.Json.Str (string_of_scale scale));
         ("which", Obs.Json.Str (string_of_which which));
       ])
     ~kind:"report" "experiments"
@@ -136,27 +124,21 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
   Exp_resilience.reset_pool_notes ();
   Printf.printf "Booting synthetic kernel and generating specifications...\n%!";
   let ctx = Suites.build ~jobs ?faults ?query_budget ?cache:oracle_cache () in
-  (match bench with
-  | Some b ->
-      let specs =
-        Hashtbl.fold
-          (fun _ (o : Kernelgpt.Pipeline.outcome) n -> if o.o_valid then n + 1 else n)
-          ctx.Suites.kgpt 0
-      in
-      Bench_json.set_generation b
-        ~wall_s:(Unix.gettimeofday () -. t0)
-        ~specs ~queries:ctx.oracle.Oracle.queries
-  | None -> ());
+  let specs =
+    Hashtbl.fold
+      (fun _ (o : Kernelgpt.Pipeline.outcome) n -> if o.o_valid then n + 1 else n)
+      ctx.Suites.kgpt 0
+  in
+  Bench_json.set_generation bench
+    ~wall_s:(Unix.gettimeofday () -. t0)
+    ~specs ~queries:ctx.oracle.Oracle.queries;
   (* time one table and feed its wall clock + execution count to the
-     collector; stdout is untouched either way *)
+     artifact; stdout is untouched *)
   let timed name execs_of f =
     let w0 = Unix.gettimeofday () in
     let r = f () in
-    (match bench with
-    | Some b ->
-        Bench_json.add_table b ~name ~wall_s:(Unix.gettimeofday () -. w0)
-          ~executions:(execs_of r)
-    | None -> ());
+    Bench_json.add_table bench ~name ~wall_s:(Unix.gettimeofday () -. w0)
+      ~executions:(execs_of r);
     r
   in
   Printf.printf "  (%d loaded handlers; %d oracle queries, %d prompt tokens so far; %.1fs)\n%!"
@@ -178,7 +160,7 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
     let t3 =
       timed "table3" (fun t -> t.Exp_fuzz.t3_exec.Exp_resilience.e_execs) @@ fun () ->
       Exp_fuzz.table3 ~reps:b.t3_reps ~budget:b.t3_budget ~jobs ?supervisor:exec_faults
-        ?sched ctx
+        ~sched ctx
     in
     exec_totals := Exp_resilience.exec_sum !exec_totals t3.Exp_fuzz.t3_exec;
     Exp_fuzz.print_table3 t3
@@ -187,7 +169,7 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
     let t4 =
       timed "table4" (fun t -> t.Exp_bugs.t4_exec.Exp_resilience.e_execs) @@ fun () ->
       Exp_bugs.table4 ~budget:b.t4_budget ~seeds:b.t4_seeds ~jobs ?supervisor:exec_faults
-        ?sched ctx
+        ~sched ctx
     in
     exec_totals := Exp_resilience.exec_sum !exec_totals t4.Exp_bugs.t4_exec;
     Exp_bugs.print_table4 t4
@@ -195,11 +177,11 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
   if wants which Table5 then
     Exp_drivers.print_table5
       (timed "table5" (fun t -> t.Exp_drivers.t5_execs) @@ fun () ->
-       Exp_drivers.table5 ~reps:b.t5_reps ~budget:b.t5_budget ~jobs ?sched ctx);
+       Exp_drivers.table5 ~reps:b.t5_reps ~budget:b.t5_budget ~jobs ~sched ctx);
   if wants which Table6 then
     Exp_sockets.print_table6
       (timed "table6" (fun t -> t.Exp_sockets.t6_execs) @@ fun () ->
-       Exp_sockets.table6 ~reps:b.t6_reps ~budget:b.t6_budget ~jobs ?sched ctx);
+       Exp_sockets.table6 ~reps:b.t6_reps ~budget:b.t6_budget ~jobs ~sched ctx);
   let abl_execs (a : Exp_ablation.ablation) =
     List.fold_left
       (fun acc (v : Exp_ablation.variant_result) -> acc + v.v_execs)
@@ -229,8 +211,7 @@ let run ?(scale = Quick) ?(which = All) ?(jobs = 1) ?faults ?query_budget ?exec_
   let pt = Exp_resilience.pool_totals () in
   if pool_faults <> None || pt.Exp_resilience.p_quarantined > 0 then
     Exp_resilience.print_pool ~degraded_modules:ctx.Suites.degraded pt;
-  (match bench with
-  | Some bch -> Bench_json.set_total bch (Unix.gettimeofday () -. t0)
-  | None -> ());
+  Bench_json.set_total bench (Unix.gettimeofday () -. t0);
   Printf.printf "\nTotal experiment time: %.1fs\n" (Unix.gettimeofday () -. t0);
-  if jobs > 1 then Kernelgpt.Pool.report ~per_task:(Obs.metrics_on ()) stderr
+  if jobs > 1 then Kernelgpt.Pool.report ~per_task:(Obs.metrics_on ()) stderr;
+  bench

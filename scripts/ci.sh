@@ -26,8 +26,8 @@ filter() {
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 1 2>/dev/null | filter > "$tmp/seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 4 2>/dev/null | filter > "$tmp/par.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 1 2>/dev/null | filter > "$tmp/seq.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 4 2>/dev/null | filter > "$tmp/par.out"
 
 if ! diff -u "$tmp/seq.out" "$tmp/par.out"; then
   echo "FAIL: --jobs 4 output differs from sequential run" >&2
@@ -37,21 +37,21 @@ echo "OK: --jobs 4 table3 output is byte-identical to sequential"
 
 echo "== parallel-vs-sequential equivalence (every table, quick) =="
 # The same contract over the whole report: every table, figure and
-# ablation that --exp all prints.
-dune exec --no-build bench/main.exe -- --exp all --jobs 1 \
+# ablation that `report all` prints.
+dune exec --no-build bin/kernelgpt_cli.exe -- report all --jobs 1 \
   --bench-out "$tmp/bench_all1.json" 2>/dev/null | filter > "$tmp/all_seq.out"
-dune exec --no-build bench/main.exe -- --exp all --jobs 4 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report all --jobs 4 \
   --bench-out "$tmp/bench_all4.json" 2>/dev/null | filter > "$tmp/all_par.out"
 if ! diff -u "$tmp/all_seq.out" "$tmp/all_par.out"; then
-  echo "FAIL: --exp all --jobs 4 output differs from --jobs 1" >&2
+  echo "FAIL: report all --jobs 4 output differs from --jobs 1" >&2
   exit 1
 fi
-echo "OK: --exp all --jobs 4 output is byte-identical to --jobs 1"
+echo "OK: report all --jobs 4 output is byte-identical to --jobs 1"
 
 echo "== traced run: stdout unchanged, JSONL valid =="
 # Tracing and metrics must not leak into stdout, and the emitted trace
 # must parse and cover every major span kind.
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 4 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 4 \
   --trace "$tmp/trace.jsonl" --metrics 2>"$tmp/traced.err" | filter > "$tmp/traced.out"
 
 if ! diff -u "$tmp/seq.out" "$tmp/traced.out"; then
@@ -75,7 +75,7 @@ echo "== fault injection: recovery at a moderate rate =="
 # injected fault recovered, zero degraded modules, and the experiment
 # tables identical to the un-faulted run (the oracle is deterministic,
 # so a recovered query returns exactly what an unfaulted one would).
-dune exec --no-build bench/main.exe -- --exp table3 --faults 15 2>/dev/null \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 15 2>/dev/null \
   | filter > "$tmp/f15.out"
 
 if ! grep -q '^All injected transient faults recovered (0 degraded modules' "$tmp/f15.out"; then
@@ -100,8 +100,8 @@ echo "== fault injection: sharding does not change faulted output =="
 # rate high enough to trip circuit breakers must print the same tables
 # no matter how modules are sharded over workers. (--query-budget is
 # the documented exception and is deliberately absent here.)
-dune exec --no-build bench/main.exe -- --exp table3 --faults 60:5 --jobs 1 2>/dev/null | filter > "$tmp/f60seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --faults 60:5 --jobs 4 2>/dev/null | filter > "$tmp/f60par.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 60:5 --jobs 1 2>/dev/null | filter > "$tmp/f60seq.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 60:5 --jobs 4 2>/dev/null | filter > "$tmp/f60par.out"
 if ! diff -u "$tmp/f60seq.out" "$tmp/f60par.out"; then
   echo "FAIL: --faults 60:5 output depends on --jobs" >&2
   exit 1
@@ -109,8 +109,8 @@ fi
 echo "OK: --faults 60:5 --jobs 4 output is byte-identical to --jobs 1"
 
 echo "== fault injection: same seed, same run =="
-dune exec --no-build bench/main.exe -- --exp table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7a.out"
-dune exec --no-build bench/main.exe -- --exp table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7b.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7a.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7b.out"
 if ! diff -u "$tmp/s7a.out" "$tmp/s7b.out"; then
   echo "FAIL: --faults 15:7 is not reproducible" >&2
   exit 1
@@ -133,7 +133,7 @@ strip_resilience() {
     END { if (blank) print "" }
   '
 }
-dune exec --no-build bench/main.exe -- --exp table3 --faults 0 2>/dev/null \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 0 2>/dev/null \
   | filter | strip_resilience > "$tmp/f0.out"
 if ! diff -u "$tmp/seq.out" "$tmp/f0.out"; then
   echo "FAIL: --faults 0 output differs from a run without the client layer" >&2
@@ -191,8 +191,8 @@ echo "== executor fault injection: deterministic and shard-independent =="
 # An --exec-faults plan is a pure hash of the execution index, so the
 # supervised tables and resilience summary must be byte-identical
 # across --jobs values and across repeated runs.
-dune exec --no-build bench/main.exe -- --exp table3 --exec-faults 10:3 --jobs 1 2>/dev/null | filter > "$tmp/ef_seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --exec-faults 10:3 --jobs 4 2>/dev/null | filter > "$tmp/ef_par.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --exec-faults 10:3 --jobs 1 2>/dev/null | filter > "$tmp/ef_seq.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --exec-faults 10:3 --jobs 4 2>/dev/null | filter > "$tmp/ef_par.out"
 if ! diff -u "$tmp/ef_seq.out" "$tmp/ef_par.out"; then
   echo "FAIL: --exec-faults 10:3 output depends on --jobs" >&2
   exit 1
@@ -212,15 +212,15 @@ echo "== oracle cache: warm runs are byte-identical and query-free =="
 # must print byte-identical tables while performing ZERO oracle queries
 # — every answer replays from the cache, so the warm --metrics registry
 # has no oracle.queries counter at all, only cache hits.
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 1 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 1 \
   --oracle-cache "$tmp/oracle_cache.jsonl" 2>/dev/null | filter > "$tmp/cache_cold.out"
 if ! diff -u "$tmp/seq.out" "$tmp/cache_cold.out"; then
   echo "FAIL: --oracle-cache changed the cold run's stdout" >&2
   exit 1
 fi
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 1 --metrics \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 1 --metrics \
   --oracle-cache "$tmp/oracle_cache.jsonl" 2>"$tmp/cache_warm.err" | filter > "$tmp/cache_warm1.out"
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 4 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 4 \
   --oracle-cache "$tmp/oracle_cache.jsonl" 2>/dev/null | filter > "$tmp/cache_warm4.out"
 if ! diff -u "$tmp/cache_cold.out" "$tmp/cache_warm1.out"; then
   echo "FAIL: warm --jobs 1 run differs from the cold run" >&2
@@ -263,9 +263,9 @@ echo "OK: a truncated oracle cache fails descriptively"
 echo "== table4: sharding does not change output; BENCH artifacts =="
 # The quick Table 4 runs feed the BENCH artifact check and the
 # throughput gate below; their stdout must not depend on --jobs.
-dune exec --no-build bench/main.exe -- --exp table4 --jobs 1 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --jobs 1 \
   --bench-out "$tmp/bench_c1.json" 2>/dev/null | filter > "$tmp/t4_c1.out"
-dune exec --no-build bench/main.exe -- --exp table4 --jobs 4 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --jobs 4 \
   --bench-out "$tmp/bench_c4.json" 2>/dev/null | filter > "$tmp/t4_c4.out"
 if ! diff -u "$tmp/t4_c1.out" "$tmp/t4_c4.out"; then
   echo "FAIL: table4 --jobs 4 output differs from --jobs 1" >&2
@@ -322,7 +322,7 @@ gate() {
   if check_regression "$first" "$committed"; then return 0; fi
   for retry in 1 2; do
     echo "retrying table4 bench (attempt $((retry + 1))/3, ruling out a load spike)"
-    dune exec --no-build bench/main.exe -- --exp table4 --jobs 1 \
+    dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --jobs 1 \
       --bench-out "$tmp/bench_retry.json" >/dev/null 2>&1
     if check_regression "$tmp/bench_retry.json" "$committed"; then return 0; fi
   done
@@ -365,9 +365,9 @@ if ! grep -q 'checkpoint was taken with --sched ucb' "$tmp/sched_mismatch.err"; 
   cat "$tmp/sched_mismatch.err" >&2
   exit 1
 fi
-dune exec --no-build bench/main.exe -- --exp table4 --sched ucb --jobs 1 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --sched ucb --jobs 1 \
   --bench-out "$tmp/bench_u1.json" 2>/dev/null | filter > "$tmp/t4_u1.out"
-dune exec --no-build bench/main.exe -- --exp table4 --sched ucb --jobs 4 \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --sched ucb --jobs 4 \
   --bench-out "$tmp/bench_u4.json" 2>/dev/null | filter > "$tmp/t4_u4.out"
 if ! diff -u "$tmp/t4_u1.out" "$tmp/t4_u4.out"; then
   echo "FAIL: table4 --sched ucb stdout depends on --jobs" >&2
@@ -463,8 +463,8 @@ strip_pool_resilience() {
     END { if (blank) print "" }
   '
 }
-dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 15:7 --jobs 1 2>/dev/null | filter > "$tmp/pf_seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 15:7 --jobs 4 2>/dev/null | filter > "$tmp/pf_par.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 15:7 --jobs 1 2>/dev/null | filter > "$tmp/pf_seq.out"
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 15:7 --jobs 4 2>/dev/null | filter > "$tmp/pf_par.out"
 if ! diff -u "$tmp/pf_seq.out" "$tmp/pf_par.out"; then
   echo "FAIL: --pool-faults 15:7 output depends on --jobs" >&2
   exit 1
@@ -483,13 +483,13 @@ if ! diff -u "$tmp/seq.out" "$tmp/pf_strip.out"; then
   echo "FAIL: recovered --pool-faults 15:7 tables differ from the un-faulted run" >&2
   exit 1
 fi
-dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 0 2>/dev/null \
+dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 0 2>/dev/null \
   | filter | strip_pool_resilience > "$tmp/pf0.out"
 if ! diff -u "$tmp/seq.out" "$tmp/pf0.out"; then
   echo "FAIL: --pool-faults 0 output differs from a run without pool fault injection" >&2
   exit 1
 fi
-if ! dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 100:3 --jobs 4 \
+if ! dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 100:3 --jobs 4 \
      --metrics 2>"$tmp/pfq.err" | filter > "$tmp/pfq.out"; then
   echo "FAIL: a rate-100 pool fault plan crashed the run instead of degrading it" >&2
   exit 1
@@ -509,28 +509,41 @@ if ! grep -Eq '^\[metrics\] pool\.quarantined +[1-9]' "$tmp/pfq.err"; then
 fi
 echo "OK: pool faults recover byte-identically (jobs 1/4), rate 0 passes through, rate 100 degrades"
 
-echo "== bench harness flags: malformed input exits 2 naming the flag =="
-# Each case is "expected-message-prefix|arguments": a typo must never
-# silently fall back to a default (Quick scale, one job, one job per core).
-for case in "--scale fulll|--scale fulll" "--jobs abc|--jobs abc" "--jobs -3|--jobs -3" \
-            "--jobs: missing value|--jobs" "--exp: missing value|--exp" \
-            "--bogus: unknown argument|--bogus" "--exp: given twice|--exp table1 --exp table1"; do
+echo "== CLI flags: malformed input exits 124 naming the flag =="
+# Each case is "expected-message|arguments": a typo must never silently
+# fall back to a default (Quick scale, one job, one job per core, the
+# whole report), a budget or seed count must be positive, and an
+# artifact that cannot be written is an error, not an exception. Cmdliner
+# refuses these with its error status 124; the message is matched with
+# its line breaks folded into spaces.
+for case in "unknown option '--fulll'|report --fulll" \
+            "option '--jobs': expected a non-negative integer|report --jobs abc" \
+            "option '--jobs': expected a non-negative integer (0 = one worker per core), got \"-3\"|report --jobs=-3" \
+            "option '--jobs' needs an argument|report --jobs" \
+            "option '--bench-out' needs an argument|report --bench-out" \
+            "unknown option '--bogus'|report --bogus" \
+            "option '--jobs' cannot be repeated|report table1 --jobs 2 --jobs 2" \
+            "too many arguments, don't know what to do with 'table1'|report table1 table1" \
+            "invalid value 'tabel3'|report tabel3" \
+            "option '--seeds': expected a positive integer, got \"0\"|bugs --seeds=0" \
+            "option '--budget': expected a positive integer, got \"0\"|fuzz dm --budget=0" \
+            "cannot write the bench artifact: $tmp/missing/b.json.tmp|report table1 --bench-out $tmp/missing/b.json"; do
   want=${case%%|*}
   args=${case#*|}
   status=0
   # shellcheck disable=SC2086
-  dune exec --no-build bench/main.exe -- $args >/dev/null 2>"$tmp/flag.err" || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "FAIL: bench/main.exe $args exited $status, expected 2" >&2
+  dune exec --no-build bin/kernelgpt_cli.exe -- $args >/dev/null 2>"$tmp/flag.err" || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "FAIL: kernelgpt_cli $args exited $status, expected 124" >&2
     exit 1
   fi
-  if ! grep -qF -- "$want" "$tmp/flag.err"; then
-    echo "FAIL: bench/main.exe $args: error does not name the flag:" >&2
+  if ! tr -s ' \n' '  ' < "$tmp/flag.err" | grep -qF -- "$want"; then
+    echo "FAIL: kernelgpt_cli $args: error does not name the flag:" >&2
     cat "$tmp/flag.err" >&2
     exit 1
   fi
 done
-echo "OK: malformed, missing, repeated and unknown bench flags exit 2 naming the flag"
+echo "OK: malformed, missing, repeated and unknown CLI input exits 124 naming it"
 
 echo "== perfbench: every workload matches its golden digests =="
 # The golden digests pin every generated spec (specgen: Pipeline.run and

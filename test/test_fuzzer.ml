@@ -689,42 +689,22 @@ let test_reuse_allocation_guard () =
 (* Campaign allocation pins                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor words of a campaign run again after one warm-up run of itself,
-   in a fresh domain: the warm-up fills the domain's prepared-suite memo
-   and whatever the machine builds lazily, so the repeat run counts only
-   the campaign's own work, which is deterministic. Each bound sits about
-   3% above the count measured when the pin was set; a change that lowers
-   a count tightens its pin. *)
-let repeat_campaign_words ~machine ~seed ~budget spec =
-  Domain.join
-    (Domain.spawn (fun () ->
-         let run () =
-           ignore (Sys.opaque_identity (Fuzzer.Campaign.run ~seed ~budget ~machine spec))
-         in
-         run ();
-         let w0 = Gc.minor_words () in
-         run ();
-         Gc.minor_words () -. w0))
-
-let check_pin ~bound words =
-  if words > bound then
-    Alcotest.failf "%.0f minor words, over the pin of %.0f (+%.1f%%)" words bound
-      (100.0 *. (words -. bound) /. bound)
-
 (* Table 4's shape: the dm module booted alone with its module suite;
    37,264,567 words when pinned *)
 let test_pin_module_campaign () =
   let ctx = Lazy.force suites_ctx in
   let machine = Vkernel.Machine.boot [ Corpus.Registry.find_exn "dm" ] in
-  check_pin ~bound:38_383_000.0
-    (repeat_campaign_words ~machine ~seed:1299721 ~budget:10_000
-       (Report.Suites.module_suite ctx "dm"))
+  let spec = Report.Suites.module_suite ctx "dm" in
+  Alloc_pin.check ~bound:38_383_000.0
+    (Alloc_pin.repeat_words (fun () ->
+         Fuzzer.Campaign.run ~seed:1299721 ~budget:10_000 ~machine spec))
 
 (* Table 3's shape: the merged suite on the whole kernel; 5,165,280
    words when pinned *)
 let test_pin_kernel_campaign () =
   let machine, merged, _ = Lazy.force kernel_ctx in
-  check_pin ~bound:5_320_300.0 (repeat_campaign_words ~machine ~seed:7919 ~budget:1500 merged)
+  Alloc_pin.check ~bound:5_320_300.0
+    (Alloc_pin.repeat_words (fun () -> Fuzzer.Campaign.run ~seed:7919 ~budget:1500 ~machine merged))
 
 let test_rng_golden_fuzz_int () =
   let r = Fuzzer.Rng.make 42 in

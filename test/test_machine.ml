@@ -453,6 +453,17 @@ let test_dispatch_pins () =
        (Machine.find_device m "/dev/mapper/control"));
   Alcotest.(check bool) "a prefix is not a path" true (Machine.find_device m "/dev/mapper" = None)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation pin                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Booting the whole kernel: the registry's loaded entries parsed
+   against the shared header, which is parsed once per process, and
+   their dispatch tables built; 4,446,989 words when pinned *)
+let test_pin_boot () =
+  let entries = Corpus.Registry.loaded () in
+  Alloc_pin.check ~bound:4_580_400.0 (Alloc_pin.repeat_words (fun () -> Machine.boot entries))
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "machine"
@@ -484,4 +495,5 @@ let () =
           t "leak scan reachability" test_leak_scan_ignores_reachable;
           t "detach frees" test_detach_frees;
         ] );
+      ("alloc", [ t "whole-kernel boot allocation pin" test_pin_boot ]);
     ]

@@ -168,6 +168,13 @@ let test_module_suite_merges () =
   Alcotest.(check bool) "dm module suite has the generated ioctls" true
     (Syzlang.Ast.count_syscalls dm >= 18)
 
+(* Building the shared context sequentially: the whole-kernel boot, then
+   the KernelGPT pipeline and SyzDescribe over every generation target;
+   19,154,120 words when pinned *)
+let test_pin_suites_build () =
+  Alloc_pin.check ~bound:19_728_800.0
+    (Alloc_pin.repeat_words (fun () -> Report.Suites.build ~jobs:1 ()))
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "report"
@@ -182,6 +189,7 @@ let () =
           t "table3 tiny run" test_table3_tiny;
           t "correctness audit" test_correctness_audit;
           t "module suite" test_module_suite_merges;
+          t "suites build allocation pin" test_pin_suites_build;
         ] );
       ( "parallel-determinism",
         [
