@@ -173,7 +173,7 @@ let pool_faults_arg =
     & info [ "pool-faults" ] ~docv:"RATE[:SEED]"
         ~doc:
           "Deterministically crash or stall $(docv) percent of worker-pool task \
-           attempts. Crashed attempts are retried on another worker; tasks that exhaust \
+           attempts. Crashed attempts are retried on the same worker; tasks that exhaust \
            the retry budget are quarantined and render as degraded table rows instead of \
            aborting the run. Decisions hash only the task label and attempt number, so \
            the same RATE:SEED reproduces the same faults and output for any $(b,--jobs).")
@@ -313,12 +313,8 @@ let baseline_cmd =
 
 let fuzz_cmd =
   let run () name suite budget seed profile repro faults query_budget cache_file
-      cache_readonly exec_faults pool_faults checkpoint checkpoint_every resume
-      resume_or_fresh stop_after sched =
-    (* fuzz drives one campaign on the calling domain today; installing
-       the plan anyway keeps the flag honest for any pool-sharded work
-       the command grows *)
-    Kernelgpt.Pool.set_faults pool_faults;
+      cache_readonly exec_faults checkpoint checkpoint_every resume resume_or_fresh
+      stop_after sched =
     let entry = find_entry name in
     let machine = Vkernel.Machine.boot [ entry ] in
     let kernel = machine.Vkernel.Machine.index in
@@ -507,8 +503,8 @@ let fuzz_cmd =
       ret
         (const run $ obs_term $ module_arg $ suite $ budget $ seed $ model_arg $ repro
        $ faults_arg $ query_budget_arg $ oracle_cache_arg $ oracle_cache_readonly_arg
-       $ exec_faults_arg $ pool_faults_arg $ checkpoint $ checkpoint_every $ resume
-       $ resume_or_fresh $ stop_after $ sched_arg))
+       $ exec_faults_arg $ checkpoint $ checkpoint_every $ resume $ resume_or_fresh
+       $ stop_after $ sched_arg))
 
 let bugs_cmd =
   let run () budget seeds jobs faults query_budget cache_file cache_readonly exec_faults

@@ -1,16 +1,12 @@
-(** Fault-isolating work-stealing pool on OCaml 5 [Domain]s. See pool.mli.
+(** Fault-isolating self-scheduling pool on OCaml 5 [Domain]s. See pool.mli.
 
-    Scheduling: every worker owns a deque seeded round-robin with task
-    indices; owners pop from the front, idle workers steal from the
-    tail of a sibling's deque. A failed attempt is requeued at the head
-    of the {e next} worker's deque (so the retry lands on a different
-    domain when one exists); a shared atomic [pending] counter drives
-    termination. Result slots are disjoint per task and [Domain.join]
-    orders every slot write before the caller reads, so the merge is
-    race-free and outcomes come back in submission order regardless of
-    completion order. Per-task mutable state ([attempts]) is handed
-    between workers through the deque mutexes, which order the failing
-    worker's writes before the retrying worker's reads. *)
+    Scheduling: every worker takes the next task index from one shared
+    [Atomic] counter and runs all of that task's attempts itself, so a
+    retry never leaves the worker that failed it; a worker returns once
+    the counter passes the last task. Result slots are disjoint per task
+    and [Domain.join] orders every slot write before the caller reads,
+    so the merge is race-free and outcomes come back in submission
+    order regardless of completion order. *)
 
 let cpu_count () = Domain.recommended_domain_count ()
 
@@ -71,10 +67,6 @@ let () =
 
 let global_faults : Faults.plan option Atomic.t = Atomic.make None
 let set_faults p = Atomic.set global_faults p
-let current_faults () = Atomic.get global_faults
-let global_deadline : float option Atomic.t = Atomic.make None
-let set_deadline d = Atomic.set global_deadline d
-let current_deadline () = Atomic.get global_deadline
 let default_retries = 2
 
 type failure = {
@@ -91,7 +83,7 @@ type timing = {
   tm_seconds : float;
   tm_attempt : int;
   tm_ok : bool;
-  tm_flagged : bool;
+  tm_stalled : bool;
 }
 
 type summary = {
@@ -99,37 +91,25 @@ type summary = {
   s_workers : int;
   s_wall_seconds : float;
   s_busy_seconds : float;
-  s_steals : int;
   s_retries : int;
   s_quarantined : int;
   s_worker_deaths : int;
-  s_flagged : int;
   s_faults_injected : int;
   s_stalls : int;
-  s_timings_dropped : int;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Global accounting (mutex-protected; workers log through it)         *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-attempt log is bounded so a long-lived process (daemon mode)
-   cannot leak: past [2 * timing_cap] entries it is compacted to the
-   [timing_cap] slowest. Aggregate counters stay exact. *)
-let timing_cap = 512
-
 let log_mutex = Mutex.create ()
 let logged : timing list ref = ref []
-let logged_len = ref 0
-let timings_dropped = ref 0
 let busy_seconds = ref 0.0
 let pool_runs : (int * int * float) list ref = ref []  (* tasks, workers, wall *)
 
-let g_steals = Atomic.make 0
 let g_retries = Atomic.make 0
 let g_quarantined = Atomic.make 0
 let g_worker_deaths = Atomic.make 0
-let g_flagged = Atomic.make 0
 let g_injected = Atomic.make 0
 let g_stalls = Atomic.make 0
 
@@ -140,25 +120,11 @@ let with_log f =
 let reset_stats () =
   with_log (fun () ->
       logged := [];
-      logged_len := 0;
-      timings_dropped := 0;
       busy_seconds := 0.0;
       pool_runs := []);
   List.iter
     (fun c -> Atomic.set c 0)
-    [ g_steals; g_retries; g_quarantined; g_worker_deaths; g_flagged; g_injected; g_stalls ]
-
-let by_slowest a b = compare b.tm_seconds a.tm_seconds
-
-(* callers hold [log_mutex] *)
-let compact_log () =
-  if !logged_len > 2 * timing_cap then begin
-    let sorted = List.sort by_slowest !logged in
-    let kept = List.filteri (fun i _ -> i < timing_cap) sorted in
-    timings_dropped := !timings_dropped + (!logged_len - timing_cap);
-    logged := kept;
-    logged_len := timing_cap
-  end
+    [ g_retries; g_quarantined; g_worker_deaths; g_injected; g_stalls ]
 
 let stats () : summary =
   with_log (fun () ->
@@ -172,17 +138,15 @@ let stats () : summary =
         s_workers = workers;
         s_wall_seconds = wall;
         s_busy_seconds = !busy_seconds;
-        s_steals = Atomic.get g_steals;
         s_retries = Atomic.get g_retries;
         s_quarantined = Atomic.get g_quarantined;
         s_worker_deaths = Atomic.get g_worker_deaths;
-        s_flagged = Atomic.get g_flagged;
         s_faults_injected = Atomic.get g_injected;
         s_stalls = Atomic.get g_stalls;
-        s_timings_dropped = !timings_dropped;
       })
 
-let timings () : timing list = with_log (fun () -> List.sort by_slowest !logged)
+let timings () : timing list =
+  with_log (fun () -> List.sort (fun a b -> compare b.tm_seconds a.tm_seconds) !logged)
 
 let report ?(per_task = false) oc =
   let s = stats () in
@@ -191,29 +155,20 @@ let report ?(per_task = false) oc =
     Printf.fprintf oc
       "[pool] %d tasks on up to %d workers: %.2fs task time in %.2fs wall (%.2fx speedup)\n"
       s.s_tasks s.s_workers s.s_busy_seconds s.s_wall_seconds speedup;
-    if
-      s.s_faults_injected + s.s_retries + s.s_quarantined + s.s_steals
-      + s.s_worker_deaths + s.s_flagged
-      > 0
-    then
+    if s.s_faults_injected + s.s_retries + s.s_quarantined + s.s_worker_deaths > 0 then
       Printf.fprintf oc
         "[pool] resilience: %d injected faults (%d stalls), %d retries, %d quarantined, \
-         %d steals, %d worker deaths, %d straggler flags\n"
-        s.s_faults_injected s.s_stalls s.s_retries s.s_quarantined s.s_steals
-        s.s_worker_deaths s.s_flagged;
-    if per_task then begin
-      if s.s_timings_dropped > 0 then
-        Printf.fprintf oc "[pool]   (%d slowest attempts shown; %d dropped from the log)\n"
-          timing_cap s.s_timings_dropped;
+         %d worker deaths\n"
+        s.s_faults_injected s.s_stalls s.s_retries s.s_quarantined s.s_worker_deaths;
+    if per_task then
       List.iter
         (fun t ->
           Printf.fprintf oc "[pool]   %-48s worker %d attempt %d %9.1f ms%s%s\n" t.tm_label
             t.tm_worker t.tm_attempt
             (t.tm_seconds *. 1000.0)
             (if t.tm_ok then "" else " FAILED")
-            (if t.tm_flagged then " STRAGGLER" else ""))
+            (if t.tm_stalled then " STALLED" else ""))
         (timings ())
-    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -227,10 +182,8 @@ let finish_run ~t_start ~workers ~tasks (run_timings : timing list) =
       List.iter
         (fun t ->
           busy_seconds := !busy_seconds +. t.tm_seconds;
-          logged := t :: !logged;
-          incr logged_len)
-        run_timings;
-      compact_log ());
+          logged := t :: !logged)
+        run_timings);
   if Obs.metrics_on () then begin
     Obs.Metrics.incr "pool.runs";
     Obs.Metrics.incr ~by:tasks "pool.tasks";
@@ -242,34 +195,8 @@ let finish_run ~t_start ~workers ~tasks (run_timings : timing list) =
       run_timings
   end
 
-(* One deque per worker. A plain mutex-protected list is plenty: tasks
-   number in the hundreds and each holds the lock for O(length). *)
-type deque = { mutable dq : int list; mu : Mutex.t }
-
-let with_deque d f =
-  Mutex.lock d.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock d.mu) f
-
-let pop_front d =
-  with_deque d (fun () ->
-      match d.dq with
-      | [] -> None
-      | i :: tl ->
-          d.dq <- tl;
-          Some i)
-
-let push_front d i = with_deque d (fun () -> d.dq <- i :: d.dq)
-
-let pop_back d =
-  with_deque d (fun () ->
-      match List.rev d.dq with
-      | [] -> None
-      | i :: rtl ->
-          d.dq <- List.rev rtl;
-          Some i)
-
-let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?faults
-    ~(init : unit -> 'w) ~(f : 'w -> 'a -> 'b) (items : 'a array) : 'b outcome array =
+let map_outcomes ?(jobs = 1) ?label ~(init : unit -> 'w) ~(f : 'w -> 'a -> 'b)
+    (items : 'a array) : 'b outcome array =
   let n = Array.length items in
   if n = 0 then [||]
   else
@@ -284,53 +211,19 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
     let label =
       match label with Some l -> l | None -> fun i _ -> "task-" ^ string_of_int i
     in
-    let faults = match faults with Some _ as p -> p | None -> current_faults () in
-    let deadline = match deadline_s with Some _ as d -> d | None -> current_deadline () in
-    let retries = max 0 retries in
+    let faults = Atomic.get global_faults in
     let workers = max 1 (min jobs n) in
     let t_start = Unix.gettimeofday () in
     let results : 'b outcome option array = Array.make n None in
-    let attempts = Array.make n 0 in
-    let flagged = Array.init n (fun _ -> Atomic.make false) in
-    let pending = Atomic.make n in
-    let deques = Array.init workers (fun _ -> { dq = []; mu = Mutex.create () }) in
-    for i = n - 1 downto 0 do
-      let d = deques.(i mod workers) in
-      d.dq <- i :: d.dq
-    done;
-    (* worker w's current task and its start time, for the watchdog *)
-    let inflight : (int * float) option Atomic.t array =
-      Array.init workers (fun _ -> Atomic.make None)
-    in
+    let next = Atomic.make 0 in
     let deaths : (exn * Printexc.raw_backtrace) option array = Array.make workers None in
     let wtimes : timing list array = Array.make workers [] in
-    let flag_task i =
-      if not (Atomic.exchange flagged.(i) true) then begin
-        Atomic.incr g_flagged;
-        Obs.Metrics.incr "pool.deadline_flagged"
-      end
-    in
-    let watchdog_scan () =
-      match deadline with
-      | None -> ()
-      | Some dl ->
-          let now = Unix.gettimeofday () in
-          Array.iter
-            (fun slot ->
-              match Atomic.get slot with
-              | Some (i, t0) when now -. t0 > dl -> flag_task i
-              | Some _ | None -> ())
-            inflight
-    in
-    (* Run one attempt of task [i]; returns [`Resolved] or [`Requeue].
-       Everything — fault decision, the task body, retry/quarantine
+    (* Run one attempt of task [i]: its outcome, or [None] when the task
+       needs another attempt. Everything — fault decision, the task body, retry/quarantine
        bookkeeping — happens inside the task span, so trace events get
        deterministic ids and no exception ever escapes to the worker
        loop. *)
-    let run_attempt ~worker st i =
-      let lbl = label i items.(i) in
-      let attempt = attempts.(i) in
-      attempts.(i) <- attempt + 1;
+    let run_attempt ~worker st i lbl attempt =
       let fault =
         match faults with Some p -> Faults.decide p ~label:lbl ~attempt | None -> None
       in
@@ -343,10 +236,15 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
         (fun () ->
           if attempt > 0 then span_attrs := [ ("attempt", Obs.Json.Int attempt) ];
           let t0 = Unix.gettimeofday () in
-          Atomic.set inflight.(worker) (Some (i, t0));
+          let run () =
+            match f st items.(i) with
+            | v -> `Res v
+            | exception e -> `Err (e, Printexc.get_raw_backtrace ())
+          in
           let res =
             match fault with
-            | Some k ->
+            | None -> run ()
+            | Some k -> (
                 span_attrs :=
                   !span_attrs @ [ ("fault", Obs.Json.Str (Faults.kind_to_string k)) ];
                 Atomic.incr g_injected;
@@ -358,46 +256,31 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
                       ("attempt", Obs.Json.Int attempt);
                     ])
                   lbl;
-                (match k with
+                match k with
                 | Faults.Crash ->
                     (* the attempt never runs, so a later retry observes
                        exactly the state a clean first attempt would *)
                     `Err (Injected_fault lbl, Printexc.get_callstack 0)
-                | Faults.Stall -> (
+                | Faults.Stall ->
                     Atomic.incr g_stalls;
                     Obs.Metrics.incr "pool.stalls";
-                    flag_task i;
-                    match f st items.(i) with
-                    | v -> `Res v
-                    | exception e -> `Err (e, Printexc.get_raw_backtrace ())))
-            | None -> (
-                match f st items.(i) with
-                | v -> `Res v
-                | exception e -> `Err (e, Printexc.get_raw_backtrace ()))
+                    run ())
           in
-          let dt = Unix.gettimeofday () -. t0 in
-          Atomic.set inflight.(worker) None;
-          (* completion-time backstop: catches overruns the watchdog
-             missed, and the only check a sequential run gets *)
-          (match deadline with Some dl when dt > dl -> flag_task i | Some _ | None -> ());
-          let ok = match res with `Res _ -> true | `Err _ -> false in
           wtimes.(worker) <-
             {
               tm_label = lbl;
               tm_worker = worker;
-              tm_seconds = dt;
+              tm_seconds = Unix.gettimeofday () -. t0;
               tm_attempt = attempt;
-              tm_ok = ok;
-              tm_flagged = Atomic.get flagged.(i);
+              tm_ok = (match res with `Res _ -> true | `Err _ -> false);
+              tm_stalled = fault = Some Faults.Stall;
             }
             :: wtimes.(worker);
           match res with
-          | `Res v ->
-              results.(i) <- Some (Ok v);
-              `Resolved
+          | `Res v -> Some (Ok v)
           | `Err (e, bt) ->
               let used = attempt + 1 in
-              if used > retries then begin
+              if used > default_retries then begin
                 Atomic.incr g_quarantined;
                 Obs.Metrics.incr "pool.quarantined";
                 span_attrs :=
@@ -405,9 +288,7 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
                 Obs.event ~kind:"pool.quarantine"
                   ~attrs:(fun () -> [ ("attempts", Obs.Json.Int used) ])
                   lbl;
-                results.(i) <-
-                  Some (Failed { f_exn = e; f_backtrace = bt; f_attempts = used });
-                `Resolved
+                Some (Failed { f_exn = e; f_backtrace = bt; f_attempts = used })
               end
               else begin
                 Atomic.incr g_retries;
@@ -416,60 +297,29 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
                 Obs.event ~kind:"pool.retry"
                   ~attrs:(fun () -> [ ("attempt", Obs.Json.Int attempt) ])
                   lbl;
-                `Requeue
+                None
               end)
-    in
-    let execute ~worker st i =
-      match run_attempt ~worker st i with
-      | `Resolved -> Atomic.decr pending
-      | `Requeue ->
-          (* head of the next worker's deque: with more than one worker
-             the retry lands on a different domain; with one it is the
-             very next task popped, preserving sequential order *)
-          push_front deques.((worker + 1) mod workers) i
-    in
-    let steal w =
-      let rec scan k =
-        if k >= workers then None
-        else
-          match pop_back deques.((w + k) mod workers) with
-          | Some i ->
-              Atomic.incr g_steals;
-              Obs.Metrics.incr "pool.steals";
-              Some i
-          | None -> scan (k + 1)
-      in
-      scan 1
     in
     let worker_loop w () =
       match init () with
       | exception e ->
-          (* this worker dies alone; survivors steal its deque dry *)
+          (* this worker dies alone; the survivors take every task *)
           deaths.(w) <- Some (e, Printexc.get_raw_backtrace ());
           Atomic.incr g_worker_deaths;
           Obs.Metrics.incr "pool.worker_deaths"
       | st ->
-          let spins = ref 0 in
           let rec loop () =
-            match pop_front deques.(w) with
-            | Some i ->
-                execute ~worker:w st i;
-                loop ()
-            | None -> (
-                match steal w with
-                | Some i ->
-                    execute ~worker:w st i;
-                    loop ()
-                | None ->
-                    if Atomic.get pending > 0 then begin
-                      incr spins;
-                      if !spins land 1023 = 0 then begin
-                        watchdog_scan ();
-                        Unix.sleepf 0.0002
-                      end
-                      else Domain.cpu_relax ();
-                      loop ()
-                    end)
+            let i = Atomic.fetch_and_add next 1 in
+            if i < n then begin
+              let lbl = label i items.(i) in
+              let rec attempt k =
+                match run_attempt ~worker:w st i lbl k with
+                | Some o -> results.(i) <- Some o
+                | None -> attempt (k + 1)
+              in
+              attempt 0;
+              loop ()
+            end
           in
           loop ()
     in
@@ -480,58 +330,17 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
       let domains = List.init workers (fun w -> Domain.spawn (worker_loop w)) in
       List.iter Domain.join domains
     end;
-    (* tasks no surviving worker could run (every worker died): fail
-       them with the first death, lowest worker index — deterministic *)
-    let first_death =
-      let rec find w = if w >= workers then None else
-          match deaths.(w) with Some _ as d -> d | None -> find (w + 1)
-      in
-      find 0
+    (* a surviving worker drains the counter, so tasks are left
+       unresolved only when every worker died: fail them all with the
+       first death, worker 0's — deterministic *)
+    let outcomes =
+      match deaths.(0) with
+      | Some (e, bt) when Array.for_all Option.is_some deaths ->
+          Atomic.fetch_and_add g_quarantined n |> ignore;
+          Obs.Metrics.incr ~by:n "pool.quarantined";
+          Array.make n (Failed { f_exn = e; f_backtrace = bt; f_attempts = 0 })
+      | _ -> Array.map Option.get results
     in
-    let unresolved = ref 0 in
-    for i = 0 to n - 1 do
-      if results.(i) = None then begin
-        incr unresolved;
-        match first_death with
-        | Some (e, bt) ->
-            results.(i) <- Some (Failed { f_exn = e; f_backtrace = bt; f_attempts = 0 })
-        | None ->
-            (* unreachable: a live worker never abandons a task *)
-            results.(i) <-
-              Some
-                (Failed
-                   {
-                     f_exn =
-                       Failure
-                         (Printf.sprintf "Pool: task %d (%s) was never run" i
-                            (label i items.(i)));
-                     f_backtrace = Printexc.get_callstack 0;
-                     f_attempts = 0;
-                   })
-      end
-    done;
-    if !unresolved > 0 then begin
-      Atomic.fetch_and_add g_quarantined !unresolved |> ignore;
-      Obs.Metrics.incr ~by:!unresolved "pool.quarantined"
-    end;
-    let run_timings =
-      Array.fold_left (fun acc l -> List.rev_append l acc) [] wtimes
-    in
-    finish_run ~t_start ~workers ~tasks:n run_timings;
-    Array.map (function Some o -> o | None -> assert false) results
-
-let map_init ?jobs ?label ?retries ?deadline_s ?faults ~init ~f items =
-  let outs = map_outcomes ?jobs ?label ?retries ?deadline_s ?faults ~init ~f items in
-  (* all tasks ran to resolution first (no early abort); only then is
-     the lowest-index quarantined task's exception re-raised, so the
-     choice never depends on which worker failed first *)
-  Array.iter
-    (function
-      | Failed fl -> Printexc.raise_with_backtrace fl.f_exn fl.f_backtrace
-      | Ok _ -> ())
-    outs;
-  Array.map (function Ok v -> v | Failed _ -> assert false) outs
-
-let map ?jobs ?label ?retries ?deadline_s ?faults f items =
-  map_init ?jobs ?label ?retries ?deadline_s ?faults ~init:(fun () -> ())
-    ~f:(fun () x -> f x) items
+    finish_run ~t_start ~workers ~tasks:n
+      (Array.fold_left (fun acc l -> List.rev_append l acc) [] wtimes);
+    outcomes

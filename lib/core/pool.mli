@@ -1,4 +1,4 @@
-(** Fault-isolating work-stealing pool on OCaml 5 [Domain]s.
+(** Fault-isolating self-scheduling pool on OCaml 5 [Domain]s.
 
     The report runner uses this to shard independent experiment tasks
     (driver/socket campaigns, seed repetitions, ablation cells) across
@@ -6,23 +6,19 @@
     callers can merge them deterministically: a run with [jobs] > 1 must
     produce byte-identical tables to the sequential run.
 
-    Scheduling is work-stealing: every worker owns a deque seeded
-    round-robin with task indices, pops its own work from the front, and
-    steals from the tail of a sibling's deque when it runs dry. Failure
-    is isolated per task: an attempt that raises is retried a bounded
-    number of times (requeued at the head of the {e next} worker's
-    deque, so a different domain picks it up), a task that exhausts its
-    retry budget is {e quarantined} — reported as a {!Failed} outcome
-    instead of killing the run — and a worker domain whose [init] raises
-    dies alone, degrading the pool to the survivors, whose stealing
-    drains the dead worker's deque.
+    Scheduling is one shared task counter: every worker takes the next
+    task index from it and runs that task's attempts itself until the
+    counter passes the last task. Failure is isolated per task: an
+    attempt that raises is retried on the same worker a bounded number
+    of times, a task that exhausts its retry budget is {e quarantined}
+    — reported as a {!Failed} outcome instead of killing the run — and
+    a worker domain whose [init] raises dies alone, degrading the pool
+    to the survivors, which take every remaining task.
 
     Workers share nothing: any mutable state a task needs (an
     [Oracle.t], a [Vkernel.Machine.t]) must be built by the worker
     itself via [init]. Per-attempt wall-clock timings are accumulated in
-    a global, mutex-protected log for the end-of-run speedup report; the
-    log is bounded (top slowest kept, aggregate counters stay exact —
-    see {!summary.s_timings_dropped}).
+    a global, mutex-protected log for the end-of-run speedup report.
 
     {b Determinism contract.} Task outcomes depend only on the task
     function and the fault plan, never on scheduling: with faults off,
@@ -30,11 +26,11 @@
     plan, injected faults are a pure hash of [(seed, label, attempt)],
     so outcomes (and every count derived from them: injections, retries,
     stalls, quarantines) are identical for any [jobs] and across resumed
-    runs. The exceptions are {!summary.s_steals}, [s_worker_deaths], and
-    [s_flagged] (real stragglers), which depend on actual scheduling —
-    they are reported on [stderr]/metrics only, never on stdout. Labels
-    must be unique within a run for the fault plan to be well-defined;
-    every caller's labels (and the ["task-<i>"] default) are. *)
+    runs. The exception is {!summary.s_worker_deaths}, which depends on
+    how many workers ran — it is reported on [stderr]/metrics only,
+    never on stdout. Labels must be unique within
+    a run for the fault plan to be well-defined; every caller's labels
+    (and the ["task-<i>"] default) are. *)
 
 (** Number of cores the runtime recommends using ([--jobs 0] resolves to
     this). *)
@@ -59,8 +55,8 @@ module Faults : sig
   type kind =
     | Crash  (** the attempt raises {!Injected_fault} instead of running *)
     | Stall
-        (** the attempt runs normally but is flagged as a straggler, as
-            if it had overrun its deadline *)
+        (** the attempt runs normally; its timing entry is marked
+            stalled and it counts in {!summary.s_stalls} *)
 
   (** Pure decision for one attempt of the task named [label]; [None]
       when the attempt proceeds unharmed. Crashes outnumber stalls 3:1. *)
@@ -71,22 +67,12 @@ end
     attempt the fault plan crashed; carries the task label. *)
 exception Injected_fault of string
 
-(** Process-wide default fault plan, picked up by every pool run that
-    does not pass its own [?faults] — how the [--pool-faults] CLI flag
-    reaches the pool. [None] (the initial state) disables injection. *)
+(** Process-wide fault plan read by every pool run — how the
+    [--pool-faults] CLI flag reaches the pool. [None] (the initial
+    state) disables injection. *)
 val set_faults : Faults.plan option -> unit
 
-val current_faults : unit -> Faults.plan option
-
-(** Process-wide default per-task deadline in seconds, picked up by
-    every pool run that does not pass its own [?deadline_s]. The
-    watchdog only {e flags} stragglers (metrics + timing log) — domains
-    cannot be killed, so an overrunning task keeps its worker. *)
-val set_deadline : float option -> unit
-
-val current_deadline : unit -> float option
-
-(** Attempts per task = [retries + 1]. *)
+(** Attempts per task = [default_retries + 1]. *)
 val default_retries : int
 
 type failure = {
@@ -105,7 +91,7 @@ type timing = {
   tm_seconds : float;  (** attempt wall-clock *)
   tm_attempt : int;  (** 0 for the first attempt *)
   tm_ok : bool;  (** whether this attempt succeeded *)
-  tm_flagged : bool;  (** straggler: overran the deadline or stalled *)
+  tm_stalled : bool;  (** the fault plan stalled this attempt *)
 }
 
 type summary = {
@@ -114,67 +100,31 @@ type summary = {
   s_wall_seconds : float;  (** wall-clock spent inside pool runs *)
   s_busy_seconds : float;
       (** sum of per-attempt wall-clocks, failed attempts included *)
-  s_steals : int;  (** tasks taken from a sibling's deque (stderr-only) *)
-  s_retries : int;  (** failed attempts that were requeued *)
+  s_retries : int;  (** failed attempts that were retried *)
   s_quarantined : int;  (** tasks that exhausted their retry budget *)
   s_worker_deaths : int;  (** workers whose [init] raised (stderr-only) *)
-  s_flagged : int;  (** attempts flagged by the deadline watchdog *)
   s_faults_injected : int;  (** injected crashes + stalls *)
   s_stalls : int;  (** injected stalls among them *)
-  s_timings_dropped : int;
-      (** timing entries evicted from the bounded log; aggregate
-          counters above remain exact *)
 }
 
 (** [map_outcomes ~jobs ~init ~f items] runs every task to a per-task
     {!outcome}, in input order. Each worker first builds private state
     with [init]; every attempt it executes receives that state. A task
-    whose attempt raises is retried up to [retries] more times (default
-    {!default_retries}), each retry requeued so another worker can pick
-    it up; a task that exhausts the budget comes back as [Failed] with
-    the last exception, backtrace, and attempt count. [deadline_s] arms
-    the straggler watchdog for this run. [faults] overrides the global
-    plan from {!set_faults}. [jobs <= 1] runs sequentially in the
-    calling domain (no domain is spawned); the retry/quarantine/fault
-    machinery behaves identically, so outcomes match any parallel run. *)
+    whose attempt raises is retried on the same worker up to
+    {!default_retries} more times; a task that exhausts the budget comes
+    back as [Failed] with the last exception, backtrace, and attempt
+    count. When every worker's [init] raises, every task comes back
+    [Failed] with the lowest-index worker's exception and
+    [f_attempts = 0]. [jobs <= 1] runs sequentially in the calling
+    domain (no domain is spawned); the retry/quarantine/fault machinery
+    behaves identically, so outcomes match any parallel run. *)
 val map_outcomes :
   ?jobs:int ->
   ?label:(int -> 'a -> string) ->
-  ?retries:int ->
-  ?deadline_s:float ->
-  ?faults:Faults.plan ->
   init:(unit -> 'w) ->
   f:('w -> 'a -> 'b) ->
   'a array ->
   'b outcome array
-
-(** [map_init] is {!map_outcomes} for callers that need every task to
-    succeed: after the pool fully drains (all tasks resolved, retries
-    included — no early abort), if any task was quarantined the
-    {e lowest-index} quarantined task's exception is re-raised with its
-    backtrace. The choice is deterministic: it depends on task indices,
-    never on which worker failed first. *)
-val map_init :
-  ?jobs:int ->
-  ?label:(int -> 'a -> string) ->
-  ?retries:int ->
-  ?deadline_s:float ->
-  ?faults:Faults.plan ->
-  init:(unit -> 'w) ->
-  f:('w -> 'a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [map ~jobs f items] is {!map_init} with unit worker state. *)
-val map :
-  ?jobs:int ->
-  ?label:(int -> 'a -> string) ->
-  ?retries:int ->
-  ?deadline_s:float ->
-  ?faults:Faults.plan ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
 
 (** Clear the global timing log and resilience counters. *)
 val reset_stats : unit -> unit
@@ -183,13 +133,12 @@ val reset_stats : unit -> unit
 val stats : unit -> summary
 
 (** Per-attempt timings recorded since the last [reset_stats], slowest
-    first. At most a bounded number of entries survive (the slowest
-    ones); {!summary.s_timings_dropped} counts evictions. *)
+    first. *)
 val timings : unit -> timing list
 
 (** Print the run summary (tasks, workers, busy vs wall time, speedup,
-    and — when any occurred — steals, retries, quarantines, worker
-    deaths, and straggler flags) and, with [per_task], the surviving
-    per-attempt wall-clocks. The runner sends this to [stderr] so table
-    output on [stdout] stays byte-identical to a sequential run. *)
+    and — when any occurred — injected faults, retries, quarantines and
+    worker deaths) and, with [per_task], every per-attempt wall-clock.
+    The runner sends this to [stderr] so table output on [stdout] stays
+    byte-identical to a sequential run. *)
 val report : ?per_task:bool -> out_channel -> unit

@@ -337,6 +337,12 @@ let of_snapshot ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
     Error
       (Printf.sprintf "checkpoint has %d executions but a budget of only %d" s.executions
          s.budget)
+  else if s.max_corpus < 1 then
+    (* the corpus ring is [Array.make max_corpus]: the first fresh
+       program writes slot 0 *)
+    Error
+      (Printf.sprintf "checkpoint max_corpus is %d: a campaign needs at least 1 corpus slot"
+         s.max_corpus)
   else if List.length s.corpus > s.max_corpus then
     Error
       (Printf.sprintf "checkpoint corpus has %d entries but max_corpus is %d"

@@ -102,15 +102,16 @@ type pool_totals = {
   p_injected : int;  (** injected worker faults (crashes + stalls) *)
   p_crashes : int;
   p_stalls : int;
-  p_retries : int;  (** failed attempts requeued to another worker *)
+  p_retries : int;  (** failed attempts that were retried *)
   p_quarantined : int;  (** tasks that exhausted their retry budget *)
   p_degraded_rows : int;  (** table rows rendered with degraded cells *)
 }
 
 (* Everything here is a pure function of the fault plan (hash of
    label/attempt), never of scheduling, so the section below is safe to
-   print on stdout: byte-identical for any [--jobs]. Steals, worker
-   deaths, and real straggler flags stay on stderr ({!Pool.report}). *)
+   print on stdout: byte-identical for any [--jobs]. Worker deaths,
+   which depend on how many workers ran, stay on stderr
+   ({!Pool.report}). *)
 let pool_totals () : pool_totals =
   let s = Kernelgpt.Pool.stats () in
   {

@@ -447,6 +447,47 @@ if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_sid.out"; then
 fi
 echo "OK: an out-of-range sid fails --resume descriptively; --resume-or-fresh runs fresh"
 
+echo "== checkpoint with an empty corpus ring: max_corpus 0 refused =="
+# A checkpoint can pass its checksum with "max_corpus":0, which leaves
+# the corpus ring no slot for the first fresh program. --resume must
+# refuse it with the CLI's error status and a message that names the
+# value, never crash (125); --resume-or-fresh must run fresh.
+dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
+  --checkpoint "$tmp/ck_mc.jsonl" --stop-after 1000 >/dev/null 2>&1
+python3 - "$tmp/ck_mc.jsonl" "$tmp/ck_mc0.jsonl" <<'EOF'
+import sys
+lines = [l for l in open(sys.argv[1], "rb").read().split(b"\n") if l]
+body_lines = lines[:-1]  # drop the checksum record
+assert body_lines[1].count(b'"max_corpus":512,') == 1, b"unexpected record: " + body_lines[1][:80]
+body_lines[1] = body_lines[1].replace(b'"max_corpus":512,', b'"max_corpus":0,')
+body_lines = [l for l in body_lines if not l.startswith(b'{"corpus":')]
+body = b"\n".join(body_lines) + b"\n"
+h = 0xcbf29ce484222325
+for c in body:
+    h = ((h ^ c) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+open(sys.argv[2], "wb").write(body + b'{"checksum":"fnv1a64:%016x"}\n' % h)
+EOF
+status=0
+dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
+  --checkpoint "$tmp/ck_mc0.jsonl" --resume >/dev/null 2>"$tmp/mc.err" || status=$?
+if [ "$status" -ne 124 ]; then
+  echo "FAIL: --resume of max_corpus 0 exited $status, not the CLI error status 124" >&2
+  cat "$tmp/mc.err" >&2
+  exit 1
+fi
+if ! grep -q 'checkpoint max_corpus is 0' "$tmp/mc.err"; then
+  echo "FAIL: max_corpus 0 error is not descriptive:" >&2
+  cat "$tmp/mc.err" >&2
+  exit 1
+fi
+dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
+  --checkpoint "$tmp/ck_mc0.jsonl" --resume-or-fresh 2>/dev/null | normalize_time > "$tmp/fuzz_mc.out"
+if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_mc.out"; then
+  echo "FAIL: --resume-or-fresh past max_corpus 0 differs from a fresh run" >&2
+  exit 1
+fi
+echo "OK: max_corpus 0 fails --resume descriptively; --resume-or-fresh runs fresh"
+
 echo "== pool fault injection: deterministic recovery, pass-through, quarantine =="
 # Worker-pool faults fire on a pure hash of (seed, label, attempt), so a
 # plan's stdout — retry counts, quarantine counts, degraded rows — must
@@ -489,25 +530,43 @@ if ! diff -u "$tmp/seq.out" "$tmp/pf0.out"; then
   echo "FAIL: --pool-faults 0 output differs from a run without pool fault injection" >&2
   exit 1
 fi
-if ! dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 100:3 --jobs 4 \
-     --metrics 2>"$tmp/pfq.err" | filter > "$tmp/pfq.out"; then
-  echo "FAIL: a rate-100 pool fault plan crashed the run instead of degrading it" >&2
+for j in 1 4; do
+  if ! dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 100:3 --jobs $j \
+       --metrics 2>"$tmp/pfq$j.err" | filter > "$tmp/pfq$j.out"; then
+    echo "FAIL: a rate-100 pool fault plan crashed the --jobs $j run instead of degrading it" >&2
+    exit 1
+  fi
+  grep -E '^\[metrics\] pool\.(faults\.injected|retries|quarantined|stalls|tasks|runs) ' \
+    "$tmp/pfq$j.err" > "$tmp/pfq$j.counters" || true
+done
+if ! diff -u "$tmp/pfq1.out" "$tmp/pfq4.out"; then
+  echo "FAIL: --pool-faults 100:3 output depends on --jobs" >&2
   exit 1
 fi
-if ! grep -q '\[degraded .*/.* reps\]' "$tmp/pfq.out"; then
+if [ "$(wc -l < "$tmp/pfq1.counters")" -ne 6 ]; then
+  echo "FAIL: --pool-faults 100:3 --metrics lacks a pool counter:" >&2
+  cat "$tmp/pfq1.counters" >&2
+  exit 1
+fi
+if ! diff -u "$tmp/pfq1.counters" "$tmp/pfq4.counters"; then
+  echo "FAIL: --pool-faults 100:3 pool counters depend on --jobs" >&2
+  exit 1
+fi
+if ! grep -q '\[degraded .*/.* reps\]' "$tmp/pfq4.out"; then
   echo "FAIL: quarantined campaigns did not render as degraded rows" >&2
   exit 1
 fi
-if ! grep -Eq 'quarantined task\(s\) left [1-9][0-9]* degraded table row' "$tmp/pfq.out"; then
+if ! grep -Eq 'quarantined task\(s\) left [1-9][0-9]* degraded table row' "$tmp/pfq4.out"; then
   echo "FAIL: quarantine summary missing from the pool resilience section" >&2
   exit 1
 fi
-if ! grep -Eq '^\[metrics\] pool\.quarantined +[1-9]' "$tmp/pfq.err"; then
+if ! grep -Eq '^\[metrics\] pool\.quarantined +[1-9]' "$tmp/pfq4.err"; then
   echo "FAIL: no pool.quarantined metric on stderr" >&2
-  grep '^\[metrics\] pool\.' "$tmp/pfq.err" >&2 || true
+  grep '^\[metrics\] pool\.' "$tmp/pfq4.err" >&2 || true
   exit 1
 fi
 echo "OK: pool faults recover byte-identically (jobs 1/4), rate 0 passes through, rate 100 degrades"
+echo "OK: rate-100 stdout and pool counters are identical at --jobs 1 and 4"
 
 echo "== CLI flags: malformed input exits 124 naming the flag =="
 # Each case is "expected-message|arguments": a typo must never silently
@@ -527,6 +586,7 @@ for case in "unknown option '--fulll'|report --fulll" \
             "invalid value 'tabel3'|report tabel3" \
             "option '--seeds': expected a positive integer, got \"0\"|bugs --seeds=0" \
             "option '--budget': expected a positive integer, got \"0\"|fuzz dm --budget=0" \
+            "unknown option '--pool-faults'|fuzz dm --pool-faults 5" \
             "cannot write the bench artifact: $tmp/missing/b.json.tmp|report table1 --bench-out $tmp/missing/b.json"; do
   want=${case%%|*}
   args=${case#*|}

@@ -136,6 +136,25 @@ let test_resume_rejects_foreign_sids () =
   ignore (Fuzzer.Campaign.drive t);
   Alcotest.(check bool) "in-range resume is exact" true (finish snap = Fuzzer.Campaign.snapshot t)
 
+let test_resume_rejects_empty_corpus_ring () =
+  (* a corpus ring of size 0 would crash on the first fresh program:
+     resume must refuse it, naming the value *)
+  let machine, spec = Lazy.force dm_ctx in
+  let t = Fuzzer.Campaign.init ~seed:3 ~budget:300 ~machine spec in
+  ignore (Fuzzer.Campaign.drive ~stop_after:100 t);
+  let snap = Fuzzer.Campaign.snapshot t in
+  List.iter
+    (fun max_corpus ->
+      let bad = { snap with Fuzzer.Checkpoint.max_corpus; corpus = [] } in
+      match Fuzzer.Campaign.of_snapshot ~machine spec bad with
+      | Ok _ -> Alcotest.failf "resume accepted max_corpus %d" max_corpus
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names max_corpus %d" e max_corpus)
+            true
+            (contains e (Printf.sprintf "max_corpus is %d:" max_corpus)))
+    [ 0; -1 ]
+
 let test_resume_on_warm_memo () =
   (* a resume whose init reuses this domain's prepared suite must finish
      exactly as one on an empty memo (a fresh domain) *)
@@ -371,6 +390,7 @@ let () =
           t "snapshot save/load exact" test_snapshot_roundtrip_exact;
           t "rejects foreign spec" test_resume_rejects_other_spec;
           t "rejects out-of-range sids" test_resume_rejects_foreign_sids;
+          t "rejects an empty corpus ring" test_resume_rejects_empty_corpus_ring;
           t "resume on a warm memo" test_resume_on_warm_memo;
         ] );
       ( "corruption",

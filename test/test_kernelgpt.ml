@@ -372,6 +372,22 @@ let test_extractor_socket_kind () =
         (List.mem_assoc "sendmsg" hi.hi_handlers)
   | _ -> Alcotest.fail "expected exactly one handler"
 
+(* ------------------------------------------------------------------ *)
+(* Allocation pin                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The pipeline alone over the 152 generation targets of the
+   whole-kernel boot, with a fresh oracle per pass; 10,038,429 words
+   when pinned *)
+let test_pin_pipeline_run () =
+  let entries = Corpus.Registry.loaded () in
+  let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
+  let targets = Report.Suites.generation_targets entries in
+  Alloc_pin.check ~bound:10_339_600.0
+    (Alloc_pin.repeat_words (fun () ->
+         let oracle = Oracle.create ~knowledge:kernel () in
+         List.iter (fun e -> ignore (Kernelgpt.Pipeline.run ~oracle ~kernel e)) targets))
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "kernelgpt"
@@ -414,4 +430,5 @@ let () =
           t "kvm handlers" test_extractor_finds_handlers;
           t "socket kind" test_extractor_socket_kind;
         ] );
+      ("alloc", [ t "pipeline run allocation pin" test_pin_pipeline_run ]);
     ]

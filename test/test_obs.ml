@@ -271,12 +271,17 @@ let test_jobs_trace_equality () =
         Unix.close saved)
       (fun () ->
         let results =
-          Kernelgpt.Pool.map ~jobs
+          Kernelgpt.Pool.map_outcomes ~jobs
             ~label:(fun i _ -> "item-" ^ string_of_int i)
-            (fun x -> x * x)
+            ~init:(fun () -> ())
+            ~f:(fun () x -> x * x)
             items
         in
-        Array.iter (fun r -> Printf.printf "%d\n" r) results;
+        Array.iter
+          (function
+            | Kernelgpt.Pool.Ok r -> Printf.printf "%d\n" r
+            | Kernelgpt.Pool.Failed _ -> print_endline "failed")
+          results;
         flush stdout);
     Obs.reset ();
     let ic = open_in out in
