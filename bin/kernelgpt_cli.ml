@@ -20,8 +20,19 @@ let model_conv =
 let model_arg =
   Arg.(value & opt model_conv Profile.gpt4 & info [ "model" ] ~doc:"Analysis LLM profile.")
 
+let module_conv =
+  Arg.conv
+    ( (fun s ->
+        match Corpus.Registry.find s with
+        | Some e -> Ok e
+        | None -> Error (`Msg (Printf.sprintf "no such module %S; try `kernelgpt_cli list`" s))),
+      fun fmt (e : Corpus.Types.entry) -> Format.pp_print_string fmt e.name )
+
 let module_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"MODULE" ~doc:"Registry key, e.g. dm.")
+  Arg.(
+    required
+    & pos 0 (some module_conv) None
+    & info [] ~docv:"MODULE" ~doc:"Registry key, e.g. dm.")
 
 (* Fault-injection flags, shared by every command that queries the
    oracle. Without them the client layer is a strict pass-through and
@@ -220,13 +231,6 @@ let obs_term =
   in
   Term.(const setup $ trace $ metrics)
 
-let find_entry name =
-  match Corpus.Registry.find name with
-  | Some e -> e
-  | None ->
-      Printf.eprintf "no such module %S; try `kernelgpt_cli list`\n" name;
-      exit 1
-
 (* ------------------------------------------------------------------ *)
 
 let list_cmd =
@@ -261,9 +265,8 @@ let list_cmd =
     Term.(ret (const run $ verbose))
 
 let generate_cmd =
-  let run () name profile all_in_one show_prompting faults query_budget cache_file
+  let run () entry profile all_in_one show_prompting faults query_budget cache_file
       cache_readonly =
-    let entry = find_entry name in
     let machine = Vkernel.Machine.boot [ entry ] in
     let kernel = machine.Vkernel.Machine.index in
     let oracle = Oracle.create ~profile ~knowledge:kernel () in
@@ -300,8 +303,7 @@ let generate_cmd =
        $ query_budget_arg $ oracle_cache_arg $ oracle_cache_readonly_arg))
 
 let baseline_cmd =
-  let run name =
-    let entry = find_entry name in
+  let run entry =
     (match (Baseline.Syzdescribe.run entry).sd_spec with
     | Some spec -> print_string (Syzlang.Printer.spec_str spec)
     | None -> print_endline "(SyzDescribe cannot generate a specification for this module)");
@@ -312,10 +314,9 @@ let baseline_cmd =
     Term.(ret (const run $ module_arg))
 
 let fuzz_cmd =
-  let run () name suite budget seed profile repro faults query_budget cache_file
-      cache_readonly exec_faults checkpoint checkpoint_every resume resume_or_fresh
+  let run () (entry : Corpus.Types.entry) suite budget seed profile repro faults query_budget
+      cache_file cache_readonly exec_faults checkpoint checkpoint_every resume resume_or_fresh
       stop_after sched =
-    let entry = find_entry name in
     let machine = Vkernel.Machine.boot [ entry ] in
     let kernel = machine.Vkernel.Machine.index in
     with_oracle_cache ~readonly:cache_readonly cache_file @@ fun cache ->
@@ -329,9 +330,7 @@ let fuzz_cmd =
           (Kernelgpt.Pipeline.run ~client ~oracle ~kernel entry).o_spec
     in
     match spec with
-    | None ->
-        Printf.eprintf "no %s specification available for %s\n" suite name;
-        `Ok ()
+    | None -> `Error (false, Printf.sprintf "no %s specification available for %s" suite entry.name)
     | Some spec -> (
         let supervisor = Option.value exec_faults ~default:Fuzzer.Supervisor.default in
         if (resume || resume_or_fresh) && checkpoint = None then

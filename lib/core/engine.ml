@@ -7,14 +7,58 @@
 
 let max_iter = 5
 
-type stage_stats = { mutable iterations : int; mutable analyzed : int }
+type stage_stats = { mutable iterations : int }
 
-let new_stats () = { iterations = 0; analyzed = 0 }
+let new_stats () = { iterations = 0 }
+
+(** The loop of Algorithm 1, shared by identifier deduction and type
+    recovery. Each round extracts the source of every target not yet
+    visited ([name] keys the visited set), prompts with it, and collects
+    the targets [answer] reads from the response as [UNKNOWN] for the
+    next round, for at most [max_iter] rounds. A degraded query (the
+    fault-tolerant client gave up) skips its target: the stage keeps
+    everything it already has. *)
+let iterate ~(client : Client.t) ~(module_index : Csrc.Index.t) ~(stats : stage_stats)
+    ~(name : 'a -> string) ~(prompt : 'a -> Prompt.snippet -> Prompt.t)
+    ~(answer : Prompt.response -> 'a list) (targets : 'a list) : unit =
+  let visited = Hashtbl.create 8 in
+  let rec go step targets =
+    if step <= max_iter && targets <> [] then begin
+      stats.iterations <- stats.iterations + 1;
+      go (step + 1)
+        (List.concat_map
+           (fun t ->
+             let n = name t in
+             if Hashtbl.mem visited n then []
+             else begin
+               Hashtbl.replace visited n ();
+               match Extractor.snippet module_index n with
+               | None -> []
+               | Some snip -> (
+                   match Client.query client (prompt t snip) with
+                   | None -> []
+                   | Some resp -> answer resp)
+             end)
+           targets)
+    end
+  in
+  go 1 targets
+
+(** [xs] without the elements whose [key] an earlier element has. *)
+let dedupe ~(key : 'a -> string) (xs : 'a list) : 'a list =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.replace seen k ();
+        true
+      end)
+    xs
 
 (** Identifier deduction (§3.1.1): follow dispatched functions until the
-    command values and argument types are known. A degraded query (the
-    fault-tolerant client gave up) skips that target: the stage keeps
-    every identifier it already has. *)
+    command values and argument types are known. *)
 let identifier_stage ~(client : Client.t) ~(module_index : Csrc.Index.t)
     ~(handler_fn : string) ~(stats : stage_stats) : Prompt.ident list =
   Obs.with_span
@@ -22,109 +66,44 @@ let identifier_stage ~(client : Client.t) ~(module_index : Csrc.Index.t)
     ~kind:"pipeline.stage" "identifier"
   @@ fun () ->
   let idents = ref [] in
-  let visited = Hashtbl.create 8 in
-  let rec go step targets =
-    if step > max_iter || targets = [] then ()
-    else begin
-      stats.iterations <- stats.iterations + 1;
-      let next =
-        List.concat_map
-          (fun (fn, usage) ->
-            if Hashtbl.mem visited fn then []
-            else begin
-              Hashtbl.replace visited fn ();
-              match Extractor.snippet module_index fn with
-              | None -> []
-              | Some snip ->
-                  stats.analyzed <- stats.analyzed + 1;
-                  match
-                    Client.query client
-                      {
-                        Prompt.task = Prompt.Identifier_deduction { handler_fn = fn };
-                        (* the module's own #defines ride along so command
-                           macros resolve against the right header *)
-                        snippets = [ snip; Extractor.module_macros_snippet module_index ];
-                        usage;
-                      }
-                  with
-                  | None -> []
-                  | Some resp ->
-                      idents := List.rev_append resp.Prompt.r_idents !idents;
-                      List.map
-                        (fun (u : Prompt.unknown) -> (u.u_name, [ u.u_usage ]))
-                        resp.r_unknown
-            end)
-          targets
-      in
-      go (step + 1) next
-    end
-  in
-  go 1 [ (handler_fn, []) ];
+  iterate ~client ~module_index ~stats ~name:fst
+    ~prompt:(fun (fn, usage) snip ->
+      {
+        Prompt.task = Prompt.Identifier_deduction { handler_fn = fn };
+        (* the module's own #defines ride along so command macros
+           resolve against the right header *)
+        snippets = [ snip; Extractor.module_macros_snippet module_index ];
+        usage;
+      })
+    ~answer:(fun resp ->
+      idents := List.rev_append resp.Prompt.r_idents !idents;
+      List.map (fun (u : Prompt.unknown) -> (u.u_name, [ u.u_usage ])) resp.r_unknown)
+    [ (handler_fn, []) ];
   (* deduplicate, keeping handler source order: dispatch order usually is
      setup order (create before load), which downstream program
      generation exploits *)
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (i : Prompt.ident) ->
-      if Hashtbl.mem seen i.id_cmd then false
-      else begin
-        Hashtbl.replace seen i.id_cmd ();
-        true
-      end)
-    (List.rev !idents)
+  dedupe ~key:(fun (i : Prompt.ident) -> i.id_cmd) (List.rev !idents)
 
 (** Type recovery (§3.1.2): translate argument structs, chasing nested
     types marked unknown. *)
 let type_stage ~(client : Client.t) ~(module_index : Csrc.Index.t)
     ~(type_names : string list) ~(stats : stage_stats) : Syzlang.Ast.comp_def list =
+  let type_names = List.sort_uniq String.compare type_names in
   Obs.with_span
     ~attrs:(fun () -> [ ("targets", Obs.Json.Int (List.length type_names)) ])
     ~kind:"pipeline.stage" "type"
   @@ fun () ->
   let types = ref [] in
-  let visited = Hashtbl.create 8 in
-  let rec go step targets =
-    if step > max_iter || targets = [] then ()
-    else begin
-      stats.iterations <- stats.iterations + 1;
-      let next =
-        List.concat_map
-          (fun tn ->
-            if Hashtbl.mem visited tn then []
-            else begin
-              Hashtbl.replace visited tn ();
-              match Extractor.snippet module_index tn with
-              | None -> []
-              | Some snip ->
-                  stats.analyzed <- stats.analyzed + 1;
-                  match
-                    Client.query client
-                      {
-                        Prompt.task = Prompt.Type_recovery { type_name = tn };
-                        snippets = [ snip ];
-                        usage = [];
-                      }
-                  with
-                  | None -> []
-                  | Some resp ->
-                      types := resp.Prompt.r_types @ !types;
-                      resp.Prompt.r_nested_types
-            end)
-          targets
-      in
-      go (step + 1) next
-    end
-  in
-  go 1 type_names;
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (c : Syzlang.Ast.comp_def) ->
-      if Hashtbl.mem seen c.comp_name then false
-      else begin
-        Hashtbl.replace seen c.comp_name ();
-        true
-      end)
-    (List.rev !types)
+  iterate ~client ~module_index ~stats ~name:Fun.id
+    ~prompt:(fun tn snip ->
+      { Prompt.task = Prompt.Type_recovery { type_name = tn }; snippets = [ snip ]; usage = [] })
+    ~answer:(fun resp ->
+      types := resp.Prompt.r_types @ !types;
+      resp.r_nested_types)
+    type_names;
+  (* the reversal also reverses each answer's own list; generated specs
+     (and the goldens that pin them) depend on that order *)
+  dedupe ~key:(fun (c : Syzlang.Ast.comp_def) -> c.comp_name) (List.rev !types)
 
 (** Dependency analysis (§3.1.3): present the handler and the functions
     it reaches, and let the oracle spot resource-producing commands. *)
@@ -137,7 +116,6 @@ let dependency_stage ~(client : Client.t) ~(module_index : Csrc.Index.t)
   stats.iterations <- stats.iterations + 1;
   let fns = Extractor.call_closure module_index handler_fn ~depth:3 in
   let snippets = List.filter_map (Extractor.snippet module_index) fns in
-  stats.analyzed <- stats.analyzed + List.length snippets;
   match
     Client.query client
       { Prompt.task = Prompt.Dependency_analysis { handler_fn }; snippets; usage = [] }

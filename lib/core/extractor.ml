@@ -147,33 +147,26 @@ let module_macros_snippet (idx : Csrc.Index.t) : Prompt.snippet =
     idx.Csrc.Index.files;
   { Prompt.snip_name = "module-macros"; snip_text = Buffer.contents buf }
 
-(** Struct the handler casts one of [param_names] to (sockaddr
-    recovery): the [(struct X * ) uaddr] idiom. *)
-let cast_struct_of_param (idx : Csrc.Index.t) (fn : string) ~(param_names : string list) :
+(** The first struct [fn] casts a matching expression to: the
+    [(struct X * ) uaddr] idiom of sockaddr recovery, or
+    [(struct X * ) msg->msg_control]. [matches] sees the cast operand
+    with any inner casts stripped. *)
+let first_struct_cast (idx : Csrc.Index.t) ~(matches : Csrc.Ast.expr -> bool) (fn : string) :
     string option =
   match Csrc.Index.find_function idx fn with
   | None | Some { fun_body = []; _ } -> None
   | Some fd ->
-      let found = ref None in
-      let visit e =
-        match e with
-        | Csrc.Ast.Cast (Csrc.Ast.Ptr (Csrc.Ast.Struct_ref sn), inner) when !found = None ->
-            let rec base = function
-              | Csrc.Ast.Ident v -> Some v
-              | Csrc.Ast.Cast (_, e) -> base e
-              | _ -> None
-            in
-            (match base inner with
-            | Some v when List.mem v param_names -> found := Some sn
-            | _ -> ())
-        | _ -> ()
+      let rec strip = function Csrc.Ast.Cast (_, e) -> strip e | e -> e in
+      let visit found e =
+        match (found, e) with
+        | None, Csrc.Ast.Cast (Csrc.Ast.Ptr (Csrc.Ast.Struct_ref sn), inner)
+          when matches (strip inner) ->
+            Some sn
+        | _ -> found
       in
       Csrc.Ast.fold_block
-        (fun () s ->
-          List.iter (fun e -> Csrc.Ast.fold_expr (fun () e -> visit e) () e)
-            (Csrc.Ast.exprs_of_stmt s))
-        () fd.fun_body;
-      !found
+        (fun found s -> List.fold_left (Csrc.Ast.fold_expr visit) found (Csrc.Ast.exprs_of_stmt s))
+        None fd.fun_body
 
 (** Equality constraints a handler enforces on fields of [struct_name]:
     the [if (sa->family != AF_RDS) return ...] idiom. Returns field ->
@@ -220,56 +213,6 @@ let field_constraints (idx : Csrc.Index.t) (fns : string list) ~(struct_name : s
       | _ -> ())
     fns;
   !out
-
-(** Struct the sendmsg handler casts [msg->msg_control] to. *)
-let msg_control_struct (idx : Csrc.Index.t) (fn : string) : string option =
-  match Csrc.Index.find_function idx fn with
-  | None | Some { fun_body = []; _ } -> None
-  | Some fd ->
-      let found = ref None in
-      let rec is_msg_control = function
-        | Csrc.Ast.Arrow (_, "msg_control") | Csrc.Ast.Member (_, "msg_control") -> true
-        | Csrc.Ast.Cast (_, e) -> is_msg_control e
-        | _ -> false
-      in
-      let visit e =
-        match e with
-        | Csrc.Ast.Cast (Csrc.Ast.Ptr (Csrc.Ast.Struct_ref sn), inner)
-          when !found = None && is_msg_control inner ->
-            found := Some sn
-        | _ -> ()
-      in
-      Csrc.Ast.fold_block
-        (fun () s ->
-          List.iter (fun e -> Csrc.Ast.fold_expr (fun () e -> visit e) () e)
-            (Csrc.Ast.exprs_of_stmt s))
-        () fd.fun_body;
-      !found
-
-(** Struct the msg_name pointer is cast to in a sendmsg handler. *)
-let msg_name_struct (idx : Csrc.Index.t) (fn : string) : string option =
-  match Csrc.Index.find_function idx fn with
-  | None | Some { fun_body = []; _ } -> None
-  | Some fd ->
-      let found = ref None in
-      let rec is_msg_name = function
-        | Csrc.Ast.Arrow (_, "msg_name") | Csrc.Ast.Member (_, "msg_name") -> true
-        | Csrc.Ast.Cast (_, e) -> is_msg_name e
-        | _ -> false
-      in
-      let visit e =
-        match e with
-        | Csrc.Ast.Cast (Csrc.Ast.Ptr (Csrc.Ast.Struct_ref sn), inner)
-          when !found = None && is_msg_name inner ->
-            found := Some sn
-        | _ -> ()
-      in
-      Csrc.Ast.fold_block
-        (fun () s ->
-          List.iter (fun e -> Csrc.Ast.fold_expr (fun () e -> visit e) () e)
-            (Csrc.Ast.exprs_of_stmt s))
-        () fd.fun_body;
-      !found
 
 (** Transitive closure of functions called from [fn] that the module
     defines, for the dependency-analysis prompt. *)

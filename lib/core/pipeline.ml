@@ -224,367 +224,186 @@ let prune ~(kernel : Csrc.Index.t) (spec : Syzlang.Ast.spec) :
   go spec 4
 
 (* ------------------------------------------------------------------ *)
-(* Drivers                                                             *)
+(* Specs per module kind                                              *)
 (* ------------------------------------------------------------------ *)
+
+let ( let* ) = Option.bind
 
 let ioctl_fn_of (hi : Extractor.handler_info) : string option =
   match List.assoc_opt "unlocked_ioctl" hi.hi_handlers with
   | Some fn -> Some fn
   | None -> List.assoc_opt "ioctl" hi.hi_handlers
 
-(** Stamp an outcome with the client's resilience deltas since [s0] —
-    applied to every exit of a module run, failed ones included, so the
-    report's fault accounting misses nothing. *)
-let resilient ~(client : Client.t) ~(s0 : Client.stats) (o : outcome) : outcome =
-  let d = Client.diff (Client.snapshot client) s0 in
-  {
-    o with
-    o_faults = d.Client.s_faults;
-    o_retries = d.Client.s_retries;
-    o_recovered = d.Client.s_recovered;
-    o_degraded = d.Client.s_degraded;
-  }
+(** The argument structs of [idents], for type recovery. *)
+let arg_types (idents : Prompt.ident list) : string list =
+  List.filter_map (fun (i : Prompt.ident) -> i.id_arg_type) idents
 
-let run_driver ~(mode : mode) ~(client : Client.t) ~(kernel : Csrc.Index.t)
-    (entry : Corpus.Types.entry) : outcome =
-  let oracle = Client.oracle client in
-  let q0 = oracle.Oracle.queries and t0 = oracle.Oracle.prompt_tokens in
-  let s0 = Client.snapshot client in
-  let resilient = resilient ~client ~s0 in
-  let midx, infos =
-    Obs.with_span
-      ~attrs:(fun () -> [ ("entry", Obs.Json.Str entry.name) ])
-      ~kind:"pipeline.stage" "extraction"
-    @@ fun () ->
-    let midx = Extractor.module_index entry.source in
-    (midx, Extractor.extract midx)
-  in
-  match Extractor.main_handler infos with
-  | None -> resilient (failed_outcome entry.name)
-  | Some hi -> (
-      let stats = Engine.new_stats () in
-      let device_path =
-        match hi.hi_reg_symbol with
-        | Some reg -> Engine.device_stage ~client ~module_index:midx ~reg_symbol:reg
-        | None -> None
+(** Semantic value constraints the handlers [fns] enforce on fields of
+    the [constrained] structs (version and family checks) become const
+    fields, as real Syzkaller specs hand-write them: semantically valid
+    values, per §2.1. *)
+let constrain_fields midx ~(fns : string list) ~(constrained : string -> bool)
+    (types : Syzlang.Ast.comp_def list) : Syzlang.Ast.comp_def list =
+  List.map
+    (fun (cd : Syzlang.Ast.comp_def) ->
+      let constraints =
+        if constrained cd.comp_name then
+          Extractor.field_constraints midx fns ~struct_name:cd.comp_name
+        else []
       in
-      match device_path with
-      | None -> resilient (failed_outcome entry.name)
-      | Some path ->
-          let idents, types, deps =
-            match (mode, ioctl_fn_of hi) with
-            | _, None -> ([], [], [])
-            | Iterative, Some ioctl_fn ->
-                let idents =
-                  Engine.identifier_stage ~client ~module_index:midx ~handler_fn:ioctl_fn ~stats
-                in
-                let deps =
-                  Engine.dependency_stage ~client ~module_index:midx ~handler_fn:ioctl_fn ~stats
-                in
-                let type_names =
-                  List.filter_map (fun (i : Prompt.ident) -> i.id_arg_type) idents
-                  |> List.sort_uniq String.compare
-                in
-                (idents, Engine.type_stage ~client ~module_index:midx ~type_names ~stats, deps)
-            | All_in_one, Some ioctl_fn ->
-                let idents, types, deps =
-                  Engine.all_in_one ~client ~module_index:midx ~handler_fn:ioctl_fn
-                in
-                stats.Engine.iterations <- 1;
-                (idents, types, deps)
-          in
-          (* dependent handlers (anon-inode fds): analyze their commands *)
-          let dep_blocks, dep_types =
-            List.fold_left
-              (fun (blocks, extra_types) (d : Prompt.dep) ->
-                match Extractor.find_handler infos d.dep_ops with
-                | None -> (blocks, extra_types)
-                | Some dep_hi -> (
-                    match ioctl_fn_of dep_hi with
-                    | None -> (blocks, extra_types)
-                    | Some dep_fn when mode = Iterative ->
-                        let dep_idents =
-                          Engine.identifier_stage ~client ~module_index:midx ~handler_fn:dep_fn
-                            ~stats
-                        in
-                        let dep_deps =
-                          Engine.dependency_stage ~client ~module_index:midx ~handler_fn:dep_fn
-                            ~stats
-                        in
-                        let tn =
-                          List.filter_map (fun (i : Prompt.ident) -> i.id_arg_type) dep_idents
-                          |> List.sort_uniq String.compare
-                        in
-                        let tys =
-                          Engine.type_stage ~client ~module_index:midx ~type_names:tn ~stats
-                        in
-                        let block =
-                          {
-                            Specgen.db_ops = d.dep_ops;
-                            db_res = "fd_" ^ entry.name ^ "_" ^ d.dep_ops;
-                            db_create_cmd = d.dep_cmd;
-                            db_idents = dep_idents;
-                          }
-                        in
-                        (* second-level deps (kvm vcpu) *)
-                        let blocks2 =
-                          List.filter_map
-                            (fun (d2 : Prompt.dep) ->
-                              match Extractor.find_handler infos d2.dep_ops with
-                              | Some hi2 when d2.dep_ops <> d.dep_ops -> (
-                                  match ioctl_fn_of hi2 with
-                                  | Some fn2 ->
-                                      let ids2 =
-                                        Engine.identifier_stage ~client ~module_index:midx
-                                          ~handler_fn:fn2 ~stats
-                                      in
-                                      Some
-                                        {
-                                          Specgen.db_ops = d2.dep_ops;
-                                          db_res = "fd_" ^ entry.name ^ "_" ^ d2.dep_ops;
-                                          db_create_cmd = d2.dep_cmd;
-                                          db_idents = ids2;
-                                        }
-                                  | None -> None)
-                              | _ -> None)
-                            dep_deps
-                        in
-                        let types2 =
-                          List.concat_map
-                            (fun b ->
-                              let tn =
-                                List.filter_map
-                                  (fun (i : Prompt.ident) -> i.id_arg_type)
-                                  b.Specgen.db_idents
-                                |> List.sort_uniq String.compare
-                              in
-                              Engine.type_stage ~client ~module_index:midx ~type_names:tn ~stats)
-                            blocks2
-                        in
-                        ((block :: blocks2) @ blocks, tys @ types2 @ extra_types)
-                    | Some _ -> (blocks, extra_types)))
-              ([], []) deps
-          in
-          let all_types =
-            let seen = Hashtbl.create 16 in
-            List.filter
-              (fun (c : Syzlang.Ast.comp_def) ->
-                if Hashtbl.mem seen c.comp_name then false
-                else (
-                  Hashtbl.replace seen c.comp_name ();
-                  true))
-              (types @ dep_types)
-          in
-          (* semantic value constraints on struct fields (version checks
-             and the like) become const fields, as real Syzkaller specs
-             hand-write them *)
-          let all_types =
-            match ioctl_fn_of hi with
-            | None -> all_types
-            | Some ioctl_fn ->
-                let fns = Extractor.call_closure midx ioctl_fn ~depth:3 in
-                List.map
-                  (fun (cd : Syzlang.Ast.comp_def) ->
-                    let constraints =
-                      Extractor.field_constraints midx fns ~struct_name:cd.comp_name
-                    in
-                    if constraints = [] then cd
-                    else
-                      {
-                        cd with
-                        comp_fields =
-                          List.map
-                            (fun (f : Syzlang.Ast.field) ->
-                              match (List.assoc_opt f.fname constraints, f.ftyp) with
-                              | Some c, Syzlang.Ast.Int (w, _) ->
-                                  { f with ftyp = Syzlang.Ast.Const (c, w) }
-                              | Some c, Syzlang.Ast.Array (Syzlang.Ast.Int (w, _), n) ->
-                                  { f with ftyp = Syzlang.Ast.Array (Syzlang.Ast.Const (c, w), n) }
-                              | _ -> f)
-                            cd.comp_fields;
-                      })
-                  all_types
-          in
-          let plain = List.map fst hi.hi_handlers in
-          let spec =
-            Specgen.driver_spec ~name:entry.name ~path ~idents ~types:all_types
-              ~deps:dep_blocks ~plain
-          in
-          let spec, valid, repaired, errors =
-            validate_and_repair ~client ~oracle ~kernel spec
-          in
-          let spec, errors =
-            if valid then (spec, errors)
-            else begin
-              Obs.Metrics.incr "repair.pruned_specs";
-              prune ~kernel spec
-            end
-          in
-          resilient
-            {
-              o_entry = entry.name;
-              o_spec = Some spec;
-              o_valid = valid;
-              o_usable = errors = [];
-              o_direct_valid = (valid && not repaired);
-              o_repaired = repaired;
-              o_errors = errors;
-              o_queries = oracle.Oracle.queries - q0;
-              o_tokens = oracle.Oracle.prompt_tokens - t0;
-              o_iterations = stats.Engine.iterations;
-              o_faults = 0;
-              o_retries = 0;
-              o_recovered = 0;
-              o_degraded = 0;
-            })
+      if constraints = [] then cd
+      else
+        {
+          cd with
+          comp_fields =
+            List.map
+              (fun (f : Syzlang.Ast.field) ->
+                match (List.assoc_opt f.fname constraints, f.ftyp) with
+                | Some c, Syzlang.Ast.Int (w, _) -> { f with ftyp = Syzlang.Ast.Const (c, w) }
+                | Some c, Syzlang.Ast.Array (Syzlang.Ast.Int (w, _), n) ->
+                    { f with ftyp = Syzlang.Ast.Array (Syzlang.Ast.Const (c, w), n) }
+                | _ -> f)
+              cd.comp_fields;
+        })
+    types
 
-(* ------------------------------------------------------------------ *)
-(* Sockets                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let run_socket ~(mode : mode) ~(client : Client.t) ~(kernel : Csrc.Index.t)
-    (entry : Corpus.Types.entry) : outcome =
-  let oracle = Client.oracle client in
-  let q0 = oracle.Oracle.queries and t0 = oracle.Oracle.prompt_tokens in
-  let s0 = Client.snapshot client in
-  let resilient = resilient ~client ~s0 in
-  let midx, infos =
-    Obs.with_span
-      ~attrs:(fun () -> [ ("entry", Obs.Json.Str entry.name) ])
-      ~kind:"pipeline.stage" "extraction"
-    @@ fun () ->
-    let midx = Extractor.module_index entry.source in
-    (midx, Extractor.extract midx)
+(** A driver: device path, ioctl commands and their types, and the
+    dependent handlers (anon-inode fds) its commands create. *)
+let driver_spec ~mode ~client ~stats ~(entry : Corpus.Types.entry) midx infos :
+    Syzlang.Ast.spec option =
+  let* hi = Extractor.main_handler infos in
+  let* reg_symbol = hi.hi_reg_symbol in
+  let* path = Engine.device_stage ~client ~module_index:midx ~reg_symbol in
+  let identifiers handler_fn =
+    Engine.identifier_stage ~client ~module_index:midx ~handler_fn ~stats
   in
-  match List.find_opt (fun hi -> hi.Extractor.hi_is_socket) infos with
-  | None -> resilient (failed_outcome entry.name)
-  | Some hi -> (
-      let stats = Engine.new_stats () in
-      match Engine.socket_stage ~client ~module_index:midx ~ops_symbol:hi.hi_ops_global with
-      | None -> resilient (failed_outcome entry.name)
-      | Some triple ->
-          let handler name = List.assoc_opt name hi.hi_handlers in
-          let run_opts fn_opt =
-            match (fn_opt, mode) with
-            | None, _ -> []
-            | Some fn, Iterative ->
-                Engine.identifier_stage ~client ~module_index:midx ~handler_fn:fn ~stats
-            | Some fn, All_in_one ->
-                let ids, _, _ = Engine.all_in_one ~client ~module_index:midx ~handler_fn:fn in
-                ids
-          in
-          let setsockopts = run_opts (handler "setsockopt") in
-          let getsockopts = run_opts (handler "getsockopt") in
-          let sockaddr =
-            List.find_map
-              (fun field ->
-                match handler field with
-                | Some fn ->
-                    Extractor.cast_struct_of_param midx fn
-                      ~param_names:[ "uaddr"; "addr"; "sa" ]
-                | None -> None)
-              [ "bind"; "connect" ]
-          in
-          let msg_control =
-            match handler "sendmsg" with
-            | Some fn -> (
-                match Extractor.msg_control_struct midx fn with
-                | Some c -> Some c
-                | None ->
-                    (* the cast may be in a helper *)
-                    List.find_map
-                      (fun callee -> Extractor.msg_control_struct midx callee)
-                      (Extractor.call_closure midx fn ~depth:2))
-            | None -> None
-          in
-          let sockaddr =
-            match sockaddr with
-            | Some s -> Some s
-            | None -> (
-                match handler "sendmsg" with
-                | Some fn -> Extractor.msg_name_struct midx fn
-                | None -> None)
-          in
-          let type_names =
-            (Option.to_list sockaddr @ Option.to_list msg_control
-            @ List.filter_map (fun (i : Prompt.ident) -> i.id_arg_type) (setsockopts @ getsockopts)
-            )
-            |> List.sort_uniq String.compare
-          in
-          let types = Engine.type_stage ~client ~module_index:midx ~type_names ~stats in
-          (* constrain sockaddr fields the handlers require to be exact
-             (family checks): semantically valid values, per §2.1 *)
-          let types =
-            match sockaddr with
-            | None -> types
-            | Some s ->
-                let fns =
-                  List.filter_map handler [ "bind"; "connect"; "sendmsg" ]
-                in
-                let constraints = Extractor.field_constraints midx fns ~struct_name:s in
-                List.map
-                  (fun (cd : Syzlang.Ast.comp_def) ->
-                    if cd.comp_name <> s then cd
-                    else
-                      {
-                        cd with
-                        comp_fields =
-                          List.map
-                            (fun (f : Syzlang.Ast.field) ->
-                              match (List.assoc_opt f.fname constraints, f.ftyp) with
-                              | Some c, Syzlang.Ast.Int (w, _) ->
-                                  { f with ftyp = Syzlang.Ast.Const (c, w) }
-                              | _ -> f)
-                            cd.comp_fields;
-                      })
-                  types
-          in
-          let sockaddr_size =
-            match sockaddr with
-            | Some s -> Csrc.Index.sizeof midx (Csrc.Ast.Struct_ref s)
-            | None -> 16
-          in
-          let shape =
-            {
-              Specgen.sk_triple = triple;
-              sk_sockaddr = sockaddr;
-              sk_sockaddr_size = sockaddr_size;
-              sk_msg_control = msg_control;
-              sk_setsockopts = setsockopts;
-              sk_getsockopts = getsockopts;
-              sk_plain = List.map fst hi.hi_handlers;
-            }
-          in
-          let spec = Specgen.socket_spec ~name:entry.name ~shape ~types in
-          let spec, valid, repaired, errors =
-            validate_and_repair ~client ~oracle ~kernel spec
-          in
-          let spec, errors =
-            if valid then (spec, errors)
-            else begin
-              Obs.Metrics.incr "repair.pruned_specs";
-              prune ~kernel spec
-            end
-          in
-          resilient
-            {
-              o_entry = entry.name;
-              o_spec = Some spec;
-              o_valid = valid;
-              o_usable = errors = [];
-              o_direct_valid = (valid && not repaired);
-              o_repaired = repaired;
-              o_errors = errors;
-              o_queries = oracle.Oracle.queries - q0;
-              o_tokens = oracle.Oracle.prompt_tokens - t0;
-              o_iterations = stats.Engine.iterations;
-              o_faults = 0;
-              o_retries = 0;
-              o_recovered = 0;
-              o_degraded = 0;
-            })
+  let types_of idents =
+    Engine.type_stage ~client ~module_index:midx ~type_names:(arg_types idents) ~stats
+  in
+  (* the block of the handler [d] creates, after its identifier deduction *)
+  let dependent (d : Prompt.dep) =
+    let* dep_hi = Extractor.find_handler infos d.dep_ops in
+    let* fn = ioctl_fn_of dep_hi in
+    Some
+      ( fn,
+        {
+          Specgen.db_ops = d.dep_ops;
+          db_res = Specgen.resource_for (entry.name ^ "_" ^ d.dep_ops);
+          db_create_cmd = d.dep_cmd;
+          db_idents = identifiers fn;
+        } )
+  in
+  (* level 1 runs identifier → dependency → type per handler; level 2
+     (kvm's vcpu) runs every identifier stage before any type stage *)
+  let level1 (blocks, types) d =
+    match dependent d with
+    | None -> (blocks, types)
+    | Some (fn, block) ->
+        let deps = Engine.dependency_stage ~client ~module_index:midx ~handler_fn:fn ~stats in
+        let tys = types_of block.db_idents in
+        let blocks2 =
+          List.filter_map
+            (fun (d2 : Prompt.dep) ->
+              if d2.dep_ops = d.dep_ops then None else Option.map snd (dependent d2))
+            deps
+        in
+        let types2 = List.concat_map (fun b -> types_of b.Specgen.db_idents) blocks2 in
+        ((block :: blocks2) @ blocks, tys @ types2 @ types)
+  in
+  let idents, types, blocks, fns =
+    match (mode, ioctl_fn_of hi) with
+    | _, None -> ([], [], [], [])
+    | Iterative, Some fn ->
+        let idents = identifiers fn in
+        let deps = Engine.dependency_stage ~client ~module_index:midx ~handler_fn:fn ~stats in
+        let types = types_of idents in
+        let blocks, dep_types = List.fold_left level1 ([], []) deps in
+        (idents, types @ dep_types, blocks, Extractor.call_closure midx fn ~depth:3)
+    | All_in_one, Some fn ->
+        let idents, types, _ = Engine.all_in_one ~client ~module_index:midx ~handler_fn:fn in
+        stats.Engine.iterations <- 1;
+        (idents, types, [], Extractor.call_closure midx fn ~depth:3)
+  in
+  let types =
+    Engine.dedupe ~key:(fun (c : Syzlang.Ast.comp_def) -> c.comp_name) types
+    |> constrain_fields midx ~fns ~constrained:(fun _ -> true)
+  in
+  Some
+    (Specgen.driver_spec ~name:entry.name ~path ~idents ~types ~deps:blocks
+       ~plain:(List.map fst hi.hi_handlers))
 
-(** Generate a specification for one corpus module. *)
+(** A socket: its triple, option commands, and the sockaddr and
+    msg_control structs its handlers cast. *)
+let socket_spec ~mode ~client ~stats ~(entry : Corpus.Types.entry) midx infos :
+    Syzlang.Ast.spec option =
+  let* hi = List.find_opt (fun hi -> hi.Extractor.hi_is_socket) infos in
+  let* triple = Engine.socket_stage ~client ~module_index:midx ~ops_symbol:hi.hi_ops_global in
+  let handler field = List.assoc_opt field hi.hi_handlers in
+  let handlers = List.filter_map handler in
+  let opts field =
+    match (handler field, mode) with
+    | None, _ -> []
+    | Some fn, Iterative -> Engine.identifier_stage ~client ~module_index:midx ~handler_fn:fn ~stats
+    | Some fn, All_in_one ->
+        let ids, _, _ = Engine.all_in_one ~client ~module_index:midx ~handler_fn:fn in
+        ids
+  in
+  let setsockopts = opts "setsockopt" in
+  let getsockopts = opts "getsockopt" in
+  let cast fns ~matches = List.find_map (Extractor.first_struct_cast midx ~matches) fns in
+  let field name = function
+    | Csrc.Ast.Arrow (_, f) | Csrc.Ast.Member (_, f) -> f = name
+    | _ -> false
+  in
+  let sendmsg = handlers [ "sendmsg" ] in
+  let sockaddr =
+    match
+      cast (handlers [ "bind"; "connect" ]) ~matches:(function
+        | Csrc.Ast.Ident v -> List.mem v [ "uaddr"; "addr"; "sa" ]
+        | _ -> false)
+    with
+    | Some s -> Some s
+    | None -> cast sendmsg ~matches:(field "msg_name")
+  in
+  (* the msg_control cast may be in a helper *)
+  let msg_control =
+    cast ~matches:(field "msg_control")
+      (List.concat_map (fun fn -> fn :: Extractor.call_closure midx fn ~depth:2) sendmsg)
+  in
+  let types =
+    Engine.type_stage ~client ~module_index:midx ~stats
+      ~type_names:
+        (Option.to_list sockaddr @ Option.to_list msg_control
+        @ arg_types (setsockopts @ getsockopts))
+    |> constrain_fields midx
+         ~fns:(handlers [ "bind"; "connect"; "sendmsg" ])
+         ~constrained:(fun n -> sockaddr = Some n)
+  in
+  let shape =
+    {
+      Specgen.sk_triple = triple;
+      sk_sockaddr = sockaddr;
+      sk_sockaddr_size =
+        (match sockaddr with
+        | Some s -> Csrc.Index.sizeof midx (Csrc.Ast.Struct_ref s)
+        | None -> 16);
+      sk_msg_control = msg_control;
+      sk_setsockopts = setsockopts;
+      sk_getsockopts = getsockopts;
+      sk_plain = List.map fst hi.hi_handlers;
+    }
+  in
+  Some (Specgen.socket_spec ~name:entry.name ~shape ~types)
+
+(* ------------------------------------------------------------------ *)
+(* The module frame                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Generate a specification for one corpus module. Drivers and sockets
+    share the frame: extraction, a spec from [driver_spec] or [socket_spec],
+    validate → repair → prune, and the outcome, stamped with the
+    client's resilience deltas on every exit — failed ones included, so
+    the report's fault accounting misses nothing. *)
 let run ?(mode = Iterative) ?client ~(oracle : Oracle.t) ~(kernel : Csrc.Index.t)
     (entry : Corpus.Types.entry) : outcome =
   let client = match client with Some c -> c | None -> Client.pass_through oracle in
@@ -616,10 +435,57 @@ let run ?(mode = Iterative) ?client ~(oracle : Oracle.t) ~(kernel : Csrc.Index.t
     ~kind:"pipeline" entry.name
   @@ fun () ->
   Obs.Metrics.incr "pipeline.runs";
-  let outcome =
+  let oracle = Client.oracle client in
+  let q0 = oracle.Oracle.queries and t0 = oracle.Oracle.prompt_tokens in
+  let s0 = Client.snapshot client in
+  let midx, infos =
+    Obs.with_span
+      ~attrs:(fun () -> [ ("entry", Obs.Json.Str entry.name) ])
+      ~kind:"pipeline.stage" "extraction"
+    @@ fun () ->
+    let midx = Extractor.module_index entry.source in
+    (midx, Extractor.extract midx)
+  in
+  let stats = Engine.new_stats () in
+  let build =
     match entry.kind with
-    | Corpus.Types.Driver -> run_driver ~mode ~client ~kernel entry
-    | Corpus.Types.Socket -> run_socket ~mode ~client ~kernel entry
+    | Corpus.Types.Driver -> driver_spec
+    | Corpus.Types.Socket -> socket_spec
+  in
+  let outcome =
+    match build ~mode ~client ~stats ~entry midx infos with
+    | None -> failed_outcome entry.name
+    | Some spec ->
+        let spec, valid, repaired, errors = validate_and_repair ~client ~oracle ~kernel spec in
+        let spec, errors =
+          if valid then (spec, errors)
+          else begin
+            Obs.Metrics.incr "repair.pruned_specs";
+            prune ~kernel spec
+          end
+        in
+        {
+          (failed_outcome entry.name) with
+          o_spec = Some spec;
+          o_valid = valid;
+          o_usable = errors = [];
+          o_direct_valid = (valid && not repaired);
+          o_repaired = repaired;
+          o_errors = errors;
+          o_queries = oracle.Oracle.queries - q0;
+          o_tokens = oracle.Oracle.prompt_tokens - t0;
+          o_iterations = stats.Engine.iterations;
+        }
+  in
+  let d = Client.diff (Client.snapshot client) s0 in
+  let outcome =
+    {
+      outcome with
+      o_faults = d.Client.s_faults;
+      o_retries = d.Client.s_retries;
+      o_recovered = d.Client.s_recovered;
+      o_degraded = d.Client.s_degraded;
+    }
   in
   if outcome.o_valid then Obs.Metrics.incr "pipeline.valid";
   if outcome.o_usable then Obs.Metrics.incr "pipeline.usable";

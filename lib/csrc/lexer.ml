@@ -35,8 +35,12 @@ let lex (src : string) : result =
   let tokens = ref [] in
   let comments = ref [] in
   let line = ref 1 in
+  (* [pos] starts at 0 and only moves forward, so it is never negative;
+     each [String.unsafe_get src i] below sits right after a check that
+     [i < n], which keeps it in range *)
   let pos = ref 0 in
   let in_define = ref false in
+  (* [off] is a non-negative literal at every call *)
   let is_at off c = !pos + off < n && String.unsafe_get src (!pos + off) = c in
   (* lookahead for operators only: past the end it reads as NUL, which no
      multi-character operator contains *)
@@ -46,6 +50,7 @@ let lex (src : string) : result =
     incr pos
   in
   let skip_while p =
+    (* in range: [!pos < n] is checked first *)
     while !pos < n && p (String.unsafe_get src !pos) do
       advance ()
     done
@@ -74,6 +79,7 @@ let lex (src : string) : result =
     (* opening quote *)
     let buf = Buffer.create 16 in
     let rec go () =
+      (* in range: both reads follow an [!pos >= n] check that raises *)
       if !pos >= n then error "unterminated string literal";
       match String.unsafe_get src !pos with
       | '"' -> advance ()
@@ -96,6 +102,7 @@ let lex (src : string) : result =
     (* opening quote *)
     let escaped = is_at 0 '\\' in
     if escaped then advance ();
+    (* in range: the check above raises at the end of the source *)
     if !pos >= n then error "unterminated char literal";
     let c = String.unsafe_get src !pos in
     advance ();
@@ -150,6 +157,7 @@ let lex (src : string) : result =
       end_define ();
       emit Token.Eof)
     else
+      (* in range: the [!pos >= n] branch above returned *)
       match String.unsafe_get src !pos with
       | '\n' ->
           end_define ();

@@ -87,6 +87,10 @@ let executions t = t.executions
     touching the hashtable, which only grows on first sightings. *)
 let cover_sid (t : t) (sid : int) : bool =
   let byte = sid lsr 3 and bit = 1 lsl (sid land 7) in
+  (* in range: [cov_bits] has [n_sids lsr 3 + 1] bytes and every sid
+     here is in [0, n_sids). Sids from the sink are statement ids the
+     machine's boot parse numbered from 0 below [n_sids]; sids from a
+     checkpoint pass [of_snapshot]'s range check first *)
   let b = Char.code (Bytes.unsafe_get t.cov_bits byte) in
   if b land bit <> 0 then false
   else begin

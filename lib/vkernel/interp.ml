@@ -1259,6 +1259,10 @@ let leaked_objects (st : state) ~(roots : value list) : string list =
      indexed by oid — the mark phase visits every live object and a
      hash table here costs a probe per edge *)
   let reached = Bytes.make ((st.next_oid lsr 3) + 1) '\000' in
+  (* in range for [mem] and [add]: every object in this state's graph
+     came from [new_obj] on this state (each execution creates its own),
+     which hands out oids 1 .. next_oid - 1, and no object is created
+     while marking *)
   let mem oid =
     Char.code (Bytes.unsafe_get reached (oid lsr 3)) land (1 lsl (oid land 7)) <> 0
   in

@@ -168,6 +168,8 @@ let sink_record (sk : cov_sink) (sid : int) : unit =
     Bytes.blit sk.cs_bits 0 nb 0 (Bytes.length sk.cs_bits);
     sk.cs_bits <- nb
   end;
+  (* in range: the check above grew [cs_bits] past [byte], and sids are
+     never negative (the parser numbers statements from 0) *)
   let b = Char.code (Bytes.unsafe_get sk.cs_bits byte) in
   let bit = 1 lsl (sid land 7) in
   if b land bit = 0 then begin
@@ -199,6 +201,8 @@ let sink_reset (sk : cov_sink) : unit =
   for i = 0 to sk.cs_n - 1 do
     let sid = sk.cs_buf.(i) in
     let byte = sid lsr 3 in
+    (* in range: [sink_record] grew [cs_bits] to cover every sid it put
+       in [cs_buf], and the bitmap never shrinks *)
     let b = Char.code (Bytes.unsafe_get sk.cs_bits byte) in
     Bytes.unsafe_set sk.cs_bits byte (Char.unsafe_chr (b land lnot (1 lsl (sid land 7))))
   done;

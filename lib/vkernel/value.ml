@@ -46,6 +46,7 @@ module Stbl = struct
     let n = String.length s in
     let m = if n > 16 then 16 else n in
     let h = ref (0x811c9dc5 lxor n) in
+    (* in range: i < m <= String.length s *)
     for i = 0 to m - 1 do
       h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
     done;
@@ -281,6 +282,7 @@ let tindex (tf : tfields) (name : string) : int =
   let rec go i =
     if i >= n then -1
     else
+      (* in range: 0 <= i < n = Array.length names *)
       let ni = Array.unsafe_get names i in
       if ni == name || String.equal ni name then i else go (i + 1)
   in
@@ -409,6 +411,11 @@ module Pool = struct
   let[@inline] acquire (p : t) (n : int) : value array =
     if n > max_size then Array.make n unbound
     else
+      (* in range: [p] has [max_size + 1] buckets and 0 <= n <= max_size
+         (n is a compiled frame's slot count, never negative); the stack
+         slot is [top - 1] after the [top > 0] check, and [top] never
+         exceeds the stack's length ([release] pushes only below it and
+         a stack is only ever replaced by a longer one) *)
       let b = Array.unsafe_get p n in
       if b.top > 0 then begin
         b.top <- b.top - 1;
@@ -421,6 +428,8 @@ module Pool = struct
   let[@inline] release (p : t) (a : value array) : unit =
     let n = Array.length a in
     if n > 0 && n <= max_size then begin
+      (* in range: the bucket index by the check above, the stack slot by
+         the [top < length] check guarding the push *)
       let b = Array.unsafe_get p n in
       let cap = Array.length b.stack in
       if b.top = cap && cap < max_depth then begin

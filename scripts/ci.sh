@@ -571,10 +571,12 @@ echo "OK: rate-100 stdout and pool counters are identical at --jobs 1 and 4"
 echo "== CLI flags: malformed input exits 124 naming the flag =="
 # Each case is "expected-message|arguments": a typo must never silently
 # fall back to a default (Quick scale, one job, one job per core, the
-# whole report), a budget or seed count must be positive, and an
-# artifact that cannot be written is an error, not an exception. Cmdliner
-# refuses these with its error status 124; the message is matched with
-# its line breaks folded into spaces.
+# whole report), a budget or seed count must be positive, an unknown
+# module or a fuzz suite with no specification for the module is an
+# error rather than a run that fuzzes nothing, and an artifact that
+# cannot be written is an error, not an exception. Cmdliner refuses
+# these with its error status 124; the message is matched with its line
+# breaks folded into spaces.
 for case in "unknown option '--fulll'|report --fulll" \
             "option '--jobs': expected a non-negative integer|report --jobs abc" \
             "option '--jobs': expected a non-negative integer (0 = one worker per core), got \"-3\"|report --jobs=-3" \
@@ -587,6 +589,9 @@ for case in "unknown option '--fulll'|report --fulll" \
             "option '--seeds': expected a positive integer, got \"0\"|bugs --seeds=0" \
             "option '--budget': expected a positive integer, got \"0\"|fuzz dm --budget=0" \
             "unknown option '--pool-faults'|fuzz dm --pool-faults 5" \
+            "MODULE argument: no such module \"nosuch\"|generate nosuch" \
+            "no manual specification available for dm|fuzz dm --suite manual" \
+            "no syzdescribe specification available for rds|fuzz rds --suite syzdescribe" \
             "cannot write the bench artifact: $tmp/missing/b.json.tmp|report table1 --bench-out $tmp/missing/b.json"; do
   want=${case%%|*}
   args=${case#*|}
@@ -604,6 +609,25 @@ for case in "unknown option '--fulll'|report --fulll" \
   fi
 done
 echo "OK: malformed, missing, repeated and unknown CLI input exits 124 naming it"
+
+echo "== examples: each one runs and prints =="
+# The examples drive Pipeline.run and fuzzing campaigns through the
+# public API only, so a change that breaks them can pass every test.
+for src in examples/*.ml; do
+  ex=$(basename "$src" .ml)
+  status=0
+  dune exec --no-build "examples/$ex.exe" > "$tmp/ex_$ex.out" 2>"$tmp/ex_$ex.err" || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "FAIL: examples/$ex.exe exited $status" >&2
+    cat "$tmp/ex_$ex.err" >&2
+    exit 1
+  fi
+  if [ ! -s "$tmp/ex_$ex.out" ]; then
+    echo "FAIL: examples/$ex.exe printed nothing on stdout" >&2
+    exit 1
+  fi
+done
+echo "OK: every example exits 0 and prints a report"
 
 echo "== perfbench: every workload matches its golden digests =="
 # The golden digests pin every generated spec (specgen: Pipeline.run and

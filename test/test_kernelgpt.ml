@@ -373,6 +373,87 @@ let test_extractor_socket_kind () =
   | _ -> Alcotest.fail "expected exactly one handler"
 
 (* ------------------------------------------------------------------ *)
+(* Oracle query order                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The (name, subject) of every oracle.query span a traced pipeline run
+   of [name] emits. Spans are written when they close and queries do not
+   nest, so file order is the order the queries were sent. *)
+let query_sequence name =
+  Obs.reset ();
+  let file = Filename.temp_file "kgpt-queries" ".jsonl" in
+  Obs.enable_trace_file file;
+  ignore (run name);
+  Obs.reset ();
+  let ic = open_in file in
+  let str k r =
+    match Obs.Json.member k r with Some (Obs.Json.Str s) -> s | _ -> Alcotest.fail ("no " ^ k)
+  in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file -> List.rev acc
+    | line -> (
+        match Obs.Json.parse line with
+        | Error e -> Alcotest.fail ("bad trace line: " ^ e)
+        | Ok r when str "kind" r = "oracle.query" ->
+            let attrs = Option.get (Obs.Json.member "attrs" r) in
+            go ((str "name" r, str "subject" attrs) :: acc)
+        | Ok _ -> go acc)
+  in
+  let queries = go [] in
+  close_in ic;
+  Sys.remove file;
+  queries
+
+(* The goldens and the answer-cache replay check which queries a run
+   sends; this checks their order, which --faults and --query-budget
+   runs depend on. kvm covers both levels of anon-inode handlers (level
+   1 runs identifier → dependency → type; every level-2 identifier query
+   precedes every level-2 type query) and two repairs; rds the socket
+   path. *)
+let test_query_order_kvm () =
+  Alcotest.(check (list (pair string string)))
+    "kvm query sequence"
+    [
+      ("device", "kvm_dev");
+      ("identifier", "kvm_dev_ioctl");
+      ("identifier", "kvm_dev_ioctl_create_vm");
+      ("dependency", "kvm_dev_ioctl");
+      ("type", "kvm_msr_list");
+      ("identifier", "kvm_vm_ioctl");
+      ("identifier", "kvm_vm_ioctl_create_vcpu");
+      ("dependency", "kvm_vm_ioctl");
+      ("type", "kvm_dirty_log");
+      ("type", "kvm_irq_level");
+      ("type", "kvm_pit_config");
+      ("type", "kvm_userspace_memory_region");
+      ("identifier", "kvm_vcpu_ioctl");
+      ("type", "kvm_cpuid2");
+      ("type", "kvm_interrupt");
+      ("type", "kvm_regs");
+      ("type", "kvm_sregs");
+      ("type", "kvm_cpuid_entry2");
+      ("type", "kvm_segment");
+      ("repair", "syscall ioctl$KVM_GET_API_VERSION_V2");
+      ("repair", "syscall ioctl$KVM_INTERRUPT_V2");
+    ]
+    (query_sequence "kvm")
+
+let test_query_order_rds () =
+  Alcotest.(check (list (pair string string)))
+    "rds query sequence"
+    [
+      ("socket", "rds_proto_ops");
+      ("identifier", "rds_setsockopt");
+      ("identifier", "rds_getsockopt");
+      ("type", "rds_free_mr_args");
+      ("type", "rds_get_mr_args");
+      ("type", "rds_rx_trace_so");
+      ("type", "sockaddr_rds");
+    ]
+    (query_sequence "rds")
+
+(* ------------------------------------------------------------------ *)
 (* Allocation pin                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -429,6 +510,11 @@ let () =
         [
           t "kvm handlers" test_extractor_finds_handlers;
           t "socket kind" test_extractor_socket_kind;
+        ] );
+      ( "query-order",
+        [
+          t "kvm: both dependent levels and repairs" test_query_order_kvm;
+          t "rds: the socket path" test_query_order_rds;
         ] );
       ("alloc", [ t "pipeline run allocation pin" test_pin_pipeline_run ]);
     ]
