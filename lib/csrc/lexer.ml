@@ -7,14 +7,21 @@
 
     The cursor is a plain byte index checked against the source length,
     so scanning allocates nothing per character; a NUL byte is an
-    ordinary (unexpected) character, never end of input. *)
+    ordinary (unexpected) character, never end of input.
+
+    Tokens come out as the list the scanner builds, in source order, and
+    the parser walks it from the head. An array would cost a minor
+    collection per source: [Array.of_list] of more than 256 young tokens
+    allocates the array in the major heap, and the runtime first empties
+    the minor heap rather than point a major block at young values. That
+    collection costs about as much as the scan itself. *)
 
 exception Error of string * int (* message, line *)
 
 type comment = { text : string; cline : int }
 
 type result = {
-  tokens : Token.spanned array;
+  tokens : Token.spanned list; (* in source order, ending in [Eof] *)
   comments : comment list; (* in source order *)
 }
 
@@ -245,4 +252,4 @@ let lex (src : string) : result =
           loop ()
   in
   loop ();
-  { tokens = Array.of_list (List.rev !tokens); comments = List.rev !comments }
+  { tokens = List.rev !tokens; comments = List.rev !comments }

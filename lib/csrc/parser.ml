@@ -2,36 +2,39 @@
 
     Statement ids ([sid]) are drawn from a caller-supplied counter so that
     they are unique across the whole corpus; the virtual kernel uses them
-    as coverage points. *)
+    as coverage points.
+
+    The parser walks the lexer's token list from its head: lookahead is
+    at most two tokens, so a list serves as well as an array and keeps a
+    parse's garbage young (see {!Lexer}). *)
 
 exception Error of string * Loc.t
 
 type state = {
-  toks : Token.spanned array;
-  mutable pos : int;
+  mutable toks : Token.spanned list;  (** the unread tokens, ending in [Eof] *)
   file : string;
   sid : int ref;
-  mutable typedefs : (string, unit) Hashtbl.t;
+  typedefs : (string, unit) Hashtbl.t;  (** the file's own typedef names *)
   comment_on_line : string option array;
       (** line -> text of the first comment starting on it *)
   code_on_line : bool array;  (** line -> some token other than [Eof] is on it *)
 }
 
-let builtin_typedefs =
-  [
-    "u8"; "u16"; "u32"; "u64"; "s8"; "s16"; "s32"; "s64";
-    "__u8"; "__u16"; "__u32"; "__u64"; "__s8"; "__s16"; "__s32"; "__s64";
-    "size_t"; "ssize_t"; "loff_t"; "off_t"; "pid_t"; "uid_t"; "gid_t";
-    "uint"; "ulong"; "ushort"; "uintptr_t"; "dev_t"; "umode_t"; "fmode_t";
-    "poll_table"; "wait_queue_head_t"; "spinlock_t"; "atomic_t"; "gfp_t";
-  ]
+(* Typedef names every source may use without declaring them. A string
+   match, so no parse copies them into its table. *)
+let is_builtin_typedef = function
+  | "u8" | "u16" | "u32" | "u64" | "s8" | "s16" | "s32" | "s64"
+  | "__u8" | "__u16" | "__u32" | "__u64" | "__s8" | "__s16" | "__s32" | "__s64"
+  | "size_t" | "ssize_t" | "loff_t" | "off_t" | "pid_t" | "uid_t" | "gid_t"
+  | "uint" | "ulong" | "ushort" | "uintptr_t" | "dev_t" | "umode_t" | "fmode_t"
+  | "poll_table" | "wait_queue_head_t" | "spinlock_t" | "atomic_t" | "gfp_t" ->
+      true
+  | _ -> false
 
 let qualifiers =
   [ "__user"; "__init"; "__exit"; "__iomem"; "__force"; "__rcu"; "inline"; "volatile"; "__must_check" ]
 
 let make ~file ~sid (lexed : Lexer.result) =
-  let typedefs = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace typedefs n ()) builtin_typedefs;
   (* only comments attach anything, so without them both tables stay empty:
      the macro bodies [expr_of_tokens] parses on every evaluation never
      have any, and build no tables *)
@@ -39,7 +42,7 @@ let make ~file ~sid (lexed : Lexer.result) =
     if lexed.comments = [] then ([||], [||])
     else
       let last_line =
-        Array.fold_left (fun m (t : Token.spanned) -> max m t.line) 0 lexed.tokens
+        List.fold_left (fun m (t : Token.spanned) -> max m t.line) 0 lexed.tokens
       in
       let last_line = List.fold_left (fun m c -> max m c.Lexer.cline) last_line lexed.comments in
       let comment_on_line = Array.make (last_line + 1) None in
@@ -49,24 +52,30 @@ let make ~file ~sid (lexed : Lexer.result) =
             comment_on_line.(c.Lexer.cline) <- Some c.Lexer.text)
         lexed.comments;
       let code_on_line = Array.make (last_line + 1) false in
-      Array.iter
+      List.iter
         (fun (t : Token.spanned) -> if t.tok <> Token.Eof then code_on_line.(t.line) <- true)
         lexed.tokens;
       (comment_on_line, code_on_line)
   in
-  { toks = lexed.tokens; pos = 0; file; sid; typedefs; comment_on_line; code_on_line }
+  { toks = lexed.tokens; file; sid; typedefs = Hashtbl.create 16; comment_on_line; code_on_line }
 
-let cur st = st.toks.(st.pos).Token.tok
+(* The token list is never empty: the lexer ends it with [Eof], and
+   [advance] never drops the last token. *)
+let cur st = match st.toks with t :: _ -> t.Token.tok | [] -> Token.Eof
 
-let cur_line st = st.toks.(st.pos).Token.line
+let cur_line st = match st.toks with t :: _ -> t.Token.line | [] -> 0
 
 let loc st = Loc.make ~file:st.file ~line:(cur_line st)
 
+(* the token [off] places after the current one; [Eof] past the end *)
 let peek st off =
-  let i = st.pos + off in
-  if i < Array.length st.toks then st.toks.(i).Token.tok else Token.Eof
+  let rec go off = function
+    | [] -> Token.Eof
+    | (t : Token.spanned) :: rest -> if off = 0 then t.tok else go (off - 1) rest
+  in
+  go off st.toks
 
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let advance st = match st.toks with _ :: (_ :: _ as rest) -> st.toks <- rest | _ -> ()
 
 let error st msg = raise (Error (msg, loc st))
 
@@ -112,7 +121,7 @@ let skip_qualifiers st =
   in
   go ()
 
-let is_typedef_name st id = Hashtbl.mem st.typedefs id
+let is_typedef_name st id = is_builtin_typedef id || Hashtbl.mem st.typedefs id
 
 (** Does the current token start a type? Used to disambiguate casts,
     declarations, and type arguments to the [_IO*] builtins. *)
@@ -903,13 +912,14 @@ let parse_file ~file ~sid (src : string) : Ast.file =
   { Ast.path = file; decls = go [] }
 
 (** Parse a raw token list (e.g. a macro body) as a single expression.
-    [extra_typedefs] extends the builtin typedef table so that type
-    arguments such as [struct dm_ioctl] inside [_IOWR(...)] parse. *)
+    [extra_typedefs] are typedef names beyond the builtin ones, so that
+    type arguments such as [struct dm_ioctl] inside [_IOWR(...)] parse. *)
 let expr_of_tokens ?(extra_typedefs = []) (toks : Token.t list) : Ast.expr =
   let spanned =
-    Array.of_list
-      (List.map (fun t -> { Token.tok = t; line = 0 }) toks
-      @ [ { Token.tok = Token.Eof; line = 0 } ])
+    List.fold_right
+      (fun tok acc -> { Token.tok; line = 0 } :: acc)
+      toks
+      [ { Token.tok = Token.Eof; line = 0 } ]
   in
   let st = make ~file:"<macro>" ~sid:(ref 0) { Lexer.tokens = spanned; comments = [] } in
   List.iter (fun n -> Hashtbl.replace st.typedefs n ()) extra_typedefs;

@@ -156,7 +156,13 @@ end
     makes every later {!Stbl} probe on them hit the physical-equality
     fast path. The table is only consulted at compile/boot time (never
     on the execution hot path), so one global mutex is enough for the
-    worker domains. *)
+    worker domains.
+
+    A name is copied the first time it is seen, so the canonical strings
+    lie together. Kept as given, each would be the caller's string,
+    often an identifier inside a parsed AST: scattered wherever the
+    parse left it, read by every execution's probes, and keeping that
+    part of the heap from being released. *)
 let intern : string -> string =
   let tbl : (string, string) Hashtbl.t = Hashtbl.create 1024 in
   let mu = Mutex.create () in
@@ -166,6 +172,7 @@ let intern : string -> string =
       match Hashtbl.find_opt tbl s with
       | Some s' -> s'
       | None ->
+          let s = String.sub s 0 (String.length s) in
           Hashtbl.add tbl s s;
           s
     in

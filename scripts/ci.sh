@@ -48,6 +48,28 @@ if ! diff -u "$tmp/all_seq.out" "$tmp/all_par.out"; then
 fi
 echo "OK: report all --jobs 4 output is byte-identical to --jobs 1"
 
+echo "== forced minor collections: table1 collects as often as it allocates =="
+# With a 256k-word minor heap, a run needs one minor collection per
+# 262,144 minor words. An [Array.of_list] or [Array.make] of more than
+# 256 young values forces an extra one, promoting everything live: it
+# costs time but no words, so the word pins in dune runtest miss it.
+# This covers the CLI's set-up (boot, Suites.build), which the unit
+# tests' collection checks do not reach. The binary runs directly so
+# that the runtime's exit report (v=0x400) is its own, not dune's.
+OCAMLRUNPARAM=s=256k,v=0x400 ./_build/default/bin/kernelgpt_cli.exe report table1 --jobs 1 \
+  --bench-out "$tmp/bench_gc.json" >/dev/null 2>"$tmp/gc.err"
+if ! awk '/^minor_words:/ { w = $2 } /^minor_collections:/ { c = $2 }
+    END {
+      if (w == "" || c == "") { print "no GC report on stderr"; exit 1 }
+      limit = 1.1 * w / 262144 + 10
+      printf "%d minor collections for %d minor words (limit %.1f)\n", c, w, limit
+      exit (c > limit)
+    }' "$tmp/gc.err"; then
+  echo "FAIL: report table1 forces minor collections" >&2
+  exit 1
+fi
+echo "OK: report table1 runs no forced minor collections"
+
 echo "== traced run: stdout unchanged, JSONL valid =="
 # Tracing and metrics must not leak into stdout, and the emitted trace
 # must parse and cover every major span kind.

@@ -19,3 +19,19 @@ let check ~bound words =
   if words > bound then
     Alcotest.failf "%.0f minor words, over the pin of %.0f (+%.1f%%)" words bound
       (100.0 *. (words -. bound) /. bound)
+
+(* Minor collections and minor words of [f ()], started on an empty
+   minor heap. A run that collects more often than its allocation fills
+   the heap is forcing collections: [Array.make] or [Array.of_list] of a
+   major-heap-sized array whose first element is young empties the
+   minor heap first, promoting everything live in it. Word pins cannot
+   see that cost, since the words are the same. *)
+let collections f =
+  Gc.minor ();
+  let c0 = (Gc.quick_stat ()).minor_collections and w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let c1 = (Gc.quick_stat ()).minor_collections in
+  (c1 - c0, Gc.minor_words () -. w0)
+
+(* How many minor collections allocating [words] needs at least. *)
+let heaps_filled words = int_of_float (words /. float_of_int (Gc.get ()).minor_heap_size)

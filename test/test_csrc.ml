@@ -59,7 +59,7 @@ let index_of src = Csrc.Index.of_files [ parse src ]
 
 let test_lex_basics () =
   let r = Csrc.Lexer.lex "int x = 0x10; // hi\n" in
-  let kinds = Array.to_list r.tokens |> List.map (fun s -> s.Csrc.Token.tok) in
+  let kinds = List.map (fun s -> s.Csrc.Token.tok) r.tokens in
   Alcotest.(check int) "token count" 6 (List.length kinds);
   Alcotest.(check int) "comment count" 1 (List.length r.comments);
   match kinds with
@@ -68,13 +68,13 @@ let test_lex_basics () =
 
 let test_lex_char_and_string () =
   let r = Csrc.Lexer.lex {|"a\nb" 'x' '\n'|} in
-  match Array.to_list r.tokens |> List.map (fun s -> s.Csrc.Token.tok) with
+  match List.map (fun s -> s.Csrc.Token.tok) r.tokens with
   | [ Csrc.Token.Str_lit "a\nb"; Csrc.Token.Char_lit 'x'; Csrc.Token.Char_lit '\n'; Csrc.Token.Eof ] -> ()
   | _ -> Alcotest.fail "unexpected tokens"
 
 let test_lex_suffixes () =
   let r = Csrc.Lexer.lex "42UL 0xffULL 7L" in
-  match Array.to_list r.tokens |> List.map (fun s -> s.Csrc.Token.tok) with
+  match List.map (fun s -> s.Csrc.Token.tok) r.tokens with
   | [ Csrc.Token.Int_lit 42L; Csrc.Token.Int_lit 255L; Csrc.Token.Int_lit 7L; Csrc.Token.Eof ] -> ()
   | _ -> Alcotest.fail "unexpected tokens"
 
@@ -557,7 +557,7 @@ let reference_lex (src : string) : Csrc.Lexer.result =
         loop ()
   in
   loop ();
-  { Lexer.tokens = Array.of_list (List.rev !tokens); comments = List.rev !comments }
+  { Lexer.tokens = List.rev !tokens; comments = List.rev !comments }
 
 (* What a lexer made of [src]: its result or its located error. Any other
    exception is a robustness bug and fails the check by name. *)
@@ -634,6 +634,43 @@ let qcheck_lexer_matches_reference =
        gen_lexer_input)
     same_lexing
 
+(* ------------------------------------------------------------------ *)
+(* Parser robustness                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Only the front end's declared errors escape [parse_file], located in
+   the file it was given at a line the source has. Anything else, such
+   as an index out of bounds when the parser reaches [Eof] early, fails
+   the property by name. *)
+let parse_fails_cleanly src =
+  let lines = List.length (String.split_on_char '\n' src) in
+  let in_source line = 1 <= line && line <= lines in
+  match Csrc.Parser.parse_file ~file:"fuzz.c" ~sid:(ref 0) src with
+  | _ -> true
+  | exception Csrc.Lexer.Error (_, line) -> in_source line
+  | exception Csrc.Parser.Error (_, loc) -> loc.file = "fuzz.c" && in_source loc.line
+  | exception e -> QCheck.Test.fail_reportf "parse_file raised %s" (Printexc.to_string e)
+
+(* A whole corpus source cut at a random byte, so the parser meets [Eof]
+   inside any construct. *)
+let gen_truncated_source st =
+  let sources = Lazy.force corpus_sources in
+  let s = sources.(Random.State.int st (Array.length sources)) in
+  String.sub s 0 (Random.State.int st (String.length s + 1))
+
+let qcheck_parser_errors_declared name ~count gen =
+  QCheck.Test.make ~name ~count
+    (QCheck.make ~print:(Printf.sprintf "%S") ~shrink:(fun s -> QCheck.Shrink.string s) gen)
+    parse_fails_cleanly
+
+let qcheck_parse_mutants =
+  qcheck_parser_errors_declared "parse_file raises only located errors on mutated sources"
+    ~count:3000 gen_lexer_input
+
+let qcheck_parse_truncated =
+  qcheck_parser_errors_declared "parse_file raises only located errors on truncated sources"
+    ~count:500 gen_truncated_source
+
 let test_lexer_adversarial_errors () =
   List.iter
     (fun src -> if not (same_lexing src) then Alcotest.failf "lexers disagree on %S" src)
@@ -678,13 +715,54 @@ struct s {
         ]
         (List.map (fun (f : Csrc.Ast.field) -> (f.field_name, f.field_comment)) cd.fields)
 
+(* ------------------------------------------------------------------ *)
+(* Parse pins                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The shared header, then every registry source parsed the way
+   [Machine.boot] parses the loaded ones: under its module file name,
+   with one statement-id counter threaded through them in registry
+   order. *)
+let registry_asts () =
+  let sid = ref 0 in
+  Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid:(ref 0) Corpus.Headers.kernel_h
+  :: List.map
+       (fun (e : Corpus.Types.entry) ->
+         Csrc.Parser.parse_file ~file:(Vkernel.Machine.module_file_name e) ~sid e.source)
+       (Lazy.force Corpus.Registry.all)
+
+(* Every AST node, location and statement id the parser builds over the
+   corpus, digested without sharing so that only the trees count. A
+   change to the lexer or parser must reproduce it exactly. *)
+let test_registry_ast_digest () =
+  Alcotest.(check string) "MD5 of the marshalled registry ASTs" "a848815756ebd4aaf3d8d78d5ae8974c"
+    (Digest.to_hex (Digest.string (Marshal.to_string (registry_asts ()) [ Marshal.No_sharing ])))
+
+(* Parsing a source is young garbage only, so a parse that fits in the
+   minor heap runs no minor collection. Each source is parsed on an
+   empty minor heap; with the default 256k-word heap none may collect. *)
+let test_parse_forces_no_collection () =
+  let sources = Lazy.force corpus_sources in
+  let forced =
+    Array.fold_left
+      (fun n src ->
+        let collected, words =
+          Alloc_pin.collections (fun () -> Csrc.Parser.parse_file ~file:"m.c" ~sid:(ref 0) src)
+        in
+        if collected > Alloc_pin.heaps_filled words then n + 1 else n)
+      0 sources
+  in
+  if forced > 0 then
+    Alcotest.failf "%d of %d corpus sources forced a minor collection while parsing" forced
+      (Array.length sources)
+
 let qcheck_roundtrip_ints =
   QCheck.Test.make ~name:"int literal lex roundtrip" ~count:200
     QCheck.(int_bound 0xffffff)
     (fun n ->
       let src = Printf.sprintf "int x = %d;" n in
       let r = Csrc.Lexer.lex src in
-      match Array.to_list r.tokens |> List.map (fun s -> s.Csrc.Token.tok) with
+      match List.map (fun s -> s.Csrc.Token.tok) r.tokens with
       | [ Csrc.Token.Kw_int; Csrc.Token.Ident "x"; Csrc.Token.Assign; Csrc.Token.Int_lit v; Csrc.Token.Semi; Csrc.Token.Eof ] ->
           Int64.to_int v = n
       | _ -> false)
@@ -711,6 +789,10 @@ let () =
           Alcotest.test_case "goto and labels" `Quick test_goto_and_labels;
           Alcotest.test_case "called functions" `Quick test_called_functions;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
+          Alcotest.test_case "registry AST digest" `Quick test_registry_ast_digest;
+          Alcotest.test_case "no forced minor collection" `Quick test_parse_forces_no_collection;
+          QCheck_alcotest.to_alcotest qcheck_parse_mutants;
+          QCheck_alcotest.to_alcotest qcheck_parse_truncated;
         ] );
       ( "index",
         [

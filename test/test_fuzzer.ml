@@ -689,15 +689,32 @@ let test_reuse_allocation_guard () =
 (* Campaign allocation pins                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Table 4's shape: the dm module booted alone with its module suite;
-   37,264,567 words when pinned *)
-let test_pin_module_campaign () =
+(* Table 4's shape: a bug module booted alone with its module suite *)
+let pin_module_campaign name ~bound () =
   let ctx = Lazy.force suites_ctx in
-  let machine = Vkernel.Machine.boot [ Corpus.Registry.find_exn "dm" ] in
-  let spec = Report.Suites.module_suite ctx "dm" in
-  Alloc_pin.check ~bound:38_383_000.0
+  let machine = Vkernel.Machine.boot [ Corpus.Registry.find_exn name ] in
+  let spec = Report.Suites.module_suite ctx name in
+  Alloc_pin.check ~bound
     (Alloc_pin.repeat_words (fun () ->
          Fuzzer.Campaign.run ~seed:1299721 ~budget:10_000 ~machine spec))
+
+(* 37,264,567 words when pinned *)
+let test_pin_module_campaign = pin_module_campaign "dm" ~bound:38_383_000.0
+
+(* The other ten Table 4 bug modules, with the words when pinned *)
+let other_module_campaign_pins =
+  [
+    ("btrfs_control", 19_788_800.0 (* 19,212,401 *));
+    ("cec", 42_657_300.0 (* 41,414,846 *));
+    ("dvb_demux", 26_355_900.0 (* 25,588,157 *));
+    ("dvb_dvr", 11_657_500.0 (* 11,317,896 *));
+    ("l2tp_ip6", 26_928_600.0 (* 26,144,185 *));
+    ("nbd", 18_151_500.0 (* 17,622,765 *));
+    ("posix_clock", 23_698_600.0 (* 23,008,329 *));
+    ("rds", 30_609_500.0 (* 29,717,886 *));
+    ("ubi", 13_959_500.0 (* 13,552,865 *));
+    ("vgadget", 24_502_500.0 (* 23,788,744 *));
+  ]
 
 (* Table 3's shape: the merged suite on the whole kernel; 5,165,280
    words when pinned *)
@@ -775,5 +792,9 @@ let () =
           t "suite reuse allocation guard" test_reuse_allocation_guard;
           t "dm module campaign allocation pin" test_pin_module_campaign;
           t "merged kernel campaign allocation pin" test_pin_kernel_campaign;
-        ] );
+        ]
+        @ List.map
+            (fun (name, bound) ->
+              t (name ^ " module campaign allocation pin") (pin_module_campaign name ~bound))
+            other_module_campaign_pins );
     ]
