@@ -347,6 +347,10 @@ let of_snapshot ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
     Error
       (Printf.sprintf "checkpoint max_corpus is %d: a campaign needs at least 1 corpus slot"
          s.max_corpus)
+  else if s.max_corpus > Sys.max_array_length then
+    Error
+      (Printf.sprintf "checkpoint max_corpus is %d: a corpus ring holds at most %d slots"
+         s.max_corpus Sys.max_array_length)
   else if List.length s.corpus > s.max_corpus then
     Error
       (Printf.sprintf "checkpoint corpus has %d entries but max_corpus is %d"

@@ -1,6 +1,7 @@
 (** Durable campaign checkpoints. See checkpoint.mli for the format. *)
 
 module J = Obs.Json
+module R = Obs.Record_file
 
 (* version 2: adaptive-scheduling state — the sched mode, per-operator
    credit, per-slot seed statistics, totals, and the first-crash mark *)
@@ -33,13 +34,9 @@ type snapshot = {
 (* Program encoding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* int64 payloads ride as decimal strings: Json.Int is a 63-bit OCaml
-   int and syscall arguments use the full 64-bit range *)
-let j_int64 v = J.Str (Int64.to_string v)
-
 let rec j_of_uval (uv : Vkernel.Value.uval) : J.t =
   match uv with
-  | Vkernel.Value.U_int v -> J.Obj [ ("int", j_int64 v) ]
+  | Vkernel.Value.U_int v -> J.Obj [ ("int", R.j_int64 v) ]
   | Vkernel.Value.U_str s -> J.Obj [ ("str", J.Str s) ]
   | Vkernel.Value.U_null -> J.Null
   | Vkernel.Value.U_arr xs -> J.List (List.map j_of_uval xs)
@@ -52,7 +49,7 @@ let rec j_of_uval (uv : Vkernel.Value.uval) : J.t =
 
 let j_of_parg (a : Vkernel.Machine.parg) : J.t =
   match a with
-  | Vkernel.Machine.P_int v -> J.Obj [ ("int", j_int64 v) ]
+  | Vkernel.Machine.P_int v -> J.Obj [ ("int", R.j_int64 v) ]
   | Vkernel.Machine.P_str s -> J.Obj [ ("str", J.Str s) ]
   | Vkernel.Machine.P_data uv -> J.Obj [ ("data", j_of_uval uv) ]
   | Vkernel.Machine.P_null -> J.Null
@@ -65,35 +62,24 @@ let j_of_prog (p : Vkernel.Machine.prog) : J.t =
          J.Obj [ ("name", J.Str c.c_name); ("args", J.List (List.map j_of_parg c.c_args)) ])
        p)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let int64_of = function
-  | J.Str s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None -> bad "bad int64 payload %S" s)
-  | _ -> bad "expected an int64 payload string"
-
 let rec uval_of (j : J.t) : Vkernel.Value.uval =
   match j with
   | J.Null -> Vkernel.Value.U_null
   | J.List xs -> Vkernel.Value.U_arr (List.map uval_of xs)
-  | J.Obj [ ("int", v) ] -> Vkernel.Value.U_int (int64_of v)
+  | J.Obj [ ("int", v) ] -> Vkernel.Value.U_int (R.int64_of v)
   | J.Obj [ ("str", J.Str s) ] -> Vkernel.Value.U_str s
   | J.Obj [ ("struct", J.Str name); ("fields", J.Obj fields) ] ->
       Vkernel.Value.U_struct (name, List.map (fun (f, v) -> (f, uval_of v)) fields)
-  | _ -> bad "bad user-value encoding"
+  | _ -> R.bad "bad user-value encoding"
 
 let parg_of (j : J.t) : Vkernel.Machine.parg =
   match j with
   | J.Null -> Vkernel.Machine.P_null
-  | J.Obj [ ("int", v) ] -> Vkernel.Machine.P_int (int64_of v)
+  | J.Obj [ ("int", v) ] -> Vkernel.Machine.P_int (R.int64_of v)
   | J.Obj [ ("str", J.Str s) ] -> Vkernel.Machine.P_str s
   | J.Obj [ ("data", uv) ] -> Vkernel.Machine.P_data (uval_of uv)
   | J.Obj [ ("result", J.Int i) ] -> Vkernel.Machine.P_result i
-  | _ -> bad "bad syscall-argument encoding"
+  | _ -> R.bad "bad syscall-argument encoding"
 
 let prog_of (j : J.t) : Vkernel.Machine.prog =
   match j with
@@ -102,249 +88,161 @@ let prog_of (j : J.t) : Vkernel.Machine.prog =
         (function
           | J.Obj [ ("name", J.Str name); ("args", J.List args) ] ->
               { Vkernel.Machine.c_name = name; c_args = List.map parg_of args }
-          | _ -> bad "bad call encoding")
+          | _ -> R.bad "bad call encoding")
         calls
-  | _ -> bad "program is not a list"
-
-(* ------------------------------------------------------------------ *)
-(* Checksum                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let fnv1a64 (s : string) : string =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "fnv1a64:%016Lx" !h
+  | _ -> R.bad "program is not a list"
 
 (* ------------------------------------------------------------------ *)
 (* Save                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let save file (s : snapshot) =
-  let buf = Buffer.create 4096 in
-  let line j =
-    Buffer.add_string buf (J.to_string j);
-    Buffer.add_char buf '\n'
+  let meta =
+    J.Obj
+      [
+        ("spec", J.Str s.spec_name);
+        ("seed", J.Int s.seed);
+        ("budget", J.Int s.budget);
+        ("step_budget", J.Int s.step_budget);
+        ("max_corpus", J.Int s.max_corpus);
+        ("instances", J.Int s.supervisor.Supervisor.instances);
+        ("wedge_threshold", J.Int s.supervisor.Supervisor.wedge_threshold);
+        ("exec_fault_rate", J.Int s.supervisor.Supervisor.fault_rate);
+        ("exec_fault_seed", J.Int s.supervisor.Supervisor.fault_seed);
+        ("sched", J.Str (Schedule.mode_to_string s.sched));
+      ]
   in
-  line (J.Obj [ ("format", J.Str format_tag); ("version", J.Int version) ]);
-  line
-    (J.Obj
-       [
-         ("spec", J.Str s.spec_name);
-         ("seed", J.Int s.seed);
-         ("budget", J.Int s.budget);
-         ("step_budget", J.Int s.step_budget);
-         ("max_corpus", J.Int s.max_corpus);
-         ("instances", J.Int s.supervisor.Supervisor.instances);
-         ("wedge_threshold", J.Int s.supervisor.Supervisor.wedge_threshold);
-         ("exec_fault_rate", J.Int s.supervisor.Supervisor.fault_rate);
-         ("exec_fault_seed", J.Int s.supervisor.Supervisor.fault_seed);
-         ("sched", J.Str (Schedule.mode_to_string s.sched));
-       ]);
   let reboots, lost, injected, timeouts = s.sup_counters in
   let seed_total, op_total = s.sched_totals in
-  line
-    (J.Obj
-       [
-         ("rng", j_int64 s.rng_state);
-         ("executions", J.Int s.executions);
-         ("evictions", J.Int s.evictions);
-         ( "working_str",
-           match s.working_str with None -> J.Null | Some w -> J.Str w );
-         ("reboots", J.Int reboots);
-         ("lost", J.Int lost);
-         ("injected", J.Int injected);
-         ("timeouts", J.Int timeouts);
-         ("health", J.List (List.map (fun h -> J.Int h) s.sup_health));
-         ("op_uses", J.List (List.map (fun (u, _) -> J.Int u) s.op_stats));
-         ("op_reward", J.List (List.map (fun (_, w) -> J.Int w) s.op_stats));
-         ("seed_total", J.Int seed_total);
-         ("op_total", J.Int op_total);
-       ]);
-  line (J.Obj [ ("coverage", J.List (List.map (fun sid -> J.Int sid) s.coverage)) ]);
-  List.iter
-    (fun (p, visits, reward) ->
-      line
-        (J.Obj
-           [ ("corpus", j_of_prog p); ("visits", J.Int visits); ("reward", J.Int reward) ]))
-    s.corpus;
-  List.iter
-    (fun (title, p, seen) ->
-      line (J.Obj [ ("crash", J.Str title); ("prog", j_of_prog p); ("seen", J.Int seen) ]))
-    s.crashes;
-  let body = Buffer.contents buf in
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc body;
-     output_string oc (J.to_string (J.Obj [ ("checksum", J.Str (fnv1a64 body)) ]));
-     output_char oc '\n';
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp file;
+  let state =
+    J.Obj
+      [
+        ("rng", R.j_int64 s.rng_state);
+        ("executions", J.Int s.executions);
+        ("evictions", J.Int s.evictions);
+        ("working_str", match s.working_str with None -> J.Null | Some w -> J.Str w);
+        ("reboots", J.Int reboots);
+        ("lost", J.Int lost);
+        ("injected", J.Int injected);
+        ("timeouts", J.Int timeouts);
+        ("health", J.List (List.map (fun h -> J.Int h) s.sup_health));
+        ("op_uses", J.List (List.map (fun (u, _) -> J.Int u) s.op_stats));
+        ("op_reward", J.List (List.map (fun (_, w) -> J.Int w) s.op_stats));
+        ("seed_total", J.Int seed_total);
+        ("op_total", J.Int op_total);
+      ]
+  in
+  let coverage = J.Obj [ ("coverage", J.List (List.map (fun sid -> J.Int sid) s.coverage)) ] in
+  let corpus =
+    List.map
+      (fun (p, visits, reward) ->
+        J.Obj [ ("corpus", j_of_prog p); ("visits", J.Int visits); ("reward", J.Int reward) ])
+      s.corpus
+  in
+  let crashes =
+    List.map
+      (fun (title, p, seen) ->
+        J.Obj [ ("crash", J.Str title); ("prog", j_of_prog p); ("seen", J.Int seen) ])
+      s.crashes
+  in
+  let bytes =
+    R.save ~file
+      ~header:(J.Obj [ ("format", J.Str format_tag); ("version", J.Int version) ])
+      ((meta :: state :: coverage :: corpus) @ crashes)
+  in
   Obs.Metrics.incr "fuzz.checkpoint_writes";
-  if Obs.metrics_on () then
-    Obs.Metrics.observe "fuzz.checkpoint_bytes" (float_of_int (String.length body))
+  if Obs.metrics_on () then Obs.Metrics.observe "fuzz.checkpoint_bytes" (float_of_int bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let read_file file : (string, string) result =
-  match open_in_bin file with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = in_channel_length ic in
-          Ok (really_input_string ic n))
-
 let field name j =
   match J.member name j with
   | Some v -> v
-  | None -> bad "missing field %S" name
+  | None -> R.bad "missing field %S" name
 
-let int_field name j = match field name j with J.Int i -> i | _ -> bad "field %S is not an int" name
+let int_field name j =
+  match field name j with J.Int i -> i | _ -> R.bad "field %S is not an int" name
 
 let str_field name j =
-  match field name j with J.Str s -> s | _ -> bad "field %S is not a string" name
+  match field name j with J.Str s -> s | _ -> R.bad "field %S is not a string" name
+
+let int_list name j =
+  match field name j with
+  | J.List xs -> List.map (function J.Int x -> x | _ -> R.bad "bad %S entry" name) xs
+  | _ -> R.bad "field %S is not a list" name
+
+let decode _header = function
+  | meta :: state :: coverage :: rest ->
+      let meta = R.parse meta in
+      let supervisor =
+        {
+          Supervisor.instances = int_field "instances" meta;
+          wedge_threshold = int_field "wedge_threshold" meta;
+          fault_rate = int_field "exec_fault_rate" meta;
+          fault_seed = int_field "exec_fault_seed" meta;
+        }
+      in
+      let state = R.parse state in
+      let coverage =
+        match field "coverage" (R.parse coverage) with
+        | J.List sids -> List.map (function J.Int s -> s | _ -> R.bad "bad coverage id") sids
+        | _ -> R.bad "field \"coverage\" is not a list"
+      in
+      let corpus = ref [] and crashes = ref [] in
+      List.iter
+        (fun ((lineno, _) as line) ->
+          let j = R.parse line in
+          match (J.member "corpus" j, J.member "crash" j) with
+          | Some p, None ->
+              corpus := (prog_of p, int_field "visits" j, int_field "reward" j) :: !corpus
+          | None, Some (J.Str title) ->
+              crashes := (title, prog_of (field "prog" j), int_field "seen" j) :: !crashes
+          | _ -> R.bad "line %d: neither a corpus nor a crash record" lineno)
+        rest;
+      let op_uses = int_list "op_uses" state and op_reward = int_list "op_reward" state in
+      if List.length op_uses <> List.length op_reward then
+        R.bad "operator statistics disagree (%d uses vs %d rewards)" (List.length op_uses)
+          (List.length op_reward);
+      {
+        spec_name = str_field "spec" meta;
+        seed = int_field "seed" meta;
+        budget = int_field "budget" meta;
+        step_budget = int_field "step_budget" meta;
+        max_corpus = int_field "max_corpus" meta;
+        supervisor;
+        sched =
+          (let s = str_field "sched" meta in
+           match Schedule.mode_of_string s with
+           | Some m -> m
+           | None -> R.bad "unknown scheduling mode %S" s);
+        rng_state = R.int64_of (field "rng" state);
+        executions = int_field "executions" state;
+        evictions = int_field "evictions" state;
+        working_str =
+          (match field "working_str" state with
+          | J.Null -> None
+          | J.Str w -> Some w
+          | _ -> R.bad "field \"working_str\" is neither null nor a string");
+        coverage;
+        corpus = List.rev !corpus;
+        crashes = List.rev !crashes;
+        op_stats = List.combine op_uses op_reward;
+        sched_totals = (int_field "seed_total" state, int_field "op_total" state);
+        sup_health =
+          (match field "health" state with
+          | J.List hs -> List.map (function J.Int h -> h | _ -> R.bad "bad health entry") hs
+          | _ -> R.bad "field \"health\" is not a list");
+        sup_counters =
+          ( int_field "reboots" state,
+            int_field "lost" state,
+            int_field "injected" state,
+            int_field "timeouts" state );
+      }
+  | records ->
+      R.bad "truncated checkpoint (%d records; header, meta, state and coverage required)"
+        (List.length records + 1)
 
 let load file : (snapshot, string) result =
-  match read_file file with
-  | Error e -> Error (Printf.sprintf "cannot read checkpoint %s: %s" file e)
-  | Ok content -> (
-      let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" file m)) fmt in
-      if content = "" then fail "empty checkpoint file"
-      else if content.[String.length content - 1] <> '\n' then
-        fail "truncated checkpoint (unterminated last line)"
-      else
-        let body = String.sub content 0 (String.length content - 1) in
-        let lines = String.split_on_char '\n' body in
-        match List.rev lines with
-        | [] | [ _ ] -> fail "truncated checkpoint (no checksum line)"
-        | last :: rev_rest -> (
-            let records = List.rev rev_rest in
-            let prefix = String.sub content 0 (String.length content - String.length last - 1) in
-            let parse_line lineno s =
-              match J.parse s with
-              | Ok j -> j
-              | Error e -> bad "line %d: %s" lineno e
-            in
-            match
-              (* the checksum guards every preceding byte, so verify it
-                 before interpreting anything else *)
-              let sum =
-                match J.parse last with
-                | Ok j -> (
-                    match J.member "checksum" j with
-                    | Some (J.Str s) -> s
-                    | _ -> bad "truncated checkpoint (last line is not a checksum record)")
-                | Error _ -> bad "truncated checkpoint (last line is not a checksum record)"
-              in
-              let actual = fnv1a64 prefix in
-              if sum <> actual then
-                bad "corrupted checkpoint (checksum mismatch: file says %s, content hashes to %s)"
-                  sum actual;
-              match records with
-              | header :: meta :: state :: coverage :: rest ->
-                  let header = parse_line 1 header in
-                  (match J.member "format" header with
-                  | Some (J.Str f) when f = format_tag -> ()
-                  | _ -> bad "not a %s file (bad format tag)" format_tag);
-                  let v = int_field "version" header in
-                  if v <> version then
-                    bad "unsupported checkpoint version %d (this build reads version %d)" v
-                      version;
-                  let meta = parse_line 2 meta in
-                  let supervisor =
-                    {
-                      Supervisor.instances = int_field "instances" meta;
-                      wedge_threshold = int_field "wedge_threshold" meta;
-                      fault_rate = int_field "exec_fault_rate" meta;
-                      fault_seed = int_field "exec_fault_seed" meta;
-                    }
-                  in
-                  let state = parse_line 3 state in
-                  let coverage =
-                    match field "coverage" (parse_line 4 coverage) with
-                    | J.List sids ->
-                        List.map (function J.Int s -> s | _ -> bad "bad coverage id") sids
-                    | _ -> bad "field \"coverage\" is not a list"
-                  in
-                  let corpus = ref [] and crashes = ref [] in
-                  List.iteri
-                    (fun i line ->
-                      let j = parse_line (i + 5) line in
-                      match (J.member "corpus" j, J.member "crash" j) with
-                      | Some p, None ->
-                          corpus :=
-                            (prog_of p, int_field "visits" j, int_field "reward" j)
-                            :: !corpus
-                      | None, Some (J.Str title) ->
-                          crashes :=
-                            (title, prog_of (field "prog" j), int_field "seen" j)
-                            :: !crashes
-                      | _ -> bad "line %d: neither a corpus nor a crash record" (i + 5))
-                    rest;
-                  let int_list name j =
-                    match field name j with
-                    | J.List xs ->
-                        List.map
-                          (function J.Int x -> x | _ -> bad "bad %S entry" name)
-                          xs
-                    | _ -> bad "field %S is not a list" name
-                  in
-                  let op_uses = int_list "op_uses" state
-                  and op_reward = int_list "op_reward" state in
-                  if List.length op_uses <> List.length op_reward then
-                    bad "operator statistics disagree (%d uses vs %d rewards)"
-                      (List.length op_uses) (List.length op_reward);
-                  Ok
-                    {
-                      spec_name = str_field "spec" meta;
-                      seed = int_field "seed" meta;
-                      budget = int_field "budget" meta;
-                      step_budget = int_field "step_budget" meta;
-                      max_corpus = int_field "max_corpus" meta;
-                      supervisor;
-                      sched =
-                        (let s = str_field "sched" meta in
-                         match Schedule.mode_of_string s with
-                         | Some m -> m
-                         | None -> bad "unknown scheduling mode %S" s);
-                      rng_state = int64_of (field "rng" state);
-                      executions = int_field "executions" state;
-                      evictions = int_field "evictions" state;
-                      working_str =
-                        (match field "working_str" state with
-                        | J.Null -> None
-                        | J.Str w -> Some w
-                        | _ -> bad "field \"working_str\" is neither null nor a string");
-                      coverage;
-                      corpus = List.rev !corpus;
-                      crashes = List.rev !crashes;
-                      op_stats = List.combine op_uses op_reward;
-                      sched_totals =
-                        (int_field "seed_total" state, int_field "op_total" state);
-                      sup_health =
-                        (match field "health" state with
-                        | J.List hs ->
-                            List.map (function J.Int h -> h | _ -> bad "bad health entry") hs
-                        | _ -> bad "field \"health\" is not a list");
-                      sup_counters =
-                        ( int_field "reboots" state,
-                          int_field "lost" state,
-                          int_field "injected" state,
-                          int_field "timeouts" state );
-                    }
-              | _ -> bad "truncated checkpoint (%d records; header, meta, state and coverage required)"
-                       (List.length records)
-            with
-            | Ok s -> Ok s
-            | Error e -> Error e
-            | exception Bad m -> fail "%s" m))
+  R.load ~what:"checkpoint" ~format:format_tag ~version file decode

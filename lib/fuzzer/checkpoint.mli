@@ -9,10 +9,11 @@
     killed run resumed from its last checkpoint produces byte-identical
     final output to a run that was never interrupted.
 
-    {b File format} (version {!version}): JSONL via the [Obs.Json]
-    emitter, one record per line —
+    {b File format} (version {!version}): an {!Obs.Record_file} (header,
+    one JSON record per line, checksum trailer, written by tmp+rename;
+    int64 payloads such as the RNG word and syscall arguments are
+    decimal strings). The records after the header —
     {v
-    {"format":"kernelgpt-checkpoint","version":2}
     {"spec":"dm","seed":3,"budget":3000,"step_budget":50000,"max_corpus":512,
      "instances":4,"wedge_threshold":3,"exec_fault_rate":0,"exec_fault_seed":0,
      "sched":"ucb"}
@@ -25,14 +26,9 @@
      "visits":4,"reward":1}            // one line per ring slot
     {"crash":"kmalloc bug in ctl_ioctl","prog":[...],
      "seen":812}                       // one line per title
-    {"checksum":"fnv1a64:0123456789abcdef"}
     v}
-    Int64 payloads (RNG word, syscall arguments) are decimal strings, so
-    no value is squeezed through a 63-bit OCaml [int]. The final line is
-    an FNV-1a 64 checksum of every preceding byte; {!save} writes to
-    [FILE.tmp] and renames, so a crash mid-write never corrupts an
-    existing checkpoint. {!load} rejects truncation, corruption, and
-    version skew with a descriptive error. *)
+    The header is [{"format":"kernelgpt-checkpoint","version":2}]; it
+    and the parameter, state and coverage records are required. *)
 
 val version : int
 
@@ -68,12 +64,12 @@ type snapshot = {
   sup_counters : int * int * int * int;  (** reboots, lost, injected, timeouts *)
 }
 
-(** Serialize atomically (write [file ^ ".tmp"], rename). Raises
-    [Sys_error] on I/O failure. *)
+(** Serialize atomically ({!Obs.Record_file.save}). Raises [Sys_error]
+    on I/O failure. *)
 val save : string -> snapshot -> unit
 
-(** Parse and verify a checkpoint. Errors are descriptive: a missing or
-    mismatched checksum line (truncation/corruption), an unsupported
-    version, a malformed record — each names the file and, where
-    meaningful, the line. *)
+(** Parse and verify a checkpoint. Errors are descriptive: the framing
+    errors of {!Obs.Record_file.load} (truncation, corruption, an
+    unsupported version), a missing required record, a malformed record
+    — each names the file and, where meaningful, the line. *)
 val load : string -> (snapshot, string) result

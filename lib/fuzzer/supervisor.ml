@@ -130,12 +130,15 @@ let stats t =
 let dump t = (Array.to_list t.health, (t.reboots, t.lost, t.injected, t.timeouts))
 
 let restore cfg ~health ~counters:(reboots, lost, injected, timeouts) =
-  let t = create cfg in
-  if List.length health <> Array.length t.health then
+  (* compare before [create], so the file's own list bounds the
+     allocation *)
+  let n = List.length health in
+  if n <> max 1 cfg.instances then
     Error
-      (Printf.sprintf "supervisor health has %d instances, config expects %d"
-         (List.length health) (Array.length t.health))
+      (Printf.sprintf "supervisor health has %d instances, config expects %d" n
+         (max 1 cfg.instances))
   else begin
+    let t = create cfg in
     List.iteri (fun i h -> t.health.(i) <- h) health;
     t.reboots <- reboots;
     t.lost <- lost;

@@ -1,4 +1,5 @@
-(** Structured tracing + metrics. See obs.mli for the contract.
+(** Structured tracing + metrics, and the record files that checkpoints
+    and the oracle cache are stored in. See obs.mli for the contract.
 
     Design notes:
     - the enabled flags are [Atomic.t bool]s read first on every entry
@@ -254,6 +255,106 @@ module Json = struct
   let member k = function
     | Obj kvs -> List.assoc_opt k kvs
     | _ -> None
+end
+
+(* ------------------------------------------------------------------ *)
+(* Durable record files                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Record_file = struct
+  let fnv1a64 (s : string) : int64 =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      s;
+    !h
+
+  let checksum s = Printf.sprintf "fnv1a64:%016Lx" (fnv1a64 s)
+
+  let write_atomic file contents =
+    let tmp = file ^ ".tmp" in
+    let oc = open_out_bin tmp in
+    (try
+       output_string oc contents;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
+    Sys.rename tmp file
+
+  let save ~file ~header records =
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun j ->
+        Json.write buf j;
+        Buffer.add_char buf '\n')
+      (header :: records);
+    let body = Buffer.contents buf in
+    write_atomic file
+      (body ^ Json.to_string (Json.Obj [ ("checksum", Json.Str (checksum body)) ]) ^ "\n");
+    String.length body
+
+  exception Bad of string
+
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+  let j_int64 v = Json.Str (Int64.to_string v)
+
+  let int64_of = function
+    | Json.Str s -> (
+        match Int64.of_string_opt s with
+        | Some v -> v
+        | None -> bad "bad int64 payload %S" s)
+    | _ -> bad "expected an int64 payload string"
+
+  let parse (lineno, line) =
+    match Json.parse line with Ok j -> j | Error e -> bad "line %d: %s" lineno e
+
+  (* every check before [decode] guards the framing only; the checksum
+     covers every preceding byte, so it is verified before anything
+     else is interpreted *)
+  let frame ~what ~format ~version content decode =
+    let n = String.length content in
+    if n = 0 then bad "empty %s file" what;
+    if content.[n - 1] <> '\n' then bad "truncated %s (unterminated last line)" what;
+    match String.rindex_from_opt content (n - 2) '\n' with
+    | None -> bad "truncated %s (no checksum line)" what
+    | Some cut -> (
+        let sum =
+          match Json.parse (String.sub content (cut + 1) (n - cut - 2)) with
+          | Ok j -> Json.member "checksum" j
+          | Error _ -> None
+        in
+        (match sum with
+        | Some (Json.Str sum) ->
+            let actual = checksum (String.sub content 0 (cut + 1)) in
+            if sum <> actual then
+              bad "corrupted %s (checksum mismatch: file says %s, content hashes to %s)" what
+                sum actual
+        | _ -> bad "truncated %s (last line is not a checksum record)" what);
+        match String.split_on_char '\n' (String.sub content 0 cut) with
+        | [] -> assert false (* split_on_char returns at least one piece *)
+        | header :: records ->
+            let header = parse (1, header) in
+            (match Json.member "format" header with
+            | Some (Json.Str f) when f = format -> ()
+            | _ -> bad "not a %s file (bad format tag)" format);
+            (match Json.member "version" header with
+            | Some (Json.Int v) when v = version -> ()
+            | Some (Json.Int v) ->
+                bad "unsupported %s version %d (this build reads version %d)" what v version
+            | _ -> bad "%s header lacks a version" what);
+            decode header (List.mapi (fun i line -> (i + 2, line)) records))
+
+  let load ~what ~format ~version file decode =
+    (* a read can fail after the open succeeds, as on a directory *)
+    match In_channel.with_open_bin file In_channel.input_all with
+    | exception Sys_error e -> Error (Printf.sprintf "cannot read %s %s: %s" what file e)
+    | content -> (
+        match frame ~what ~format ~version content decode with
+        | v -> Ok v
+        | exception Bad m -> Error (Printf.sprintf "%s: %s" file m))
 end
 
 (* ------------------------------------------------------------------ *)

@@ -50,6 +50,67 @@ module Json : sig
   val member : string -> t -> t option
 end
 
+(** Durable record files: the one on-disk format of campaign checkpoints
+    ([Fuzzer.Checkpoint]) and the oracle answer cache ([Cache]).
+
+    A file is JSONL, one {!Json} value per line:
+    {v
+    {"format":"kernelgpt-checkpoint","version":2,...}   // header
+    {...}                                                // one line per record
+    {"checksum":"fnv1a64:0123456789abcdef"}
+    v}
+    The header names the format and its version (callers may add fields,
+    such as the cache's ["schema"]). The trailer is an FNV-1a 64 digest
+    of every byte before it. {!save} writes [FILE.tmp] and renames it
+    over [FILE], so a crash mid-write never corrupts an existing file.
+    Int64 payloads ride as decimal strings ({!j_int64}), so no value is
+    squeezed through a 63-bit OCaml [int].
+
+    {!load} refuses an unreadable, empty, unterminated, trailer-less or
+    checksum-mismatched file, a foreign format tag and another version,
+    each with a descriptive [Error] naming the file; only then does the
+    caller's decoder see the header and the numbered record lines. *)
+module Record_file : sig
+  (** FNV-1a 64 of a string: the trailer's digest, also used by the
+      oracle cache as its key digest. *)
+  val fnv1a64 : string -> int64
+
+  (** Write [contents] to [file ^ ".tmp"] and rename it over [file].
+      Raises [Sys_error] on I/O failure, leaving no temp file behind. *)
+  val write_atomic : string -> string -> unit
+
+  (** Write [header], one line per record and the checksum trailer,
+      atomically. Returns the number of bytes before the trailer.
+      Raises [Sys_error] on I/O failure. *)
+  val save : file:string -> header:Json.t -> Json.t list -> int
+
+  (** Refuse a record from inside a decoder: {!load} turns the message
+      into [Error "FILE: msg"]. *)
+  val bad : ('a, unit, string, 'b) format4 -> 'a
+
+  (** An int64 payload as a decimal string, and back (refused with
+      {!bad} if it is anything else). *)
+  val j_int64 : int64 -> Json.t
+
+  val int64_of : Json.t -> int64
+
+  (** Parse a numbered record line, refusing it with ["line N: ..."]
+      if it is not JSON. *)
+  val parse : int * string -> Json.t
+
+  (** [load ~what ~format ~version file decode] verifies the framing
+      (errors say [what], e.g. ["checkpoint"]) and returns
+      [decode header records], where [records] are the lines after the
+      header, numbered from 2 and not yet parsed. *)
+  val load :
+    what:string ->
+    format:string ->
+    version:int ->
+    string ->
+    (Json.t -> (int * string) list -> 'a) ->
+    ('a, string) result
+end
+
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)

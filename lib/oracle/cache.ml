@@ -1,6 +1,7 @@
 (** Content-addressed oracle answer cache. See cache.mli. *)
 
 module J = Obs.Json
+module R = Obs.Record_file
 
 let schema_version = 1
 let version = 1
@@ -56,13 +57,6 @@ let in_memory () = make None
 (* Key derivation                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fnv1a64 (s : string) : int64 =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 let key ~(profile : Profile.t) (p : Prompt.t) : string =
   (* the key hashes what the model would actually see: the prompt after
      the profile's context window dropped its trailing snippets *)
@@ -79,30 +73,17 @@ let key ~(profile : Profile.t) (p : Prompt.t) : string =
       Prompt.render truncated;
       string_of_int schema_version;
     ];
-  Printf.sprintf "%016Lx" (fnv1a64 (Buffer.contents buf))
+  Printf.sprintf "%016Lx" (R.fnv1a64 (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
 (* Response (de)serialization                                          *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let j_int64 v = J.Str (Int64.to_string v)
-
-let int64_of = function
-  | J.Str s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None -> bad "bad int64 payload %S" s)
-  | _ -> bad "expected an int64 payload string"
-
 let j_opt f = function None -> J.Null | Some v -> f v
 let opt_of f = function J.Null -> None | j -> Some (f j)
 
-let str_of = function J.Str s -> s | _ -> bad "expected a string"
-let int_of = function J.Int i -> i | _ -> bad "expected an int"
+let str_of = function J.Str s -> s | _ -> R.bad "expected a string"
+let int_of = function J.Int i -> i | _ -> R.bad "expected an int"
 
 let j_of_width w = J.Str (Syzlang.Ast.width_to_string w)
 
@@ -112,7 +93,7 @@ let width_of = function
   | J.Str "int32" -> Syzlang.Ast.I32
   | J.Str "int64" -> Syzlang.Ast.I64
   | J.Str "intptr" -> Syzlang.Ast.Iptr
-  | _ -> bad "bad int width"
+  | _ -> R.bad "bad int width"
 
 let j_of_dir d = J.Str (Syzlang.Ast.dir_to_string d)
 
@@ -120,26 +101,26 @@ let dir_of = function
   | J.Str "in" -> Syzlang.Ast.In
   | J.Str "out" -> Syzlang.Ast.Out
   | J.Str "inout" -> Syzlang.Ast.Inout
-  | _ -> bad "bad direction"
+  | _ -> R.bad "bad direction"
 
 let j_of_cref (c : Syzlang.Ast.const_ref) =
   J.Obj
     [
       ("name", j_opt (fun n -> J.Str n) c.const_name);
-      ("value", j_opt j_int64 c.const_value);
+      ("value", j_opt R.j_int64 c.const_value);
     ]
 
 let cref_of = function
   | J.Obj [ ("name", n); ("value", v) ] ->
-      { Syzlang.Ast.const_name = opt_of str_of n; const_value = opt_of int64_of v }
-  | _ -> bad "bad const_ref encoding"
+      { Syzlang.Ast.const_name = opt_of str_of n; const_value = opt_of R.int64_of v }
+  | _ -> R.bad "bad const_ref encoding"
 
 let j_of_range (r : Syzlang.Ast.range) =
-  J.Obj [ ("lo", j_int64 r.lo); ("hi", j_int64 r.hi) ]
+  J.Obj [ ("lo", R.j_int64 r.lo); ("hi", R.j_int64 r.hi) ]
 
 let range_of = function
-  | J.Obj [ ("lo", lo); ("hi", hi) ] -> { Syzlang.Ast.lo = int64_of lo; hi = int64_of hi }
-  | _ -> bad "bad range encoding"
+  | J.Obj [ ("lo", lo); ("hi", hi) ] -> { Syzlang.Ast.lo = R.int64_of lo; hi = R.int64_of hi }
+  | _ -> R.bad "bad range encoding"
 
 let rec j_of_typ (t : Syzlang.Ast.typ) : J.t =
   let open Syzlang.Ast in
@@ -176,14 +157,14 @@ let rec typ_of (j : J.t) : Syzlang.Ast.typ =
   | J.Obj [ ("resource", J.Str n) ] -> Resource_ref n
   | J.Obj [ ("struct", J.Str n) ] -> Struct_ref n
   | J.Obj [ ("union", J.Str n) ] -> Union_ref n
-  | _ -> bad "bad type encoding"
+  | _ -> R.bad "bad type encoding"
 
 let j_of_field (f : Syzlang.Ast.field) =
   J.Obj [ ("fname", J.Str f.fname); ("ftyp", j_of_typ f.ftyp) ]
 
 let field_of = function
   | J.Obj [ ("fname", J.Str n); ("ftyp", t) ] -> { Syzlang.Ast.fname = n; ftyp = typ_of t }
-  | _ -> bad "bad field encoding"
+  | _ -> R.bad "bad field encoding"
 
 let j_of_comp (c : Syzlang.Ast.comp_def) =
   J.Obj
@@ -199,10 +180,10 @@ let comp_of = function
         match k with
         | "struct" -> Syzlang.Ast.Struct
         | "union" -> Syzlang.Ast.Union
-        | _ -> bad "bad composite kind %S" k
+        | _ -> R.bad "bad composite kind %S" k
       in
       { Syzlang.Ast.comp_name = n; comp_kind = kind; comp_fields = List.map field_of fs }
-  | _ -> bad "bad composite encoding"
+  | _ -> R.bad "bad composite encoding"
 
 let j_of_ident (i : Prompt.ident) =
   J.Obj
@@ -233,21 +214,21 @@ let ident_of = function
         id_copy_size = opt_of int_of cs;
         id_values = List.map cref_of vs;
       }
-  | _ -> bad "bad ident encoding"
+  | _ -> R.bad "bad ident encoding"
 
 let j_of_unknown (u : Prompt.unknown) =
   J.Obj [ ("name", J.Str u.u_name); ("usage", J.Str u.u_usage) ]
 
 let unknown_of = function
   | J.Obj [ ("name", J.Str n); ("usage", J.Str u) ] -> { Prompt.u_name = n; u_usage = u }
-  | _ -> bad "bad unknown encoding"
+  | _ -> R.bad "bad unknown encoding"
 
 let j_of_dep (d : Prompt.dep) =
   J.Obj [ ("cmd", J.Str d.dep_cmd); ("ops", J.Str d.dep_ops) ]
 
 let dep_of = function
   | J.Obj [ ("cmd", J.Str c); ("ops", J.Str o) ] -> { Prompt.dep_cmd = c; dep_ops = o }
-  | _ -> bad "bad dep encoding"
+  | _ -> R.bad "bad dep encoding"
 
 let j_of_response (r : Prompt.response) : J.t =
   J.Obj
@@ -286,11 +267,11 @@ let response_of : J.t -> Prompt.response = function
           opt_of
             (function
               | J.List [ J.Int d; J.Int t; J.Int p ] -> (d, t, p)
-              | _ -> bad "bad socket triple")
+              | _ -> R.bad "bad socket triple")
             sock;
         r_repaired = opt_of str_of rep;
       }
-  | _ -> bad "bad response encoding"
+  | _ -> R.bad "bad response encoding"
 
 let j_of_entry key (e : entry) : J.t =
   J.Obj
@@ -321,7 +302,7 @@ let entry_of : J.t -> string * entry = function
           e_truncations = tr;
           e_errors = er;
         } )
-  | _ -> bad "bad entry encoding"
+  | _ -> R.bad "bad entry encoding"
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / store / replay                                             *)
@@ -371,8 +352,6 @@ let replay (o : Oracle.t) (e : entry) : Prompt.response =
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let checksum_of (s : string) : string = Printf.sprintf "fnv1a64:%016Lx" (fnv1a64 s)
-
 let flush (t : t) : (unit, string) result =
   match t.c_file with
   | None -> Ok ()
@@ -385,35 +364,16 @@ let flush (t : t) : (unit, string) result =
       in
       (* key order, so the file bytes never depend on scheduling *)
       let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-      let buf = Buffer.create 65536 in
-      let line j =
-        Buffer.add_string buf (J.to_string j);
-        Buffer.add_char buf '\n'
+      let header =
+        J.Obj
+          [
+            ("format", J.Str format_tag);
+            ("version", J.Int version);
+            ("schema", J.Int schema_version);
+          ]
       in
-      line
-        (J.Obj
-           [
-             ("format", J.Str format_tag);
-             ("version", J.Int version);
-             ("schema", J.Int schema_version);
-           ]);
-      List.iter (fun (k, e) -> line (j_of_entry k e)) rows;
-      let body = Buffer.contents buf in
-      let tmp = file ^ ".tmp" in
-      match
-        let oc = open_out tmp in
-        (try
-           output_string oc body;
-           output_string oc (J.to_string (J.Obj [ ("checksum", J.Str (checksum_of body)) ]));
-           output_char oc '\n';
-           close_out oc
-         with e ->
-           close_out_noerr oc;
-           (try Sys.remove tmp with Sys_error _ -> ());
-           raise e);
-        Sys.rename tmp file
-      with
-      | () ->
+      match R.save ~file ~header (List.map (fun (k, e) -> j_of_entry k e) rows) with
+      | _ ->
           t.dirty <- false;
           Obs.Metrics.incr "oracle.cache.flushes";
           Obs.event ~kind:"oracle.cache"
@@ -426,99 +386,37 @@ let flush (t : t) : (unit, string) result =
           Ok ()
       | exception Sys_error e -> Error (Printf.sprintf "cannot write oracle cache %s: %s" file e))
 
-let read_file file : (string, string) result =
-  match open_in_bin file with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = in_channel_length ic in
-          Ok (really_input_string ic n))
-
 let load (t : t) (file : string) : (unit, string) result =
-  match read_file file with
-  | Error e -> Error (Printf.sprintf "cannot read oracle cache %s: %s" file e)
-  | Ok content -> (
-      let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" file m)) fmt in
-      if content = "" then fail "empty oracle cache file"
-      else if content.[String.length content - 1] <> '\n' then
-        fail "truncated oracle cache (unterminated last line)"
-      else
-        let body = String.sub content 0 (String.length content - 1) in
-        let lines = String.split_on_char '\n' body in
-        match List.rev lines with
-        | [] | [ _ ] -> fail "truncated oracle cache (no checksum line)"
-        | last :: rev_rest -> (
-            let records = List.rev rev_rest in
-            let prefix = String.sub content 0 (String.length content - String.length last - 1) in
-            let parse_line lineno s =
-              match J.parse s with
-              | Ok j -> j
-              | Error e -> bad "line %d: %s" lineno e
-            in
-            match
-              (* the checksum guards every preceding byte, so verify it
-                 before interpreting anything else *)
-              let sum =
-                match J.parse last with
-                | Ok j -> (
-                    match J.member "checksum" j with
-                    | Some (J.Str s) -> s
-                    | _ -> bad "truncated oracle cache (last line is not a checksum record)")
-                | Error _ -> bad "truncated oracle cache (last line is not a checksum record)"
-              in
-              let actual = checksum_of prefix in
-              if sum <> actual then
-                bad "corrupted oracle cache (checksum mismatch: file says %s, content hashes to %s)"
-                  sum actual;
-              match records with
-              | [] -> bad "truncated oracle cache (missing header)"
-              | header :: entries ->
-                  let header = parse_line 1 header in
-                  (match J.member "format" header with
-                  | Some (J.Str f) when f = format_tag -> ()
-                  | _ -> bad "not a %s file (bad format tag)" format_tag);
-                  (match J.member "version" header with
-                  | Some (J.Int v) when v = version -> ()
-                  | Some (J.Int v) ->
-                      bad "unsupported oracle cache version %d (this build reads version %d)" v
-                        version
-                  | _ -> bad "oracle cache header lacks a version");
-                  let schema =
-                    match J.member "schema" header with
-                    | Some (J.Int s) -> s
-                    | _ -> bad "oracle cache header lacks a schema version"
-                  in
-                  if schema <> schema_version then begin
-                    (* another schema's answers can never be replayed
-                       (the schema is part of every key): drop them all
-                       as stale instead of rejecting the file *)
-                    let n = List.length entries in
-                    t.stale <- t.stale + n;
-                    Obs.Metrics.incr ~by:n "oracle.cache.stale"
-                  end
-                  else
-                    List.iteri
-                      (fun i line ->
-                        let k, e = entry_of (parse_line (i + 2) line) in
-                        Hashtbl.replace t.table k e;
-                        t.loaded <- t.loaded + 1)
-                      entries;
-                  Ok ()
-            with
-            | Ok () ->
-                Obs.event ~kind:"oracle.cache"
-                  ~attrs:(fun () ->
-                    [
-                      ("file", Obs.Json.Str file);
-                      ("entries", Obs.Json.Int t.loaded);
-                      ("stale", Obs.Json.Int t.stale);
-                    ])
-                  "load";
-                Ok ()
-            | Error e -> Error e
-            | exception Bad m -> fail "%s" m))
+  let decode header entries =
+    match J.member "schema" header with
+    | Some (J.Int s) when s <> schema_version ->
+        (* another schema's answers can never be replayed (the schema
+           is part of every key): drop them all as stale, unparsed,
+           instead of rejecting the file *)
+        let n = List.length entries in
+        t.stale <- t.stale + n;
+        Obs.Metrics.incr ~by:n "oracle.cache.stale"
+    | Some (J.Int _) ->
+        List.iter
+          (fun line ->
+            let k, e = entry_of (R.parse line) in
+            Hashtbl.replace t.table k e;
+            t.loaded <- t.loaded + 1)
+          entries
+    | _ -> R.bad "oracle cache header lacks a schema version"
+  in
+  match R.load ~what:"oracle cache" ~format:format_tag ~version file decode with
+  | Ok () ->
+      Obs.event ~kind:"oracle.cache"
+        ~attrs:(fun () ->
+          [
+            ("file", Obs.Json.Str file);
+            ("entries", Obs.Json.Int t.loaded);
+            ("stale", Obs.Json.Int t.stale);
+          ])
+        "load";
+      Ok ()
+  | Error e -> Error e
 
 let open_file ?(readonly = false) (file : string) : (t, string) result =
   let t = make ~readonly (Some file) in

@@ -27,10 +27,17 @@
     {b Tiers.} The in-memory store is mutex-protected and shared by
     every worker domain of a [--jobs] run: one worker's answer serves
     all. An optional backing file ([--oracle-cache FILE]) persists it
-    across runs as versioned JSONL with a checksum trailer, written
-    atomically (tmp+rename, the checkpoint idiom); {!open_file} rejects
-    corruption, truncation, and version skew with descriptive errors,
-    and a read-only mode serves shared warm caches without ever writing.
+    across runs as an {!Obs.Record_file} (versioned JSONL, checksum
+    trailer, atomic tmp+rename write); {!open_file} rejects corruption,
+    truncation, and version skew with descriptive errors, and a
+    read-only mode serves shared warm caches without ever writing.
+
+    {b Records.} The header is
+    [{"format":"kernelgpt-oracle-cache","version":1,"schema":1}]; each
+    record after it is one entry, in key order:
+    [{"key":K,"queries":Q,"tokens":T,"truncations":U,"errors":E,
+    "response":{...}}]. Int64 constants in a response are decimal
+    strings.
 
     Metrics: [oracle.cache.hits/misses/stale/flushes]. Trace events:
     [oracle.cache] (hit/miss/load/flush). *)
@@ -94,10 +101,9 @@ val store : t -> key:string -> subject:string -> entry -> unit
     cache hits, not oracle queries. *)
 val replay : Oracle.t -> entry -> Prompt.response
 
-(** Persist the store to its backing file: versioned JSONL, entries in
-    key order, checksum trailer, written atomically via tmp+rename. A
-    no-op (and [Ok]) when the cache is memory-only, read-only, or
-    clean. *)
+(** Persist the store to its backing file ({!Obs.Record_file.save},
+    entries in key order). A no-op (and [Ok]) when the cache is
+    memory-only, read-only, or clean; [Error] when the write fails. *)
 val flush : t -> (unit, string) result
 
 type stats = {

@@ -21,9 +21,10 @@
     their real throughput. Non-fuzzing tables (1, 2, fig 7,
     correctness) are simply never added.
 
-    The file is written atomically (temp file + [Sys.rename], like the
-    oracle answer cache) and parsed back before the rename: a torn or
-    malformed artifact is a hard error, never a silently corrupt one. *)
+    The file is written atomically ({!Obs.Record_file.write_atomic},
+    like checkpoints and the oracle answer cache) and parsed back before
+    the rename: a torn or malformed artifact is a hard error, never a
+    silently corrupt one. *)
 
 module J = Obs.Json
 
@@ -109,13 +110,4 @@ let write (t : t) ~(file : string) : unit =
   (match J.parse body with
   | Ok _ -> ()
   | Error e -> failwith (Printf.sprintf "Bench_json.write: emitted invalid JSON (%s)" e));
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc body;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp file
+  Obs.Record_file.write_atomic file body

@@ -397,22 +397,32 @@ if ! diff -u "$tmp/t4_u1.out" "$tmp/t4_u4.out"; then
 fi
 echo "OK: --sched ucb stop/resume matches, rejects uniform resume, jobs 1/4 identical"
 
-echo "== checkpoint version skew: descriptive rejection =="
-# A checkpoint from an older format (version 1: no scheduler state)
-# must be refused with an error that names both versions — never
-# misread as corruption or silently half-loaded.
-python3 - "$tmp/ck_ucb.jsonl" "$tmp/ck_v1.jsonl" <<'EOF'
-import sys
-# program payloads can hold raw non-UTF-8 bytes, so stay binary throughout
+# rechecksum SRC DST: copy checkpoint SRC to DST after running the
+# Python statements on stdin over `body_lines`, its records without the
+# checksum trailer, then append a fresh FNV-1a-64 trailer, so only the
+# loader's own checks can object to the edit. Records stay bytes:
+# program payloads can hold raw non-UTF-8 bytes.
+rechecksum() {
+  python3 -c '
+import json, sys
 lines = [l for l in open(sys.argv[1], "rb").read().split(b"\n") if l]
 body_lines = lines[:-1]  # drop the checksum record
-assert b'"version":2' in body_lines[0], b"unexpected header: " + body_lines[0]
-body_lines[0] = body_lines[0].replace(b'"version":2', b'"version":1')
+exec(sys.stdin.read())
 body = b"\n".join(body_lines) + b"\n"
 h = 0xcbf29ce484222325
 for c in body:
     h = ((h ^ c) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-open(sys.argv[2], "wb").write(body + b'{"checksum":"fnv1a64:%016x"}\n' % h)
+open(sys.argv[2], "wb").write(body + b"{\"checksum\":\"fnv1a64:%016x\"}\n" % h)
+' "$1" "$2"
+}
+
+echo "== checkpoint version skew: descriptive rejection =="
+# A checkpoint from an older format (version 1: no scheduler state)
+# must be refused with an error that names both versions — never
+# misread as corruption or silently half-loaded.
+rechecksum "$tmp/ck_ucb.jsonl" "$tmp/ck_v1.jsonl" <<'EOF'
+assert b'"version":2' in body_lines[0], b"unexpected header: " + body_lines[0]
+body_lines[0] = body_lines[0].replace(b'"version":2', b'"version":1')
 EOF
 if dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 \
      --checkpoint "$tmp/ck_v1.jsonl" --resume >/dev/null 2>"$tmp/skew.err"; then
@@ -432,21 +442,13 @@ echo "== checkpoint from another machine: out-of-range sid refused =="
 # --resume must refuse it with the CLI's error status and a message that
 # names the sid, never abort (134) or segfault (139); --resume-or-fresh
 # must fall back and print exactly the fresh campaign's report.
-python3 - "$tmp/ck.jsonl" "$tmp/ck_sid.jsonl" <<'EOF'
-import json, sys
-lines = [l for l in open(sys.argv[1], "rb").read().split(b"\n") if l]
-body_lines = lines[:-1]  # drop the checksum record
+rechecksum "$tmp/ck.jsonl" "$tmp/ck_sid.jsonl" <<'EOF'
 assert body_lines[3].startswith(b'{"coverage":['), b"unexpected record: " + body_lines[3][:40]
 cov = json.loads(body_lines[3])
 cov["coverage"].append(100000000)
 record = json.dumps(cov, separators=(",", ":")).encode()
 assert record.replace(b",100000000]", b"]") == body_lines[3], "coverage record did not round-trip"
 body_lines[3] = record
-body = b"\n".join(body_lines) + b"\n"
-h = 0xcbf29ce484222325
-for c in body:
-    h = ((h ^ c) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-open(sys.argv[2], "wb").write(body + b'{"checksum":"fnv1a64:%016x"}\n' % h)
 EOF
 status=0
 dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
@@ -476,18 +478,10 @@ echo "== checkpoint with an empty corpus ring: max_corpus 0 refused =="
 # value, never crash (125); --resume-or-fresh must run fresh.
 dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
   --checkpoint "$tmp/ck_mc.jsonl" --stop-after 1000 >/dev/null 2>&1
-python3 - "$tmp/ck_mc.jsonl" "$tmp/ck_mc0.jsonl" <<'EOF'
-import sys
-lines = [l for l in open(sys.argv[1], "rb").read().split(b"\n") if l]
-body_lines = lines[:-1]  # drop the checksum record
+rechecksum "$tmp/ck_mc.jsonl" "$tmp/ck_mc0.jsonl" <<'EOF'
 assert body_lines[1].count(b'"max_corpus":512,') == 1, b"unexpected record: " + body_lines[1][:80]
 body_lines[1] = body_lines[1].replace(b'"max_corpus":512,', b'"max_corpus":0,')
 body_lines = [l for l in body_lines if not l.startswith(b'{"corpus":')]
-body = b"\n".join(body_lines) + b"\n"
-h = 0xcbf29ce484222325
-for c in body:
-    h = ((h ^ c) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-open(sys.argv[2], "wb").write(body + b'{"checksum":"fnv1a64:%016x"}\n' % h)
 EOF
 status=0
 dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
@@ -509,6 +503,36 @@ if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_mc.out"; then
   exit 1
 fi
 echo "OK: max_corpus 0 fails --resume descriptively; --resume-or-fresh runs fresh"
+
+echo "== checkpoint with an oversized corpus ring: max_corpus 2^54 refused =="
+# One past Sys.max_array_length on 64-bit OCaml: the ring's Array.make
+# would raise Invalid_argument (exit 125). --resume must refuse it with
+# the CLI's error status and a message that names the value;
+# --resume-or-fresh must run fresh.
+rechecksum "$tmp/ck_mc.jsonl" "$tmp/ck_mc54.jsonl" <<'EOF'
+assert body_lines[1].count(b'"max_corpus":512,') == 1, b"unexpected record: " + body_lines[1][:80]
+body_lines[1] = body_lines[1].replace(b'"max_corpus":512,', b'"max_corpus":18014398509481984,')
+EOF
+status=0
+dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
+  --checkpoint "$tmp/ck_mc54.jsonl" --resume >/dev/null 2>"$tmp/mc54.err" || status=$?
+if [ "$status" -ne 124 ]; then
+  echo "FAIL: --resume of max_corpus 2^54 exited $status, not the CLI error status 124" >&2
+  cat "$tmp/mc54.err" >&2
+  exit 1
+fi
+if ! grep -q 'checkpoint max_corpus is 18014398509481984' "$tmp/mc54.err"; then
+  echo "FAIL: max_corpus 2^54 error is not descriptive:" >&2
+  cat "$tmp/mc54.err" >&2
+  exit 1
+fi
+dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
+  --checkpoint "$tmp/ck_mc54.jsonl" --resume-or-fresh 2>/dev/null | normalize_time > "$tmp/fuzz_mc54.out"
+if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_mc54.out"; then
+  echo "FAIL: --resume-or-fresh past max_corpus 2^54 differs from a fresh run" >&2
+  exit 1
+fi
+echo "OK: max_corpus 2^54 fails --resume descriptively; --resume-or-fresh runs fresh"
 
 echo "== pool fault injection: deterministic recovery, pass-through, quarantine =="
 # Worker-pool faults fire on a pure hash of (seed, label, attempt), so a

@@ -208,6 +208,10 @@ let test_rejects_corruption () =
     (file_with_header {|{"format":"kernelgpt-oracle-cache","version":99,"schema":1}|});
   expect_error "version skew" file "version 99"
 
+let test_directory_rejected () =
+  (* opening a directory succeeds; reading it fails *)
+  expect_error "directory" (Filename.get_temp_dir_name ()) "cannot read oracle cache"
+
 let test_schema_skew_drops_entries_as_stale () =
   with_tmp @@ fun file ->
   populated_file file;
@@ -283,6 +287,104 @@ let test_replay_accounting () =
   Alcotest.(check int) "truncations replayed" 2 o.Oracle.truncations;
   Alcotest.(check int) "errors replayed" 1 o.Oracle.injected_errors
 
+(* A hand-built cache whose entries reach every encoder arm: each
+   syzlang type constructor, width and direction, both composite kinds,
+   and every option field as None and as Some. *)
+let format_entries () =
+  let open Syzlang.Ast in
+  let field fname ftyp = { fname; ftyp } in
+  let all_types =
+    {
+      comp_name = "every_type";
+      comp_kind = Struct;
+      comp_fields =
+        [
+          field "a" (Int (I8, None));
+          field "b" (Int (I64, Some { lo = Int64.min_int; hi = Int64.max_int }));
+          field "c" (Const ({ const_name = Some "DM_VERSION"; const_value = None }, I32));
+          field "d" (Const ({ const_name = None; const_value = Some (-1L) }, Iptr));
+          field "e" (Flags ("open_flags", I16));
+          field "f" (Ptr (In, Struct_ref "dm_ioctl"));
+          field "g" (Ptr (Out, Array (Int (I8, None), Some 16)));
+          field "h" (Ptr (Inout, Array (Fd, None)));
+          field "i" (Buffer Out);
+          field "j" (String None);
+          field "k" (String (Some "/dev/mapper/control"));
+          field "l" (Len ("f", I32));
+          field "m" (Bytesize ("g", I64));
+          field "n" (Resource_ref "fd_dm");
+          field "o" (Union_ref "dm_u");
+          field "p" Fd;
+          field "q" Void;
+        ];
+    }
+  in
+  let union = { comp_name = "dm_u"; comp_kind = Union; comp_fields = [ field "x\"\n" Void ] } in
+  let some =
+    {
+      Prompt.r_idents =
+        [
+          {
+            Prompt.id_cmd = "DM_VERSION";
+            id_arg_type = Some "dm_ioctl";
+            id_arg_dir = Inout;
+            id_scalar_arg = false;
+            id_copy_size = Some 8;
+            id_values =
+              [ { const_name = Some "A"; const_value = Some Int64.max_int } ];
+          };
+        ];
+      r_types = [ all_types; union ];
+      r_unknown = [ { Prompt.u_name = "lookup_ioctl"; u_usage = "FUNC: x\tMODE: nr" } ];
+      r_nested_types = [ "dm_target_spec" ];
+      r_deps = [ { Prompt.dep_cmd = "KVM_CREATE_VM"; dep_ops = "kvm_vm_fops" } ];
+      r_device_paths = [ "/dev/mapper/control" ];
+      r_socket_triple = Some (2, 5, -1);
+      r_repaired = Some "DM_VERSION";
+    }
+  in
+  let none =
+    {
+      Prompt.empty_response with
+      Prompt.r_idents =
+        [
+          {
+            Prompt.id_cmd = "UBI_IOCATT";
+            id_arg_type = None;
+            id_arg_dir = In;
+            id_scalar_arg = true;
+            id_copy_size = None;
+            id_values = [];
+          };
+        ];
+      r_socket_triple = None;
+      r_repaired = None;
+    }
+  in
+  [
+    ( "00000000000000ff",
+      { Cache.e_response = some; e_queries = 2; e_tokens = 4096; e_truncations = 1; e_errors = 1 }
+    );
+    ( "0000000000000001",
+      { Cache.e_response = none; e_queries = 1; e_tokens = 0; e_truncations = 0; e_errors = 0 } );
+  ]
+
+let test_format_bytes_pinned () =
+  (* the MD5 pins the format itself: a refactor of the writer must
+     reproduce every byte *)
+  with_tmp @@ fun file ->
+  let cache = match Cache.open_file file with Ok c -> c | Error e -> Alcotest.fail e in
+  List.iter (fun (key, e) -> Cache.store cache ~key ~subject:"pin" e) (format_entries ());
+  (match Cache.flush cache with Ok () -> () | Error e -> Alcotest.fail e);
+  let back = match Cache.open_file file with Ok c -> c | Error e -> Alcotest.fail e in
+  List.iter
+    (fun (key, (e : Cache.entry)) ->
+      Alcotest.(check bool) ("entry " ^ key ^ " round-trips") true
+        (Cache.find back ~subject:"pin" key = Some e))
+    (format_entries ());
+  Alcotest.(check string) "cache bytes" "39df17709b282ff9380fdb830374b3e9"
+    (Digest.to_hex (Digest.file file))
+
 (* ------------------------------------------------------------------ *)
 (* Cold vs warm: the whole-pipeline identity contract.                 *)
 (* ------------------------------------------------------------------ *)
@@ -332,6 +434,32 @@ let cold_warm_identity =
       warm.Kernelgpt.Pipeline.o_queries = cold.Kernelgpt.Pipeline.o_queries
       && warm.Kernelgpt.Pipeline.o_tokens = cold.Kernelgpt.Pipeline.o_tokens
       && warm.Kernelgpt.Pipeline.o_valid = cold.Kernelgpt.Pipeline.o_valid)
+
+(* a real cache of a few modules' answers, as decoded records *)
+let cache_records =
+  lazy
+    (let entries = List.map Corpus.Registry.find_exn [ "ubi"; "posix_clock"; "btrfs_control" ] in
+     let machine = Vkernel.Machine.boot entries in
+     let kernel = machine.Vkernel.Machine.index in
+     with_tmp @@ fun file ->
+     let cache = match Cache.open_file file with Ok c -> c | Error e -> failwith e in
+     List.iter
+       (fun entry ->
+         ignore (run_pipeline ~cache ~knowledge:kernel ~profile:Profile.gpt4 entry kernel))
+       entries;
+     (match Cache.flush cache with Ok () -> () | Error e -> failwith e);
+     ( machine.Vkernel.Machine.n_sids,
+       Record_mutants.read ~format:"kernelgpt-oracle-cache" ~version:Cache.version file ))
+
+let qcheck_mutants_open_or_refuse =
+  QCheck.Test.make ~name:"mutated caches open or are refused" ~count:300
+    (Record_mutants.arbitrary ~downward:[] cache_records)
+    (fun (_, records) ->
+      with_tmp @@ fun file ->
+      Record_mutants.write file records;
+      match Cache.open_file file with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let test_warm_run_through_file () =
   (* the same contract across a process boundary: flush, reopen, rerun *)
@@ -398,8 +526,11 @@ let () =
         [
           t "store/flush/load round trip" test_round_trip;
           t "corruption rejected descriptively" test_rejects_corruption;
+          t "directory rejected" test_directory_rejected;
           t "schema skew drops entries as stale" test_schema_skew_drops_entries_as_stale;
           t "readonly never writes" test_readonly_never_writes;
+          t "format bytes pinned" test_format_bytes_pinned;
+          QCheck_alcotest.to_alcotest qcheck_mutants_open_or_refuse;
         ] );
       ("replay", [ t "accounting deltas" test_replay_accounting ]);
       ( "cold-vs-warm",

@@ -137,8 +137,9 @@ let test_resume_rejects_foreign_sids () =
   Alcotest.(check bool) "in-range resume is exact" true (finish snap = Fuzzer.Campaign.snapshot t)
 
 let test_resume_rejects_empty_corpus_ring () =
-  (* a corpus ring of size 0 would crash on the first fresh program:
-     resume must refuse it, naming the value *)
+  (* a corpus ring of size 0 would crash on the first fresh program, and
+     one past [Sys.max_array_length] inside [Array.make]: resume must
+     refuse both, naming the value *)
   let machine, spec = Lazy.force dm_ctx in
   let t = Fuzzer.Campaign.init ~seed:3 ~budget:300 ~machine spec in
   ignore (Fuzzer.Campaign.drive ~stop_after:100 t);
@@ -153,7 +154,28 @@ let test_resume_rejects_empty_corpus_ring () =
             (Printf.sprintf "%S names max_corpus %d" e max_corpus)
             true
             (contains e (Printf.sprintf "max_corpus is %d:" max_corpus)))
-    [ 0; -1 ]
+    [ 0; -1; 1 lsl 54 ]
+
+let test_resume_rejects_oversized_supervisor () =
+  (* the checkpoint's own health list bounds the supervisor's
+     allocation: 2^54 instances are refused by the length check, not
+     inside [Array.make] *)
+  let machine, spec = Lazy.force dm_ctx in
+  let t = Fuzzer.Campaign.init ~seed:3 ~budget:300 ~machine spec in
+  ignore (Fuzzer.Campaign.drive ~stop_after:100 t);
+  let snap = Fuzzer.Campaign.snapshot t in
+  Alcotest.(check int) "four health entries" 4 (List.length snap.sup_health);
+  let instances = 1 lsl 54 in
+  let bad =
+    { snap with Fuzzer.Checkpoint.supervisor = { snap.supervisor with instances } }
+  in
+  match Fuzzer.Campaign.of_snapshot ~machine spec bad with
+  | Ok _ -> Alcotest.failf "resume accepted %d executor instances" instances
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the health list and %d" e instances)
+        true
+        (contains e (Printf.sprintf "health has 4 instances, config expects %d" instances))
 
 let test_resume_on_warm_memo () =
   (* a resume whose init reuses this domain's prepared suite must finish
@@ -268,6 +290,124 @@ let test_wrong_version_rejected () =
 
 let test_missing_rejected () =
   expect_error ~substring:"cannot read" "/nonexistent/kgpt-checkpoint.jsonl"
+
+let test_directory_rejected () =
+  (* opening a directory succeeds; reading it fails *)
+  expect_error ~substring:"cannot read" (Filename.get_temp_dir_name ())
+
+(* ------------------------------------------------------------------ *)
+(* Bytes on disk                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A hand-built snapshot whose records reach every encoder arm: each
+   user-value and syscall-argument kind, int64 extremes, strings that
+   need escaping, an empty program, and a crash record. *)
+let format_snapshot working_str =
+  let open Vkernel.Value in
+  let open Vkernel.Machine in
+  let data =
+    U_struct
+      ( "dm_ioctl",
+        [
+          ("version", U_arr [ U_int 4L; U_int Int64.min_int; U_int Int64.max_int ]);
+          ("name", U_str "vol\"0\\\n\t\x01\xff");
+          ("next", U_null);
+          ("nested", U_struct ("inner", []));
+          ("empty", U_arr []);
+        ] )
+  in
+  let prog =
+    [
+      { c_name = "openat$dm"; c_args = [ P_int (-100L); P_str "/dev/mapper/control"; P_null ] };
+      { c_name = "ioctl$DM_VERSION"; c_args = [ P_result 0; P_int 0xc138fd00L; P_data data ] };
+    ]
+  in
+  {
+    Fuzzer.Checkpoint.spec_name = "dm";
+    seed = 3;
+    budget = 3000;
+    step_budget = 50_000;
+    max_corpus = 512;
+    supervisor = { Fuzzer.Supervisor.default with fault_rate = 7; fault_seed = -9 };
+    sched = Fuzzer.Schedule.Ucb;
+    rng_state = Int64.min_int;
+    executions = 1400;
+    evictions = 2;
+    working_str;
+    coverage = [ 0; 3; 17 ];
+    corpus = [ (prog, 4, 1); ([], 0, 0) ];
+    crashes = [ ("kmalloc bug in ctl_ioctl", prog, 812) ];
+    op_stats = [ (12, 2); (3, 0) ];
+    sched_totals = (40, 40);
+    sup_health = [ 0; 1; 0; 2 ];
+    sup_counters = (1, 2, 3, 4);
+  }
+
+let test_format_bytes_pinned () =
+  (* the MD5 of the two files pins the format itself: a refactor of the
+     writer must reproduce every byte *)
+  let saved =
+    List.map
+      (fun working_str ->
+        let snap = format_snapshot working_str in
+        let file = tmp_file () in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+          (fun () ->
+            Fuzzer.Checkpoint.save file snap;
+            (match Fuzzer.Checkpoint.load file with
+            | Ok back -> Alcotest.(check bool) "hand-built snapshot round-trips" true (back = snap)
+            | Error e -> Alcotest.fail e);
+            read_all file))
+      [ None; Some "vol\"0\n" ]
+  in
+  Alcotest.(check string) "checkpoint bytes" "1efcf85589039e3f00b530f7caaf0344"
+    (Digest.to_hex (Digest.string (String.concat "" saved)))
+
+(* ------------------------------------------------------------------ *)
+(* Semantic mutants                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* a real dm checkpoint, stopped mid-campaign, as decoded records *)
+let checkpoint_records =
+  lazy
+    (let machine, spec = Lazy.force dm_ctx in
+     let t = Fuzzer.Campaign.init ~seed:8 ~budget:400 ~machine spec in
+     ignore (Fuzzer.Campaign.drive ~stop_after:200 t);
+     let file = tmp_file () in
+     Fun.protect
+       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+       (fun () ->
+         Fuzzer.Checkpoint.save file (Fuzzer.Campaign.snapshot t);
+         ( machine.Vkernel.Machine.n_sids,
+           Record_mutants.read ~format:"kernelgpt-checkpoint" ~version:Fuzzer.Checkpoint.version
+             file )))
+
+(* Only an [Error] escapes the loader and [of_snapshot]; a checkpoint
+   they accept runs 50 more steps. *)
+let qcheck_mutants_resume_or_refuse =
+  QCheck.Test.make ~name:"mutated checkpoints resume or are refused" ~count:500
+    (Record_mutants.arbitrary ~downward:[ "budget"; "step_budget" ] checkpoint_records)
+    (fun (_, records) ->
+      let machine, spec = Lazy.force dm_ctx in
+      let file = tmp_file () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+        (fun () ->
+          Record_mutants.write file records;
+          match
+            match Fuzzer.Checkpoint.load file with
+            | Error _ -> ()
+            | Ok snap -> (
+                match Fuzzer.Campaign.of_snapshot ~machine spec snap with
+                | Error _ -> ()
+                | Ok t ->
+                    for _ = 1 to 50 do
+                      ignore (Fuzzer.Campaign.step t)
+                    done)
+          with
+          | () -> true
+          | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)
 (* Executor supervisor                                                 *)
@@ -391,6 +531,7 @@ let () =
           t "rejects foreign spec" test_resume_rejects_other_spec;
           t "rejects out-of-range sids" test_resume_rejects_foreign_sids;
           t "rejects an empty corpus ring" test_resume_rejects_empty_corpus_ring;
+          t "rejects an oversized supervisor" test_resume_rejects_oversized_supervisor;
           t "resume on a warm memo" test_resume_on_warm_memo;
         ] );
       ( "corruption",
@@ -400,6 +541,9 @@ let () =
           t "flipped byte" test_corrupted_rejected;
           t "wrong version" test_wrong_version_rejected;
           t "missing file" test_missing_rejected;
+          t "directory" test_directory_rejected;
+          t "format bytes pinned" test_format_bytes_pinned;
+          QCheck_alcotest.to_alcotest qcheck_mutants_resume_or_refuse;
         ] );
       ( "supervisor",
         [
