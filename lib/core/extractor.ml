@@ -6,7 +6,12 @@
     [ioctl] / [setsockopt] fields), locates the registration symbol the
     device name hides behind, and serves definition source text on
     demand (the [ExtractCode] of Algorithm 1). Ground-truth registry
-    metadata is never consulted. *)
+    metadata is never consulted.
+
+    As in the paper, the kernel is analysed once: {!kernel_module_index}
+    serves a module from the parse [Vkernel.Machine.boot] already made
+    of it. {!module_index} parses a source again; SyzDescribe, which is
+    given no kernel, uses it. *)
 
 type handler_info = {
   hi_ops_global : string;  (** the fops/proto_ops symbol *)
@@ -21,6 +26,20 @@ type handler_info = {
 let module_index (source : string) : Csrc.Index.t =
   let sid = ref 0 in
   Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"module.c" source)
+
+(** The module's own index over the booted [kernel]'s parse of it: the
+    shared header and the kernel file named {!Corpus.Types.module_file_name}.
+    It answers every lookup as {!module_index} [entry.source] does.
+    Raises [Invalid_argument] naming the module and the file when the
+    kernel was booted without [entry]. *)
+let kernel_module_index ~(kernel : Csrc.Index.t) (entry : Corpus.Types.entry) : Csrc.Index.t =
+  let path = Corpus.Types.module_file_name entry in
+  match List.find_opt (fun (f : Csrc.Ast.file) -> String.equal f.path path) kernel.files with
+  | Some f -> Csrc.Index.of_files [ Corpus.Headers.header; f ]
+  | None ->
+      invalid_arg
+        (Printf.sprintf "the kernel was booted without module %s: it has no file %s" entry.name
+           path)
 
 let handler_field_names =
   [

@@ -400,7 +400,8 @@ let socket_spec ~mode ~client ~stats ~(entry : Corpus.Types.entry) midx infos :
 (* ------------------------------------------------------------------ *)
 
 (** Generate a specification for one corpus module. Drivers and sockets
-    share the frame: extraction, a spec from [driver_spec] or [socket_spec],
+    share the frame: extraction from the booted [kernel]'s parse of the
+    module, a spec from [driver_spec] or [socket_spec],
     validate → repair → prune, and the outcome, stamped with the
     client's resilience deltas on every exit — failed ones included, so
     the report's fault accounting misses nothing. *)
@@ -443,7 +444,7 @@ let run ?(mode = Iterative) ?client ~(oracle : Oracle.t) ~(kernel : Csrc.Index.t
       ~attrs:(fun () -> [ ("entry", Obs.Json.Str entry.name) ])
       ~kind:"pipeline.stage" "extraction"
     @@ fun () ->
-    let midx = Extractor.module_index entry.source in
+    let midx = Extractor.kernel_module_index ~kernel entry in
     (midx, Extractor.extract midx)
   in
   let stats = Engine.new_stats () in

@@ -54,9 +54,14 @@ val prune :
   Syzlang.Ast.spec * Syzlang.Validate.error list
 
 (** Generate a specification for one corpus module (driver or socket).
-    All oracle traffic goes through [client] when given — fault
-    injection, retries, budgets (defaults to a pass-through around
-    [oracle], which leaves behavior and output bit-for-bit unchanged). *)
+    The module's definitions come from [kernel]'s own parse of it
+    ({!Extractor.kernel_module_index}); its source is not parsed again.
+    [kernel] must therefore be the index of a machine booted with
+    [entry] ([Vkernel.Machine.boot]); otherwise [Invalid_argument]
+    naming the module and its file is raised. All oracle traffic goes
+    through [client] when given — fault injection, retries, budgets
+    (defaults to a pass-through around [oracle], which leaves behavior
+    and output bit-for-bit unchanged). *)
 val run :
   ?mode:mode ->
   ?client:Client.t ->

@@ -43,6 +43,15 @@ type entry = {
   in_table6 : bool;
 }
 
+(** The file name a module's source is parsed under, which its locations
+    carry: [drivers/NAME.c] or [net/NAME.c]. [Vkernel.Machine.boot]
+    parses each module under it, and the extractor finds the module's
+    file in a booted kernel by it. *)
+let module_file_name (e : entry) =
+  match e.kind with
+  | Driver -> Printf.sprintf "drivers/%s.c" e.name
+  | Socket -> Printf.sprintf "net/%s.c" e.name
+
 let driver_entry ~name ?(display_name = name) ~source ~gt
     ?(loaded = true) ?(hw_required = false) ?existing_spec
     ?(in_table5 = false) () =

@@ -53,7 +53,8 @@ let empty () =
     ioc_by_nr_cache = ref None;
   }
 
-let add_file t (f : Ast.file) : t =
+(* Enter [f]'s declarations into [t]'s tables, in declaration order. *)
+let add_decls t (f : Ast.file) =
   List.iter
     (fun decl ->
       match decl with
@@ -89,12 +90,19 @@ let add_file t (f : Ast.file) : t =
       | Ast.D_macro md -> Hashtbl.replace t.macros md.macro_name md
       | Ast.D_typedef td -> Hashtbl.replace t.typedefs td.td_name td.td_type
       | Ast.D_global gd -> Hashtbl.replace t.globals gd.global_name gd)
-    f.decls;
+    f.decls
+
+let add_file t (f : Ast.file) : t =
+  add_decls t f;
   t.all_macro_values_cache := None;
   t.ioc_by_nr_cache := None;
   { t with files = t.files @ [ f ] }
 
-let of_files files = List.fold_left add_file (empty ()) files
+(* Folding {!add_file} would copy the file list once per file *)
+let of_files files =
+  let t = { (empty ()) with files } in
+  List.iter (add_decls t) files;
+  t
 
 let find_function t name = Hashtbl.find_opt t.functions name
 let find_composite t name = Hashtbl.find_opt t.composites name

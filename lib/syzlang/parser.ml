@@ -288,20 +288,21 @@ let rec parse_spec ~name (text : string) : Ast.spec =
   let syscalls = ref [] in
   let types = ref [] in
   let flag_sets = ref [] in
-  (* struct/union bodies span multiple lines *)
-  let pending : (string * Ast.comp_kind * Ast.field list ref) option ref = ref None in
+  (* struct/union bodies span multiple lines; the int is the line that
+     opened the body *)
+  let pending : (string * Ast.comp_kind * int * Ast.field list ref) option ref = ref None in
   List.iteri
     (fun lineno line ->
       let lineno = lineno + 1 in
       let toks = tokenize_line lineno line in
       match (!pending, toks) with
-      | Some (_, _, _), [] -> ()
-      | Some (cname, kind, fields), [ Rbrace ] | Some (cname, kind, fields), [ Rbracket ] ->
+      | Some _, [] -> ()
+      | Some (cname, kind, _, fields), [ Rbrace ] | Some (cname, kind, _, fields), [ Rbracket ] ->
           types :=
             { Ast.comp_name = cname; comp_kind = kind; comp_fields = List.rev !fields }
             :: !types;
           pending := None
-      | Some (_, _, fields), _ ->
+      | Some (_, _, _, fields), _ ->
           let c = { toks; line = lineno } in
           fields := parse_field c :: !fields
       | None, [] -> ()
@@ -312,8 +313,8 @@ let rec parse_spec ~name (text : string) : Ast.spec =
           let res_underlying = cident c in
           cexpect c Rbracket;
           resources := { Ast.res_name; res_underlying } :: !resources
-      | None, [ Ident cname; Lbrace ] -> pending := Some (cname, Ast.Struct, ref [])
-      | None, [ Ident cname; Lbracket ] -> pending := Some (cname, Ast.Union, ref [])
+      | None, [ Ident cname; Lbrace ] -> pending := Some (cname, Ast.Struct, lineno, ref [])
+      | None, [ Ident cname; Lbracket ] -> pending := Some (cname, Ast.Union, lineno, ref [])
       | None, Ident sname :: Equals :: rest ->
           let c = { toks = rest; line = lineno } in
           let rec values acc =
@@ -331,8 +332,8 @@ let rec parse_spec ~name (text : string) : Ast.spec =
       | None, _ -> raise (Error ("unexpected line", lineno)))
     lines;
   (match !pending with
-  | Some (cname, _, _) ->
-      raise (Error (Printf.sprintf "unterminated type definition %s" cname, 0))
+  | Some (cname, _, opened, _) ->
+      raise (Error (Printf.sprintf "unterminated type definition %s" cname, opened))
   | None -> ());
   let spec =
     {

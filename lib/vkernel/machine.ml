@@ -58,11 +58,6 @@ type t = {
   n_sids : int;  (** statement-id count, sizes coverage bitmaps *)
 }
 
-let module_file_name (e : Corpus.Types.entry) =
-  match e.kind with
-  | Corpus.Types.Driver -> Printf.sprintf "drivers/%s.c" e.name
-  | Corpus.Types.Socket -> Printf.sprintf "net/%s.c" e.name
-
 (** Boot the machine over the given corpus entries (normally the loaded
     ones). Parses every module into a single definition index, together
     with the shared header's AST, with globally unique statement ids. *)
@@ -73,7 +68,7 @@ let boot (entries : Corpus.Types.entry list) : t =
     List.map
       (fun (e : Corpus.Types.entry) ->
         let before = !sid in
-        let f = Csrc.Parser.parse_file ~file:(module_file_name e) ~sid e.source in
+        let f = Csrc.Parser.parse_file ~file:(Corpus.Types.module_file_name e) ~sid e.source in
         for s = before to !sid - 1 do
           Hashtbl.replace sid_module s e.name
         done;

@@ -64,10 +64,6 @@ type t = {
     globally unique statement ids, and register devices and sockets. *)
 val boot : Corpus.Types.entry list -> t
 
-(** The file name [boot] parses a module's source under, which its
-    locations carry: [drivers/NAME.c] or [net/NAME.c]. *)
-val module_file_name : Corpus.Types.entry -> string
-
 (** Which module a covered statement belongs to. *)
 val module_of_sid : t -> int -> string option
 

@@ -728,7 +728,7 @@ let registry_asts () =
   Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid:(ref 0) Corpus.Headers.kernel_h
   :: List.map
        (fun (e : Corpus.Types.entry) ->
-         Csrc.Parser.parse_file ~file:(Vkernel.Machine.module_file_name e) ~sid e.source)
+         Csrc.Parser.parse_file ~file:(Corpus.Types.module_file_name e) ~sid e.source)
        (Lazy.force Corpus.Registry.all)
 
 (* Every AST node, location and statement id the parser builds over the

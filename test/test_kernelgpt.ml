@@ -372,6 +372,69 @@ let test_extractor_socket_kind () =
         (List.mem_assoc "sendmsg" hi.hi_handlers)
   | _ -> Alcotest.fail "expected exactly one handler"
 
+(* [Pipeline.run] takes a module's index from the booted kernel's parse
+   of it; SyzDescribe still parses [entry.source], which stays the
+   reference. Over every registry entry, loaded or not, both indexes
+   must find the same handlers and serve the same text for every
+   definition the module makes. *)
+let test_kernel_index_matches_parse () =
+  let entries = Lazy.force Corpus.Registry.all in
+  let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
+  let snippet idx name =
+    Option.map (fun s -> s.Prompt.snip_text) (Kernelgpt.Extractor.snippet idx name)
+  in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      let booted = Kernelgpt.Extractor.kernel_module_index ~kernel e in
+      let parsed = Kernelgpt.Extractor.module_index e.source in
+      let infos = Kernelgpt.Extractor.extract booted in
+      let parsed_infos = Kernelgpt.Extractor.extract parsed in
+      let what w = e.name ^ ": " ^ w in
+      Alcotest.(check bool) (what "extract") true (infos = parsed_infos);
+      Alcotest.(check bool) (what "main_handler") true
+        (Kernelgpt.Extractor.main_handler infos = Kernelgpt.Extractor.main_handler parsed_infos);
+      Alcotest.(check string) (what "module_macros_snippet")
+        (Kernelgpt.Extractor.module_macros_snippet parsed).snip_text
+        (Kernelgpt.Extractor.module_macros_snippet booted).snip_text;
+      let defined =
+        List.filter_map
+          (function
+            | Csrc.Ast.D_func { fun_name = n; _ }
+            | Csrc.Ast.D_composite { comp_name = n; _ }
+            | Csrc.Ast.D_enum { enum_name = Some n; _ }
+            | Csrc.Ast.D_macro { macro_name = n; _ }
+            | Csrc.Ast.D_global { global_name = n; _ } ->
+                Some n
+            | Csrc.Ast.D_enum { enum_name = None; _ } | Csrc.Ast.D_typedef _ -> None)
+          (List.nth booted.Csrc.Index.files 1).decls
+      in
+      if defined = [] then Alcotest.failf "%s defines nothing" e.name;
+      List.iter
+        (fun n ->
+          Alcotest.(check (option string)) (what ("snippet " ^ n)) (snippet parsed n)
+            (snippet booted n);
+          (* macro values resolve through the shared header too *)
+          Alcotest.(check (option int64)) (what ("value of " ^ n))
+            (Csrc.Index.eval_macro parsed n) (Csrc.Index.eval_macro booted n))
+        defined)
+    entries
+
+(* A kernel booted without the module cannot serve it: the run names
+   the module instead of parsing its source behind the kernel's back. *)
+let test_kernel_without_module () =
+  let kernel = (Vkernel.Machine.boot [ Corpus.Registry.find_exn "dm" ]).Vkernel.Machine.index in
+  let oracle = Oracle.create ~knowledge:kernel () in
+  match Kernelgpt.Pipeline.run ~oracle ~kernel (Corpus.Registry.find_exn "cec") with
+  | _ -> Alcotest.fail "Pipeline.run served a module the kernel lacks"
+  | exception Invalid_argument msg ->
+      let has needle =
+        let n = String.length needle in
+        let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
+        go 0
+      in
+      if not (has "cec" && has "drivers/cec.c") then
+        Alcotest.failf "the error does not name the module and its file: %s" msg
+
 (* ------------------------------------------------------------------ *)
 (* Oracle query order                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -458,13 +521,13 @@ let test_query_order_rds () =
 (* ------------------------------------------------------------------ *)
 
 (* The pipeline alone over the 152 generation targets of the
-   whole-kernel boot, with a fresh oracle per pass; 9,676,696 words
+   whole-kernel boot, with a fresh oracle per pass; 7,854,342 words
    when pinned *)
 let test_pin_pipeline_run () =
   let entries = Corpus.Registry.loaded () in
   let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
   let targets = Report.Suites.generation_targets entries in
-  Alloc_pin.check ~bound:9_967_000.0
+  Alloc_pin.check ~bound:8_090_000.0
     (Alloc_pin.repeat_words (fun () ->
          let oracle = Oracle.create ~knowledge:kernel () in
          List.iter (fun e -> ignore (Kernelgpt.Pipeline.run ~oracle ~kernel e)) targets))
@@ -534,6 +597,8 @@ let () =
         [
           t "kvm handlers" test_extractor_finds_handlers;
           t "socket kind" test_extractor_socket_kind;
+          t "kernel index = parsed index" test_kernel_index_matches_parse;
+          t "kernel without the module" test_kernel_without_module;
         ] );
       ( "query-order",
         [

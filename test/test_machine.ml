@@ -459,10 +459,10 @@ let test_dispatch_pins () =
 
 (* Booting the whole kernel: the registry's loaded entries parsed
    against the shared header, which is parsed once per process, and
-   their dispatch tables built; 4,371,238 words when pinned *)
+   their dispatch tables built; 4,171,636 words when pinned *)
 let test_pin_boot () =
   let entries = Corpus.Registry.loaded () in
-  Alloc_pin.check ~bound:4_502_400.0 (Alloc_pin.repeat_words (fun () -> Machine.boot entries))
+  Alloc_pin.check ~bound:4_296_800.0 (Alloc_pin.repeat_words (fun () -> Machine.boot entries))
 
 let () =
   let t n f = Alcotest.test_case n `Quick f in

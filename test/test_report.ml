@@ -170,9 +170,9 @@ let test_module_suite_merges () =
 
 (* Building the shared context sequentially: the whole-kernel boot, then
    the KernelGPT pipeline and SyzDescribe over every generation target;
-   17,680,833 words when pinned *)
+   15,657,466 words when pinned *)
 let test_pin_suites_build () =
-  Alloc_pin.check ~bound:18_211_300.0
+  Alloc_pin.check ~bound:16_127_200.0
     (Alloc_pin.repeat_words (fun () -> Report.Suites.build ~jobs:1 ()))
 
 let () =

@@ -461,6 +461,110 @@ let qcheck_parse_never_crashes =
       | _ -> true
       | exception Syzlang.Parser.Error _ -> true)
 
+(* The manual specs and the pipeline's specs of every generation target,
+   printed *)
+let printed_specs =
+  lazy
+    (let entries = Corpus.Registry.loaded () in
+     let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
+     let oracle = Oracle.create ~knowledge:kernel () in
+     let generated =
+       List.filter_map
+         (fun e -> (Kernelgpt.Pipeline.run ~oracle ~kernel e).o_spec)
+         (Report.Suites.generation_targets entries)
+     in
+     let manual = List.filter_map Baseline.Syzkaller_specs.spec_of_entry entries in
+     Array.of_list (List.map Syzlang.Printer.spec_str (manual @ generated)))
+
+(* Tokens a mutant may put in place of one of the text's: the syntax's
+   punctuation and keywords, numbers at and past int64, and characters
+   the syntax lacks *)
+let replacement_tokens =
+  [| "{"; "}"; "["; "]"; "("; ")"; ","; "$"; "="; ":"; "-"; "#"; "\""; "?"; ""; "resource";
+     "fd"; "ptr"; "in"; "inout"; "const"; "flags"; "len"; "array"; "string"; "int8"; "intptr";
+     "0"; "-1"; "0x10"; "9223372036854775807"; "99999999999999999999"; "0xg"; "x y" |]
+
+(* One mutation of [text]: drop, duplicate or swap a line, cut the text
+   at a byte, or replace one token *)
+let mutate_text text =
+  let open QCheck.Gen in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  let join ls = String.concat "\n" ls in
+  let line_edit f = map (fun i -> join (List.concat (List.mapi (f i) (Array.to_list lines)))) in
+  let swap i j =
+    let ls = Array.copy lines in
+    ls.(i) <- lines.(j);
+    ls.(j) <- lines.(i);
+    join (Array.to_list ls)
+  in
+  (* a token is a run of word characters or one other visible character *)
+  let is_word c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+  in
+  let starts =
+    List.filter
+      (fun i ->
+        let c = text.[i] in
+        c <> ' ' && c <> '\t' && c <> '\n' && not (i > 0 && is_word c && is_word text.[i - 1]))
+      (List.init (String.length text) Fun.id)
+    |> Array.of_list
+  in
+  let replace k r =
+    let i = starts.(k) in
+    let j = ref (i + 1) in
+    if is_word text.[i] then
+      while !j < String.length text && is_word text.[!j] do
+        incr j
+      done;
+    String.sub text 0 i ^ replacement_tokens.(r) ^ String.sub text !j (String.length text - !j)
+  in
+  let any_line = int_bound (n - 1) in
+  frequency
+    ([
+       (2, line_edit (fun i k l -> if k = i then [] else [ l ]) any_line);
+       (2, line_edit (fun i k l -> if k = i then [ l; l ] else [ l ]) any_line);
+       (2, map2 swap any_line any_line);
+       (1, map (fun k -> String.sub text 0 k) (int_bound (String.length text)));
+     ]
+    @
+    if starts = [||] then []
+    else
+      [
+        ( 3,
+          map2 replace
+            (int_bound (Array.length starts - 1))
+            (int_bound (Array.length replacement_tokens - 1)) );
+      ])
+
+(* Only the parser's own error may escape a mutated printed spec, and it
+   names a line the text has *)
+let qcheck_mutated_specs_fail_located =
+  let gen =
+    QCheck.Gen.(
+      delay (fun () ->
+          let specs = Lazy.force printed_specs in
+          let* i = int_bound (Array.length specs - 1) in
+          let* rounds = int_range 1 3 in
+          let rec go k text = if k = 0 then return text else mutate_text text >>= go (k - 1) in
+          go rounds specs.(i)))
+  in
+  QCheck.Test.make ~name:"mutated printed specs fail at a line" ~count:1000
+    (QCheck.make ~print:Fun.id gen) (fun text ->
+      let lines = List.length (String.split_on_char '\n' text) in
+      match Syzlang.Parser.parse_spec ~name:"mutant" text with
+      | _ -> true
+      | exception Syzlang.Parser.Error (msg, line) ->
+          if line < 1 || line > lines then
+            QCheck.Test.fail_reportf "%S at line %d of a %d-line text" msg line lines
+          else true)
+
+let test_unterminated_type_line () =
+  match parse "resource fd_x[fd]\nfoo {\n  a int32\n" with
+  | _ -> Alcotest.fail "an unterminated struct parsed"
+  | exception Syzlang.Parser.Error (msg, line) ->
+      Alcotest.(check (pair string int)) "error" ("unterminated type definition foo", 2) (msg, line)
+
 let qcheck_printer_parser_stable =
   (* printing a randomly assembled well-formed spec and reparsing keeps
      the syscall count *)
@@ -510,6 +614,8 @@ let () =
           t "union resolution" test_union_resolution;
           t "resource resolution" test_resource_resolution;
           QCheck_alcotest.to_alcotest qcheck_parse_never_crashes;
+          t "unterminated type line" test_unterminated_type_line;
+          QCheck_alcotest.to_alcotest qcheck_mutated_specs_fail_located;
           QCheck_alcotest.to_alcotest qcheck_printer_parser_stable;
         ] );
       ( "validate",
