@@ -160,7 +160,8 @@ let module_macros_snippet (idx : Csrc.Index.t) : Prompt.snippet =
           (fun d ->
             match d with
             | Csrc.Ast.D_macro m when m.macro_body <> [] ->
-                Buffer.add_string buf (Csrc.Pretty.macro_str m ^ "\n")
+                Csrc.Pretty.add_macro buf m;
+                Buffer.add_char buf '\n'
             | _ -> ())
           f.decls)
     idx.Csrc.Index.files;

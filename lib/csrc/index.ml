@@ -10,6 +10,13 @@
 (** Constant value of a bare identifier, memoized per index. *)
 type ident_const = C_int of int64 | C_str of string | C_none
 
+(** An index is built once, by {!of_files}, and never changes after
+    that. Its tables start at 16 buckets and grow, so an index costs
+    what it holds. No output may depend on their bucket counts: every
+    enumeration ({!all_functions}, {!all_globals}, {!all_composites},
+    {!all_macros}, {!all_macro_values}) walks the names in the order of
+    their first declaration, each once, with the definition its table
+    kept, and no code outside this module iterates a table. *)
 type t = {
   files : Ast.file list;
   functions : (string, Ast.func_def) Hashtbl.t;
@@ -19,6 +26,12 @@ type t = {
   macros : (string, Ast.macro_def) Hashtbl.t;
   typedefs : (string, Ast.ctype) Hashtbl.t;
   globals : (string, Ast.global_def) Hashtbl.t;
+  (* the names of [functions], [composites], [macros] and [globals], each
+     once, latest first declaration first *)
+  function_names : string list;
+  composite_names : string list;
+  macro_names : string list;
+  global_names : string list;
   macro_value_cache : (string, int64 option) Hashtbl.t;
       (** memoized macro evaluations — case labels re-evaluate their
           macros on every switch execution otherwise *)
@@ -33,76 +46,74 @@ type t = {
           [all_macro_values_cache] *)
 }
 
-let empty () =
+let of_files files =
+  let functions = Hashtbl.create 16 and composites = Hashtbl.create 16 in
+  let enums_by_item = Hashtbl.create 16 and enum_defs = Hashtbl.create 16 in
+  let macros = Hashtbl.create 16 and typedefs = Hashtbl.create 16 in
+  let globals = Hashtbl.create 16 in
+  let function_names = ref [] and composite_names = ref [] in
+  let macro_names = ref [] and global_names = ref [] in
+  (* a later declaration of a name replaces the definition, not its place *)
+  let enter tbl names name v =
+    if not (Hashtbl.mem tbl name) then names := name :: !names;
+    Hashtbl.replace tbl name v
+  in
+  List.iter
+    (fun (f : Ast.file) ->
+      List.iter
+        (fun decl ->
+          match decl with
+          | Ast.D_func fd -> (
+              match Hashtbl.find_opt functions fd.fun_name with
+              (* a definition with a body wins over a forward declaration *)
+              | Some (kept : Ast.func_def) when kept.fun_body <> [] && fd.fun_body = [] -> ()
+              | _ -> enter functions function_names fd.fun_name fd)
+          | Ast.D_composite cd -> enter composites composite_names cd.comp_name cd
+          | Ast.D_enum ed ->
+              (match ed.enum_name with
+              | Some n -> Hashtbl.replace enum_defs n ed
+              | None -> ());
+              (* enum items without explicit values count up from the last one *)
+              let counter = ref 0L in
+              List.iter
+                (fun item ->
+                  (match item.Ast.item_value with
+                  | Some (Ast.Const_int v) -> counter := v
+                  | Some _ -> ()
+                  | None -> ());
+                  let value =
+                    match item.Ast.item_value with
+                    | Some e -> e
+                    | None -> Ast.Const_int !counter
+                  in
+                  Hashtbl.replace enums_by_item item.Ast.item_name value;
+                  counter := Int64.add !counter 1L)
+                ed.items
+          | Ast.D_macro md -> enter macros macro_names md.macro_name md
+          | Ast.D_typedef td -> Hashtbl.replace typedefs td.td_name td.td_type
+          | Ast.D_global gd -> enter globals global_names gd.global_name gd)
+        f.decls)
+    files;
   {
-    files = [];
-    functions = Hashtbl.create 256;
-    composites = Hashtbl.create 256;
-    enums_by_item = Hashtbl.create 256;
-    enum_defs = Hashtbl.create 64;
-    macros = Hashtbl.create 512;
-    typedefs = Hashtbl.create 64;
-    globals = Hashtbl.create 128;
-    (* the two memo tables are only probed, never iterated, so their bucket
-       count cannot reach the output; starting small keeps every module and
-       prompt index off the major heap. The tables above keep their sizes:
-       their [Hashtbl.fold] order does reach it. *)
+    files;
+    functions;
+    composites;
+    enums_by_item;
+    enum_defs;
+    macros;
+    typedefs;
+    globals;
+    function_names = !function_names;
+    composite_names = !composite_names;
+    macro_names = !macro_names;
+    global_names = !global_names;
     macro_value_cache = Hashtbl.create 16;
     ident_cache = Hashtbl.create 16;
     all_macro_values_cache = ref None;
     ioc_by_nr_cache = ref None;
   }
 
-(* Enter [f]'s declarations into [t]'s tables, in declaration order. *)
-let add_decls t (f : Ast.file) =
-  List.iter
-    (fun decl ->
-      match decl with
-      | Ast.D_func fd ->
-          (* a definition with a body wins over a forward declaration *)
-          let keep =
-            match Hashtbl.find_opt t.functions fd.fun_name with
-            | Some existing -> existing.fun_body <> [] && fd.fun_body = []
-            | None -> false
-          in
-          if not keep then Hashtbl.replace t.functions fd.fun_name fd
-      | Ast.D_composite cd -> Hashtbl.replace t.composites cd.comp_name cd
-      | Ast.D_enum ed ->
-          (match ed.enum_name with
-          | Some n -> Hashtbl.replace t.enum_defs n ed
-          | None -> ());
-          (* enum items without explicit values count up from the last one *)
-          let counter = ref 0L in
-          List.iter
-            (fun item ->
-              (match item.Ast.item_value with
-              | Some (Ast.Const_int v) -> counter := v
-              | Some _ -> ()
-              | None -> ());
-              let value =
-                match item.Ast.item_value with
-                | Some e -> e
-                | None -> Ast.Const_int !counter
-              in
-              Hashtbl.replace t.enums_by_item item.Ast.item_name value;
-              counter := Int64.add !counter 1L)
-            ed.items
-      | Ast.D_macro md -> Hashtbl.replace t.macros md.macro_name md
-      | Ast.D_typedef td -> Hashtbl.replace t.typedefs td.td_name td.td_type
-      | Ast.D_global gd -> Hashtbl.replace t.globals gd.global_name gd)
-    f.decls
-
-let add_file t (f : Ast.file) : t =
-  add_decls t f;
-  t.all_macro_values_cache := None;
-  t.ioc_by_nr_cache := None;
-  { t with files = t.files @ [ f ] }
-
-(* Folding {!add_file} would copy the file list once per file *)
-let of_files files =
-  let t = { (empty ()) with files } in
-  List.iter (add_decls t) files;
-  t
+let empty () = of_files []
 
 let find_function t name = Hashtbl.find_opt t.functions name
 let find_composite t name = Hashtbl.find_opt t.composites name
@@ -111,6 +122,7 @@ let find_global t name = Hashtbl.find_opt t.globals name
 let find_typedef t name = Hashtbl.find_opt t.typedefs name
 let find_enum_item t name = Hashtbl.find_opt t.enums_by_item name
 
+(* the parser takes these as a set, so their order reaches no output *)
 let typedef_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.typedefs []
 
 (* ------------------------------------------------------------------ *)
@@ -330,7 +342,29 @@ let eval_macro t name =
       Hashtbl.replace t.macro_value_cache name v;
       v
 
-(** All macros of this index that evaluate to an integer constant.
+(* [names] is latest first; the definitions come out in first-declaration
+   order *)
+let in_declaration_order tbl names = List.rev_map (Hashtbl.find tbl) names
+
+(** Every function, each once, in the order of its first declaration,
+    with the definition the index kept: one with a body over a forward
+    declaration, else the last. *)
+let all_functions t = in_declaration_order t.functions t.function_names
+
+(** Every struct and union, each once, in the order of its first
+    declaration, with its last definition. *)
+let all_composites t = in_declaration_order t.composites t.composite_names
+
+(** Every global, each once, in the order of its first declaration,
+    with its last definition. *)
+let all_globals t = in_declaration_order t.globals t.global_names
+
+(** Every macro, each once, in the order of its first definition, with
+    its last definition. *)
+let all_macros t = in_declaration_order t.macros t.macro_names
+
+(** All macros of this index that evaluate to an integer constant, each
+    once, in the order of its first definition ({!all_macros}).
     Memoized per index (definitions never change after indexing), so
     worker domains — each owning its own index — never contend on a
     shared slot, and two indexes used alternately keep their own
@@ -340,10 +374,10 @@ let all_macro_values t : (string * int64) list =
   | Some vs -> vs
   | None ->
       let vs =
-        Hashtbl.fold
-          (fun name _ acc ->
+        List.fold_left
+          (fun acc name ->
             match eval_macro t name with Some v -> (name, v) :: acc | None -> acc)
-          t.macros []
+          [] t.macro_names
       in
       t.all_macro_values_cache := Some vs;
       vs
@@ -450,10 +484,6 @@ let defining_file t (name : string) : string option =
         Some f.Ast.path
       else None)
     t.files
-
-let all_functions t = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.functions []
-let all_composites t = Hashtbl.fold (fun _ cd acc -> cd :: acc) t.composites []
-let all_globals t = Hashtbl.fold (fun _ gd acc -> gd :: acc) t.globals []
 
 let stats t =
   ( Hashtbl.length t.functions,

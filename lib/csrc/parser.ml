@@ -464,8 +464,6 @@ and parse_primary st =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let mk_stmt st node = { Ast.sid = fresh_sid st; sloc = loc st; node }
-
 let rec parse_stmt st : Ast.stmt =
   let l = loc st in
   let mk node = { Ast.sid = fresh_sid st; sloc = l; node } in
@@ -925,4 +923,3 @@ let expr_of_tokens ?(extra_typedefs = []) (toks : Token.t list) : Ast.expr =
   List.iter (fun n -> Hashtbl.replace st.typedefs n ()) extra_typedefs;
   parse_expr st
 
-let _ = mk_stmt (* silence unused warning helper *)

@@ -100,10 +100,6 @@ let maybe_corrupt_type (o : t) ~(subject : string) (cd : Syzlang.Ast.comp_def) :
 (* Task implementations                                                *)
 (* ------------------------------------------------------------------ *)
 
-let is_scalar_copy_size = function 1 | 2 | 4 | 8 -> true | _ -> false
-
-let _ = is_scalar_copy_size
-
 (** Identifier deduction for one handler function. *)
 let run_identifier (o : t) (local : Analysis.local) ~(handler_fn : string)
     ~(usage : string list) : Prompt.response =
@@ -450,15 +446,15 @@ let run_socket_triple (_o : t) (local : Analysis.local) ~(ops_symbol : string) :
         String.length s >= String.length p && String.sub s 0 (String.length p) = p
       in
       let proto =
-        Hashtbl.fold
-          (fun name _ acc ->
-            if acc <> None then acc
-            else if
+        List.find_map
+          (fun (md : Csrc.Ast.macro_def) ->
+            let name = md.macro_name in
+            if
               has_prefix "BTPROTO_" name || has_prefix "IPPROTO_" name
               || has_prefix "PX_PROTO_" name
             then Option.map Int64.to_int (Csrc.Index.eval_macro local.index name)
-            else acc)
-          local.index.Csrc.Index.macros None
+            else None)
+          (Csrc.Index.all_macros local.index)
       in
       let proto = Option.value proto ~default:0 in
       (* the socket type is pre-training knowledge a mid-size model may

@@ -998,11 +998,12 @@ let of_index (index : Csrc.Index.t) : t =
     { st = Interp.create ~index (); slots = [||]; fn = "__never_run" }
   in
   let eng = { index; funs = Stbl.create 256; ginits = Stbl.create 256; dummy_env } in
-  Hashtbl.iter
-    (fun name g -> Stbl.replace eng.ginits name (compile_ginit eng g))
-    index.Csrc.Index.globals;
-  Hashtbl.iter
-    (fun name (fd : Csrc.Ast.func_def) ->
-      if fd.Csrc.Ast.fun_body <> [] then Stbl.replace eng.funs name (compile_fun eng name fd))
-    index.Csrc.Index.functions;
+  List.iter
+    (fun (g : Csrc.Ast.global_def) ->
+      Stbl.replace eng.ginits g.global_name (compile_ginit eng g))
+    (Csrc.Index.all_globals index);
+  List.iter
+    (fun (fd : Csrc.Ast.func_def) ->
+      if fd.fun_body <> [] then Stbl.replace eng.funs fd.fun_name (compile_fun eng fd.fun_name fd))
+    (Csrc.Index.all_functions index);
   eng

@@ -48,11 +48,17 @@ if ! diff -u "$tmp/all_seq.out" "$tmp/all_par.out"; then
 fi
 echo "OK: report all --jobs 4 output is byte-identical to --jobs 1"
 
-echo "== forced minor collections: table1 collects as often as it allocates =="
+echo "== forced minor collections and direct major-heap words: table1 =="
 # With a 256k-word minor heap, a run needs one minor collection per
 # 262,144 minor words. An [Array.of_list] or [Array.make] of more than
 # 256 young values forces an extra one, promoting everything live: it
 # costs time but no words, so the word pins in dune runtest miss it.
+# A block of more than 256 words is allocated straight into the major
+# heap, where no minor-word count sees it either: the direct major-heap
+# words (major_words - promoted_words) may stay at most 1.1 x the
+# 678,427 that table1 allocates there at --jobs 1, where the count is
+# deterministic. (A 512-bucket macro table in every definition index
+# reads 1,286,845.)
 # This covers the CLI's set-up (boot, Suites.build), which the unit
 # tests' collection checks do not reach. The binary runs directly so
 # that the runtime's exit report (v=0x400) is its own, not dune's.
@@ -69,6 +75,17 @@ if ! awk '/^minor_words:/ { w = $2 } /^minor_collections:/ { c = $2 }
   exit 1
 fi
 echo "OK: report table1 runs no forced minor collections"
+if ! awk '/^promoted_words:/ { p = $2 } /^major_words:/ { m = $2 }
+    END {
+      if (p == "" || m == "") { print "no GC report on stderr"; exit 1 }
+      limit = 1.1 * 678427
+      printf "%d direct major-heap words (limit %d)\n", m - p, limit
+      exit (m - p > limit)
+    }' "$tmp/gc.err"; then
+  echo "FAIL: report table1 allocates too much straight into the major heap" >&2
+  exit 1
+fi
+echo "OK: report table1's direct major-heap words are within their bound"
 
 echo "== traced run: stdout unchanged, JSONL valid =="
 # Tracing and metrics must not leak into stdout, and the emitted trace

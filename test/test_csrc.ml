@@ -302,6 +302,59 @@ let test_extract_source () =
       Alcotest.(check bool) "struct source has data_size" true (contains src "data_size")
   | None -> Alcotest.fail "dm_ioctl source missing"
 
+(* Enumerations walk declarations in source order: each name once, at
+   its first declaration, with the definition its table kept. A later
+   definition replaces an earlier one but keeps its place; for functions
+   a definition with a body wins over a forward declaration. *)
+let test_enumeration_order () =
+  let idx =
+    index_of
+      {|struct b { int x; };
+int g2;
+#define M2 2
+int f2(void);
+struct a { int y; };
+int g1 = 1;
+#define M1 1
+int f1(void) { return 1; }
+int f2(void) { return 2; }
+int f1(void);
+struct b { long z; };
+int g2 = 5;
+#define M2 3
+#define S "str"
+|}
+  in
+  let check_kept what find name_of expect defs =
+    Alcotest.(check (list string)) (what ^ " order") expect (List.map name_of defs);
+    List.iter
+      (fun d ->
+        match find idx (name_of d) with
+        | Some kept when kept == d -> ()
+        | _ -> Alcotest.failf "%s %s is not the table's definition" what (name_of d))
+      defs
+  in
+  let fns = Csrc.Index.all_functions idx in
+  check_kept "function" Csrc.Index.find_function
+    (fun (fd : Csrc.Ast.func_def) -> fd.fun_name) [ "f2"; "f1" ] fns;
+  List.iter
+    (fun (fd : Csrc.Ast.func_def) ->
+      if fd.fun_body = [] then Alcotest.failf "%s kept its forward declaration" fd.fun_name)
+    fns;
+  let comps = Csrc.Index.all_composites idx in
+  check_kept "composite" Csrc.Index.find_composite
+    (fun (cd : Csrc.Ast.composite_def) -> cd.comp_name) [ "b"; "a" ] comps;
+  Alcotest.(check (list string)) "struct b's last definition" [ "z" ]
+    (List.map (fun (f : Csrc.Ast.field) -> f.field_name) (List.hd comps).fields);
+  check_kept "global" Csrc.Index.find_global
+    (fun (gd : Csrc.Ast.global_def) -> gd.global_name) [ "g2"; "g1" ]
+    (Csrc.Index.all_globals idx);
+  check_kept "macro" Csrc.Index.find_macro
+    (fun (md : Csrc.Ast.macro_def) -> md.macro_name) [ "M2"; "M1"; "S" ]
+    (Csrc.Index.all_macros idx);
+  Alcotest.(check (list (pair string int64))) "macro values" [ ("M2", 3L); ("M1", 1L) ]
+    (Csrc.Index.all_macro_values idx)
+
 (* ------------------------------------------------------------------ *)
 (* Lexer differential                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -756,6 +809,337 @@ let test_parse_forces_no_collection () =
     Alcotest.failf "%d of %d corpus sources forced a minor collection while parsing" forced
       (Array.length sources)
 
+(* ------------------------------------------------------------------ *)
+(* Printer differential                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The printer that assembled each rendering from [Printf.sprintf], [^]
+   and [String.concat], kept as the reference oracle of the one-buffer
+   printer: every rendering must be byte-identical. *)
+module Reference_pretty = struct
+  open Csrc
+
+  let rec type_prefix = function
+    | Ast.Void -> "void"
+    | Ast.Bool -> "bool"
+    | Ast.Int { signed = true; width = 8 } -> "char"
+    | Ast.Int { signed = true; width = 16 } -> "short"
+    | Ast.Int { signed = true; width = 32 } -> "int"
+    | Ast.Int { signed = true; width = 64 } -> "long"
+    | Ast.Int { signed = false; width = 8 } -> "unsigned char"
+    | Ast.Int { signed = false; width = 16 } -> "unsigned short"
+    | Ast.Int { signed = false; width = 32 } -> "unsigned int"
+    | Ast.Int { signed = false; width = 64 } -> "unsigned long"
+    | Ast.Int { signed; width } ->
+        Printf.sprintf "%s%d_t" (if signed then "int" else "uint") width
+    | Ast.Named n -> n
+    | Ast.Ptr t -> type_prefix t ^ " *"
+    | Ast.Array (t, _) -> type_prefix t
+    | Ast.Struct_ref n -> "struct " ^ n
+    | Ast.Union_ref n -> "union " ^ n
+    | Ast.Enum_ref n -> "enum " ^ n
+    | Ast.Func_ptr (ret, args) ->
+        Printf.sprintf "%s (*)(%s)" (type_prefix ret)
+          (String.concat ", " (List.map type_prefix args))
+
+  let type_suffix = function
+    | Ast.Array (_, Some 0) -> "[]"
+    | Ast.Array (_, Some n) -> Printf.sprintf "[%d]" n
+    | Ast.Array (_, None) -> "[]"
+    | _ -> ""
+
+  let unop_str = function Ast.Neg -> "-" | Ast.Not -> "!" | Ast.Bit_not -> "~"
+
+  let binop_str = function
+    | Ast.Add -> "+"
+    | Ast.Sub -> "-"
+    | Ast.Mul -> "*"
+    | Ast.Div -> "/"
+    | Ast.Mod -> "%"
+    | Ast.Shl -> "<<"
+    | Ast.Shr -> ">>"
+    | Ast.Band -> "&"
+    | Ast.Bor -> "|"
+    | Ast.Bxor -> "^"
+    | Ast.Land -> "&&"
+    | Ast.Lor -> "||"
+    | Ast.Eq -> "=="
+    | Ast.Ne -> "!="
+    | Ast.Lt -> "<"
+    | Ast.Le -> "<="
+    | Ast.Gt -> ">"
+    | Ast.Ge -> ">="
+
+  let escape_c_string s =
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let rec expr_str (e : Ast.expr) : string =
+    match e with
+    | Ast.Const_int v ->
+        if Int64.compare v 4096L > 0 then Printf.sprintf "0x%Lx" v else Int64.to_string v
+    | Ast.Const_char c -> Printf.sprintf "'%c'" c
+    | Ast.Const_str s -> Printf.sprintf "\"%s\"" (escape_c_string s)
+    | Ast.Ident s -> s
+    | Ast.Unop (op, a) -> Printf.sprintf "%s%s" (unop_str op) (atom a)
+    | Ast.Binop (op, a, b) ->
+        Printf.sprintf "%s %s %s" (atom a) (binop_str op) (atom b)
+    | Ast.Assign (a, b) -> Printf.sprintf "%s = %s" (expr_str a) (expr_str b)
+    | Ast.Call (f, args) ->
+        Printf.sprintf "%s(%s)" f (String.concat ", " (List.map expr_str args))
+    | Ast.Member (a, f) -> Printf.sprintf "%s.%s" (atom a) f
+    | Ast.Arrow (a, f) -> Printf.sprintf "%s->%s" (atom a) f
+    | Ast.Index (a, i) -> Printf.sprintf "%s[%s]" (atom a) (expr_str i)
+    | Ast.Cast (ty, a) -> Printf.sprintf "(%s)%s" (type_prefix ty) (atom a)
+    | Ast.Sizeof_type ty -> Printf.sprintf "sizeof(%s)" (type_prefix ty)
+    | Ast.Sizeof_expr a -> Printf.sprintf "sizeof(%s)" (expr_str a)
+    | Ast.Ternary (c, t, f) ->
+        Printf.sprintf "%s ? %s : %s" (atom c) (expr_str t) (expr_str f)
+    | Ast.Addr_of a -> Printf.sprintf "&%s" (atom a)
+    | Ast.Deref a -> Printf.sprintf "*%s" (atom a)
+    | Ast.Type_arg ty -> type_prefix ty
+
+  and atom e =
+    match e with
+    | Ast.Const_int _ | Ast.Const_char _ | Ast.Const_str _ | Ast.Ident _ | Ast.Call _
+    | Ast.Member _ | Ast.Arrow _ | Ast.Index _ | Ast.Sizeof_type _ | Ast.Sizeof_expr _
+    | Ast.Type_arg _ ->
+        expr_str e
+    | _ -> "(" ^ expr_str e ^ ")"
+
+  let indent n = String.make (n * 2) ' '
+
+  let rec stmt_lines lvl (s : Ast.stmt) : string list =
+    let pad = indent lvl in
+    match s.node with
+    | Ast.Expr_stmt e -> [ pad ^ expr_str e ^ ";" ]
+    | Ast.Decl_stmt (ty, name, init) ->
+        let init_s = match init with Some e -> " = " ^ expr_str e | None -> "" in
+        [ Printf.sprintf "%s%s %s%s%s;" pad (type_prefix ty) name (type_suffix ty) init_s ]
+    | Ast.If (c, t, e) ->
+        let head = Printf.sprintf "%sif (%s) {" pad (expr_str c) in
+        let body = List.concat_map (stmt_lines (lvl + 1)) t in
+        let tail =
+          match e with
+          | None -> [ pad ^ "}" ]
+          | Some e ->
+              (pad ^ "} else {") :: (List.concat_map (stmt_lines (lvl + 1)) e @ [ pad ^ "}" ])
+        in
+        (head :: body) @ tail
+    | Ast.Switch (c, cases) ->
+        let head = Printf.sprintf "%sswitch (%s) {" pad (expr_str c) in
+        let case_lines case =
+          let labels =
+            List.map
+              (function
+                | Ast.Case e -> Printf.sprintf "%scase %s:" pad (expr_str e)
+                | Ast.Default -> pad ^ "default:")
+              case.Ast.labels
+          in
+          labels @ List.concat_map (stmt_lines (lvl + 1)) case.Ast.case_body
+        in
+        (head :: List.concat_map case_lines cases) @ [ pad ^ "}" ]
+    | Ast.While (c, b) ->
+        (Printf.sprintf "%swhile (%s) {" pad (expr_str c)
+        :: List.concat_map (stmt_lines (lvl + 1)) b)
+        @ [ pad ^ "}" ]
+    | Ast.Do_while (b, c) ->
+        ((pad ^ "do {") :: List.concat_map (stmt_lines (lvl + 1)) b)
+        @ [ Printf.sprintf "%s} while (%s);" pad (expr_str c) ]
+    | Ast.For (i, c, u, b) ->
+        let opt = function Some e -> expr_str e | None -> "" in
+        (Printf.sprintf "%sfor (%s; %s; %s) {" pad (opt i) (opt c) (opt u)
+        :: List.concat_map (stmt_lines (lvl + 1)) b)
+        @ [ pad ^ "}" ]
+    | Ast.Return None -> [ pad ^ "return;" ]
+    | Ast.Return (Some e) -> [ Printf.sprintf "%sreturn %s;" pad (expr_str e) ]
+    | Ast.Break -> [ pad ^ "break;" ]
+    | Ast.Continue -> [ pad ^ "continue;" ]
+    | Ast.Goto l -> [ Printf.sprintf "%sgoto %s;" pad l ]
+    | Ast.Label l -> [ Printf.sprintf "%s%s:" (indent (max 0 (lvl - 1))) l ]
+    | Ast.Block b ->
+        ((pad ^ "{") :: List.concat_map (stmt_lines (lvl + 1)) b) @ [ pad ^ "}" ]
+
+  let func_str (f : Ast.func_def) : string =
+    let params =
+      match f.fun_params with
+      | [] -> "void"
+      | ps ->
+          String.concat ", "
+            (List.map (fun (ty, n) -> Printf.sprintf "%s %s" (type_prefix ty) n) ps)
+    in
+    let head =
+      Printf.sprintf "%s%s %s(%s)"
+        (if f.fun_static then "static " else "")
+        (type_prefix f.fun_ret) f.fun_name params
+    in
+    if f.fun_body = [] then head ^ ";"
+    else
+      String.concat "\n"
+        ((head ^ " {") :: (List.concat_map (stmt_lines 1) f.fun_body @ [ "}" ]))
+
+  let field_str (fld : Ast.field) : string =
+    let comment = match fld.field_comment with Some c -> Printf.sprintf " /* %s */" c | None -> "" in
+    match fld.field_type with
+    | Ast.Func_ptr (ret, args) ->
+        Printf.sprintf "  %s (*%s)(%s);%s" (type_prefix ret) fld.field_name
+          (String.concat ", " (List.map type_prefix args))
+          comment
+    | ty ->
+        Printf.sprintf "  %s %s%s;%s" (type_prefix ty) fld.field_name (type_suffix ty) comment
+
+  let composite_str (c : Ast.composite_def) : string =
+    let kw = match c.comp_kind with Ast.Struct -> "struct" | Ast.Union -> "union" in
+    String.concat "\n"
+      ((Printf.sprintf "%s %s {" kw c.comp_name :: List.map field_str c.fields) @ [ "};" ])
+
+  let enum_str (e : Ast.enum_def) : string =
+    let item i =
+      match i.Ast.item_value with
+      | Some v -> Printf.sprintf "  %s = %s," i.Ast.item_name (expr_str v)
+      | None -> Printf.sprintf "  %s," i.Ast.item_name
+    in
+    let name = match e.enum_name with Some n -> " " ^ n | None -> "" in
+    String.concat "\n" ((Printf.sprintf "enum%s {" name :: List.map item e.items) @ [ "};" ])
+
+  let rec ginit_str = function
+    | Ast.Init_expr e -> expr_str e
+    | Ast.Init_designated fields ->
+        "{\n"
+        ^ String.concat ""
+            (List.map (fun (f, v) -> Printf.sprintf "  .%s = %s,\n" f (ginit_str v)) fields)
+        ^ "}"
+    | Ast.Init_list items -> "{ " ^ String.concat ", " (List.map ginit_str items) ^ " }"
+
+  let global_str (g : Ast.global_def) : string =
+    let init = match g.global_init with Some i -> " = " ^ ginit_str i | None -> "" in
+    Printf.sprintf "%s%s %s%s%s;"
+      (if g.global_static then "static " else "")
+      (type_prefix g.global_type) g.global_name (type_suffix g.global_type) init
+
+  let macro_str (m : Ast.macro_def) : string =
+    Printf.sprintf "#define %s %s" m.macro_name
+      (String.concat " " (List.map Token.to_string m.macro_body))
+
+  let typedef_str (t : Ast.typedef_def) : string =
+    Printf.sprintf "typedef %s %s;" (type_prefix t.td_type) t.td_name
+
+  let decl_str = function
+    | Ast.D_composite c -> composite_str c
+    | Ast.D_enum e -> enum_str e
+    | Ast.D_func f -> func_str f
+    | Ast.D_global g -> global_str g
+    | Ast.D_macro m -> macro_str m
+    | Ast.D_typedef t -> typedef_str t
+
+  let file_str (f : Ast.file) : string =
+    String.concat "\n\n" (List.map decl_str f.decls)
+end
+
+(* Every statement, expression, type and initializer form the parser
+   builds, some of which no corpus source uses *)
+let printer_sample =
+  {|#define SAMPLE_MAGIC 0x5a
+#define SAMPLE_CMD _IOWR(SAMPLE_MAGIC, 3, struct sample_args)
+#define SAMPLE_NAME "sample" "\n\t\"q\"\\"
+enum { SAMPLE_A, SAMPLE_B = 4, SAMPLE_C = SAMPLE_B << 2 };
+enum sample_mode { MODE_OFF = -1, MODE_ON = ~0 };
+struct sample_args {
+  unsigned char kind; /* the kind */
+  short delta;
+  bool ok;
+  u32 flags;
+  char name[16];
+  int pad[0];
+  struct sample_ops *ops;
+  long (*handler)(struct file *, unsigned int, unsigned long);
+  u8 data[];
+};
+union sample_u { int i; void *p; };
+static int sample_table[4] = { 1, 2, 3, 4 };
+static const struct file_operations sample_fops = {
+  .owner = THIS_MODULE,
+  .unlocked_ioctl = sample_ioctl,
+};
+static long sample_ioctl(struct file *f, unsigned int cmd, unsigned long arg)
+{
+  struct sample_args a;
+  int i = 0;
+  int j;
+  char c = '\n';
+  if (copy_from_user(&a, (void *)arg, sizeof(a)))
+    return -EFAULT;
+  for (i = 0; i < 4; i++) {
+    j = j + sample_table[i] * 2 - (i % 3) / 1;
+  }
+  for (;;) {
+    break;
+  }
+  do {
+    i--;
+  } while (i > 0 && !j || (j != 3));
+  while (i < 10)
+    i += 2;
+  j = i > 3 ? i : -i;
+  j = (int)a.delta + sizeof(struct sample_args) + a.ops->count + strlen("a\"b\\c\n");
+  j = *(&j) ^ (j | 7) & ~j;
+  if (j >= 8192) {
+    goto out;
+  } else if (j <= 2) {
+    j = 0x12345678;
+  } else {
+    j >>= 1;
+  }
+  switch (cmd) {
+  case SAMPLE_CMD:
+  case 7:
+    return 0;
+  default:
+    continue;
+  }
+  {
+    int inner = 1;
+  }
+out:
+  return j == 1;
+}
+static void sample_noop(void);
+|}
+
+(* Every function, composite, enum, macro and global of the shared header,
+   of every registry source and of [printer_sample], and each whole file,
+   prints the same through both printers. *)
+let test_printer_matches_reference () =
+  List.iter
+    (fun (f : Csrc.Ast.file) ->
+      List.iter
+        (fun d ->
+          let same =
+            match d with
+            | Csrc.Ast.D_func fd -> Csrc.Pretty.func_str fd = Reference_pretty.func_str fd
+            | Csrc.Ast.D_composite cd ->
+                Csrc.Pretty.composite_str cd = Reference_pretty.composite_str cd
+            | Csrc.Ast.D_enum ed -> Csrc.Pretty.enum_str ed = Reference_pretty.enum_str ed
+            | Csrc.Ast.D_macro md -> Csrc.Pretty.macro_str md = Reference_pretty.macro_str md
+            | Csrc.Ast.D_global gd -> Csrc.Pretty.global_str gd = Reference_pretty.global_str gd
+            | Csrc.Ast.D_typedef _ -> true
+          in
+          if not same then
+            Alcotest.failf "%s: %s prints differently" f.path (Csrc.Ast.decl_name d))
+        f.decls;
+      if Csrc.Pretty.file_str f <> Reference_pretty.file_str f then
+        Alcotest.failf "%s prints differently as a file" f.path)
+    (parse printer_sample :: registry_asts ())
+
 let qcheck_roundtrip_ints =
   QCheck.Test.make ~name:"int literal lex roundtrip" ~count:200
     QCheck.(int_bound 0xffffff)
@@ -789,6 +1173,7 @@ let () =
           Alcotest.test_case "goto and labels" `Quick test_goto_and_labels;
           Alcotest.test_case "called functions" `Quick test_called_functions;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
+          Alcotest.test_case "printer = reference" `Quick test_printer_matches_reference;
           Alcotest.test_case "registry AST digest" `Quick test_registry_ast_digest;
           Alcotest.test_case "no forced minor collection" `Quick test_parse_forces_no_collection;
           QCheck_alcotest.to_alcotest qcheck_parse_mutants;
@@ -804,5 +1189,6 @@ let () =
           Alcotest.test_case "unions" `Quick test_unions_and_nested;
           Alcotest.test_case "flexible array" `Quick test_flexible_array;
           Alcotest.test_case "extract source" `Quick test_extract_source;
+          Alcotest.test_case "enumeration order" `Quick test_enumeration_order;
         ] );
     ]

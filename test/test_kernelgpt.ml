@@ -521,16 +521,41 @@ let test_query_order_rds () =
 (* ------------------------------------------------------------------ *)
 
 (* The pipeline alone over the 152 generation targets of the
-   whole-kernel boot, with a fresh oracle per pass; 7,854,342 words
-   when pinned *)
+   whole-kernel boot, with a fresh oracle per pass; 4,773,714 minor and
+   17,280 direct major-heap words when pinned *)
 let test_pin_pipeline_run () =
   let entries = Corpus.Registry.loaded () in
   let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
   let targets = Report.Suites.generation_targets entries in
-  Alloc_pin.check ~bound:8_090_000.0
-    (Alloc_pin.repeat_words (fun () ->
-         let oracle = Oracle.create ~knowledge:kernel () in
-         List.iter (fun e -> ignore (Kernelgpt.Pipeline.run ~oracle ~kernel e)) targets))
+  let w =
+    Alloc_pin.repeat (fun () ->
+        let oracle = Oracle.create ~knowledge:kernel () in
+        List.iter (fun e -> ignore (Kernelgpt.Pipeline.run ~oracle ~kernel e)) targets)
+  in
+  Alloc_pin.check ~bound:4_917_000.0 w.minor;
+  Alloc_pin.check ~what:"direct major-heap words" ~bound:17_800.0 w.direct_major
+
+(* Every prompt a cold generation pass sends and every answer it gets:
+   the pass runs through an answer cache on a file, whose records are in
+   key order, and each key digests the rendered post-truncation prompt
+   ({!Cache.key}). A cache an earlier build wrote replays all 952 queries
+   without a miss when this digest holds. *)
+let test_pin_pass_prompts () =
+  let entries = Corpus.Registry.loaded () in
+  let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
+  let file = Filename.temp_file "kgpt-prompts" ".cache" in
+  Sys.remove file;
+  let cache = match Cache.open_file file with Ok c -> c | Error e -> Alcotest.fail e in
+  let oracle = Oracle.create ~knowledge:kernel () in
+  let client = Client.create ~cache oracle in
+  List.iter
+    (fun e -> ignore (Kernelgpt.Pipeline.run ~client ~oracle ~kernel e))
+    (Report.Suites.generation_targets entries);
+  (match Cache.flush cache with Ok () -> () | Error e -> Alcotest.fail e);
+  let digest = Digest.to_hex (Digest.file file) in
+  Sys.remove file;
+  Alcotest.(check string) "MD5 of the pass's answer cache" "3a39161f083e7ab3a17a0f18ef332761"
+    digest
 
 (* One warm generation pass, every target through [Pipeline.run] and
    [Syzdescribe.run] as the specgen workloads run them, collects about
@@ -608,6 +633,7 @@ let () =
       ( "alloc",
         [
           t "pipeline run allocation pin" test_pin_pipeline_run;
+          t "pass prompts and answers pinned" test_pin_pass_prompts;
           t "generation pass forces no collection" test_pass_forces_no_collection;
         ] );
     ]

@@ -298,21 +298,17 @@ let test_nr_groups_match_reference () =
   check "header + dm index" (Analysis.parse_snippets ~knowledge:(Lazy.force dm_kernel) prompt);
   check "prompt index" { on_booted with knowledge = on_booted.index }
 
-let test_nr_groups_follow_add_file () =
-  (* the per-nr groups are memoized in the index: adding a file must
-     drop them along with the macro-value memo *)
-  let idx = kernel_of [ "#define A_CMD 0x7805\n" ] in
+let test_nr_groups_follow_macros () =
+  (* the per-nr groups are memoized in each index: an index with one
+     more file must group its macro too *)
+  let before = kernel_of [ "#define A_CMD 0x7805\n" ] in
+  let after = kernel_of [ "#define A_CMD 0x7805\n"; "#define B_CMD 0x7906\n" ] in
   let local knowledge = { Analysis.index = Csrc.Index.of_files []; knowledge } in
-  Alcotest.(check (option string)) "before" (Some "A_CMD")
-    (Analysis.resolve_nr_macro (local idx) ~magic:(Some 0x78L) 5L);
-  Alcotest.(check (option string)) "absent before" None
-    (Analysis.resolve_nr_macro (local idx) ~magic:(Some 0x79L) 6L);
-  let idx =
-    Csrc.Index.add_file idx
-      (Csrc.Parser.parse_file ~file:"b.c" ~sid:(ref 0) "#define B_CMD 0x7906\n")
-  in
-  Alcotest.(check (option string)) "after add_file" (Some "B_CMD")
-    (Analysis.resolve_nr_macro (local idx) ~magic:(Some 0x79L) 6L)
+  let resolve idx magic nr = Analysis.resolve_nr_macro (local idx) ~magic:(Some magic) nr in
+  Alcotest.(check (option string)) "before" (Some "A_CMD") (resolve before 0x78L 5L);
+  Alcotest.(check (option string)) "absent before" None (resolve before 0x79L 6L);
+  Alcotest.(check (option string)) "after" (Some "B_CMD") (resolve after 0x79L 6L);
+  Alcotest.(check (option string)) "kept after" (Some "A_CMD") (resolve after 0x78L 5L)
 
 let test_repair_strips_suffix () =
   let idx = Lazy.force dm_kernel in
@@ -386,7 +382,7 @@ let () =
           t "delegation unknown" test_identifier_delegation_unknown;
           t "_IOC_NR resolution" test_identifier_nr_resolution;
           t "_IOC_NR groups = linear filter" test_nr_groups_match_reference;
-          t "_IOC_NR groups follow add_file" test_nr_groups_follow_add_file;
+          t "_IOC_NR groups follow the macros" test_nr_groups_follow_macros;
           t "gpt-3.5 no delegation" test_identifier_gpt35_no_delegation;
         ] );
       ( "types",

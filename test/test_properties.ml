@@ -155,6 +155,91 @@ static const struct file_operations arith_fops = {
       in
       Vkernel.Value.to_int v = Int64.of_int expected)
 
+(* 8. the [--faults]-style flag specs: a spec mutated from a valid
+   [RATE] or [RATE:SEED] comes back as an [Error], never an exception;
+   an accepted plan's rate lies in 0-100, and its printed spec parses
+   back to the same plan *)
+
+(* Characters a flag spec is made of, or that [int_of_string] also
+   reads: signs, digit separators and the hex prefix. *)
+let spec_chars = ":+-0123456789_x "
+
+(* Numbers past each range: rates out of 0-100, and 20 digits, past
+   [max_int] *)
+let out_of_range =
+  [| "-1"; "101"; "1000"; "4611686018427387904"; "0x7fffffffffffffff"; "99999999999999999999";
+     "-99999999999999999999" |]
+
+(* One edit of [s]: drop, duplicate or insert a character, or splice in
+   a number *)
+let edit_spec s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  (* [s] with bytes [i, j) replaced by [r] *)
+  let cut i j r = String.sub s 0 i ^ r ^ String.sub s j (n - j) in
+  frequency
+    ((if n = 0 then []
+      else
+        [
+          (2, map (fun i -> cut i (i + 1) "") (int_bound (n - 1)));
+          (2, map (fun i -> cut i i (String.make 1 s.[i])) (int_bound (n - 1)));
+        ])
+    @ [
+        ( 3,
+          map2
+            (fun i c -> cut i i (String.make 1 c))
+            (int_bound n)
+            (oneofl (List.of_seq (String.to_seq spec_chars))) );
+        ( 2,
+          map3
+            (fun i k r -> cut i (min n (i + k)) r)
+            (int_bound n) (int_bound 3) (oneofa out_of_range) );
+      ])
+
+let gen_flag_spec =
+  let open QCheck.Gen in
+  let valid =
+    oneof
+      [
+        map string_of_int (int_range 0 100);
+        map2 (Printf.sprintf "%d:%d") (int_range 0 100) (int_range (-5) 1_000_000);
+      ]
+  in
+  let* spec = valid in
+  let* rounds = int_range 0 4 in
+  let rec go k s = if k = 0 then return s else edit_spec s >>= go (k - 1) in
+  go rounds spec
+
+(* [parse] is total on [spec]; an [Ok] plan has a rate in 0-100 and
+   round-trips through [to_string] *)
+let flag_spec_holds ~name ~parse ~to_string ~rate spec =
+  match parse spec with
+  | Error _ -> true
+  | Ok plan ->
+      if rate plan < 0 || rate plan > 100 then
+        QCheck.Test.fail_reportf "%s accepted %S with rate %d" name spec (rate plan)
+      else if parse (to_string plan) <> Ok plan then
+        QCheck.Test.fail_reportf "%s: %S prints as %S, which parses to another plan" name spec
+          (to_string plan)
+      else true
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s on %S" name (Printexc.to_string e) spec
+
+let prop_flag_specs =
+  QCheck.Test.make ~name:"flag specs parse totally and round-trip" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_flag_spec)
+    (fun spec ->
+      flag_spec_holds ~name:"Faults" ~parse:Faults.parse_spec ~to_string:Faults.spec_to_string
+        ~rate:(fun (p : Faults.plan) -> p.rate_pct)
+        spec
+      && flag_spec_holds ~name:"Supervisor" ~parse:Fuzzer.Supervisor.parse_spec
+           ~to_string:Fuzzer.Supervisor.spec_to_string
+           ~rate:(fun (c : Fuzzer.Supervisor.config) -> c.fault_rate)
+           spec
+      && flag_spec_holds ~name:"Pool.Faults" ~parse:Kernelgpt.Pool.Faults.parse_spec
+           ~to_string:Kernelgpt.Pool.Faults.spec_to_string
+           ~rate:(fun (p : Kernelgpt.Pool.Faults.plan) -> p.rate_pct)
+           spec)
+
 let () =
   Alcotest.run "properties"
     [
@@ -168,5 +253,6 @@ let () =
             prop_socket_domain;
             prop_syzdescribe_validates;
             prop_interp_arithmetic;
+            prop_flag_specs;
           ] );
     ]

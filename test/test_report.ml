@@ -170,10 +170,11 @@ let test_module_suite_merges () =
 
 (* Building the shared context sequentially: the whole-kernel boot, then
    the KernelGPT pipeline and SyzDescribe over every generation target;
-   15,657,466 words when pinned *)
+   12,532,122 minor and 66,909 direct major-heap words when pinned *)
 let test_pin_suites_build () =
-  Alloc_pin.check ~bound:16_127_200.0
-    (Alloc_pin.repeat_words (fun () -> Report.Suites.build ~jobs:1 ()))
+  let w = Alloc_pin.repeat (fun () -> Report.Suites.build ~jobs:1 ()) in
+  Alloc_pin.check ~bound:12_909_000.0 w.minor;
+  Alloc_pin.check ~what:"direct major-heap words" ~bound:68_920.0 w.direct_major
 
 let () =
   let t n f = Alcotest.test_case n `Quick f in
