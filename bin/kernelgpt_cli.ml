@@ -400,9 +400,14 @@ let fuzz_cmd =
                 | None -> if checkpoint = None then 0 else max 1 (budget / 8)
               in
               match
-                Fuzzer.Campaign.drive ~checkpoint_every ~on_checkpoint:write_checkpoint
-                  ?stop_after t
+                let r =
+                  Fuzzer.Campaign.drive ~checkpoint_every ~on_checkpoint:write_checkpoint
+                    ?stop_after t
+                in
+                if r = `Completed then write_checkpoint t;
+                r
               with
+              | exception Sys_error e -> `Error (false, "cannot write the checkpoint: " ^ e)
               | `Stopped ->
                   (* graceful kill: state is on disk, nothing on stdout —
                      the resumed run owns the report *)
@@ -411,7 +416,6 @@ let fuzz_cmd =
                     (Option.value checkpoint ~default:"(nowhere: no --checkpoint)");
                   `Ok ()
               | `Completed ->
-                  write_checkpoint t;
                   let res = Fuzzer.Campaign.result t in
                   Printf.printf "%d executions in %.2fs; coverage %d (%d in %s); corpus %d\n"
                     res.executions

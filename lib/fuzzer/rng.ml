@@ -1,21 +1,29 @@
 (** Deterministic splitmix64 PRNG so campaigns are reproducible. *)
 
-type t = { mutable state : int64 }
+(* The whole generator is one int64, so checkpoints can freeze and
+   resume the exact stream. It lives in 8 bytes rather than a mutable
+   int64 field, which would box every state it stores. *)
+type t = Bytes.t
 
-let make seed = { state = Int64.of_int ((seed * 2654435761) + 12345) }
+let set_state r s = Bytes.set_int64_le r 0 s
 
-(* the whole generator is one int64, so checkpoints can freeze and
-   resume the exact stream *)
-let state r = r.state
+let make seed =
+  let r = Bytes.create 8 in
+  set_state r (Int64.of_int ((seed * 2654435761) + 12345));
+  r
 
-let set_state r s = r.state <- s
+let state r = Bytes.get_int64_le r 0
 
-let next_int64 r =
-  let z = Int64.add r.state 0x9E3779B97F4A7C15L in
-  r.state <- z;
+(* Inlined into each draw below, so the state and the word stay
+   unboxed: a draw allocates nothing. *)
+let[@inline] next r =
+  let z = Int64.add (Bytes.get_int64_le r 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le r 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 r = next r
 
 (** Uniform int in [0, n).
 
@@ -28,7 +36,7 @@ let next_int64 r =
     see the golden-value tests in [test/test_fuzzer.ml]. *)
 let int r n =
   if n <= 0 then 0
-  else Int64.to_int (Int64.rem (Int64.logand (next_int64 r) 0x7fffffffffffffL) (Int64.of_int n))
+  else Int64.to_int (Int64.rem (Int64.logand (next r) 0x7fffffffffffffL) (Int64.of_int n))
 
 (** Uniform int64 in [lo, hi], inclusive, without overflow on wide
     ranges. Always consumes exactly one stream word, like {!int} on a

@@ -275,6 +275,12 @@ module Record_file = struct
   let checksum s = Printf.sprintf "fnv1a64:%016Lx" (fnv1a64 s)
 
   let write_atomic file contents =
+    (* the rename would replace a device node, FIFO, directory or
+       symlink with a regular file: only a regular file is overwritten *)
+    (match Unix.lstat file with
+    | { Unix.st_kind = Unix.S_REG; _ } -> ()
+    | _ -> raise (Sys_error (file ^ ": not a regular file"))
+    | exception Unix.Unix_error _ -> ());
     let tmp = file ^ ".tmp" in
     let oc = open_out_bin tmp in
     (try

@@ -81,7 +81,9 @@ module Record_file : sig
   val fnv1a64_add : int64 -> string -> int64
 
   (** Write [contents] to [file ^ ".tmp"] and rename it over [file].
-      Raises [Sys_error] on I/O failure, leaving no temp file behind. *)
+      Raises [Sys_error] on I/O failure, leaving no temp file behind, and
+      on an existing [file] that is not a regular file, which it leaves
+      as it is. *)
   val write_atomic : string -> string -> unit
 
   (** Write [header], one line per record and the checksum trailer,

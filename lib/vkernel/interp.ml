@@ -158,31 +158,31 @@ and filler_of (index : Csrc.Index.t) (ty : Csrc.Ast.ctype) : filler =
   | Csrc.Ast.Struct_ref name | Csrc.Ast.Union_ref name ->
       F_fill (fun st fn -> vptr (typed_obj st ~fn name))
 
-(** Object for a struct/union type, fields initialized per the layout.
-    The layout plan (field list, type classification, composite lookup)
-    is computed once per struct name and memoized in [st.layouts].
-    Field names are interned so every later probe on them takes the
-    {!Value.Stbl} pointer-compare fast path. *)
+(** The layout plan of a struct/union type (field list, type
+    classification, composite lookup), computed once per struct name and
+    memoized in [st.layouts]. Field names are interned so every later
+    probe on them takes the {!Value.Stbl} pointer-compare fast path. An
+    unknown composite has no fields. *)
+and layout_of st (comp_name : string) : layout =
+  match Stbl.find_opt st.layouts comp_name with
+  | Some l -> l
+  | None ->
+      let l =
+        match Csrc.Index.find_composite st.index comp_name with
+        | Some cd ->
+            let fields = Array.of_list cd.fields in
+            {
+              l_names = Array.map (fun f -> intern f.Csrc.Ast.field_name) fields;
+              l_fillers = Array.map (fun f -> filler_of st.index f.Csrc.Ast.field_type) fields;
+            }
+        | None -> { l_names = [||]; l_fillers = [||] }
+      in
+      Stbl.replace st.layouts comp_name l;
+      l
+
+(** Object for a struct/union type, fields initialized per the layout. *)
 and typed_obj st ~fn (comp_name : string) : obj =
-  let layout =
-    match Stbl.find_opt st.layouts comp_name with
-    | Some l -> l
-    | None ->
-        let l =
-          match Csrc.Index.find_composite st.index comp_name with
-          | Some cd ->
-              let fields = Array.of_list cd.fields in
-              {
-                l_names =
-                  Array.map (fun f -> intern f.Csrc.Ast.field_name) fields;
-                l_fillers =
-                  Array.map (fun f -> filler_of st.index f.Csrc.Ast.field_type) fields;
-              }
-          | None -> { l_names = [||]; l_fillers = [||] }
-        in
-        Stbl.replace st.layouts comp_name l;
-        l
-  in
+  let layout = layout_of st comp_name in
   let nf = Array.length layout.l_names in
   if nf = 0 then
     (* unknown composite (mutex, timer_list, ...): plain lazy fields,
@@ -1064,20 +1064,28 @@ and builtin env name (args : Csrc.Ast.expr list) : value option =
             if is_imm x then x
             else match boxed x with B_uptr (U_str s) -> vstr s | _ -> x);
         braw = (fun i -> eval env (arg i));
+        (* an lvalue whose evaluation fails in a nested frame skips the
+           frames' depth decrements: restore the depth the store began at *)
         bstore =
           (fun i sv ->
+            let depth = env.st.depth in
             try
               store env (eval_lval env (arg i)) sv;
               true
-            with Exec_error _ -> false);
+            with Exec_error _ ->
+              env.st.depth <- depth;
+              false);
         bsstore =
           (fun i sv ->
             match strip_addr (arg i) with
             | Some inner -> (
+                let depth = env.st.depth in
                 try
                   store env (eval_lval env inner) sv;
                   true
-                with Exec_error _ -> false)
+                with Exec_error _ ->
+                  env.st.depth <- depth;
+                  false)
             | None -> false);
         bfops =
           (fun () ->

@@ -20,7 +20,12 @@
       a label list;
     - each global's initializer is lowered once ({!get_global} runs the
       compiled plan on first touch instead of re-walking the AST per
-      fresh state);
+      fresh state); a struct global whose layout zeroes to constants and
+      whose designators set layout fields to constants (function names,
+      folded integers, strings) is built here as a template, and its
+      first touch copies the template's cells into one new object;
+    - a [switch] whose labels all fold to constants scans a static
+      table of (label, case) pairs without allocating;
     - every static field and global name is {!Value.intern}ed, so the
       [Stbl] probes the compiled code performs hit the pointer-compare
       fast path.
@@ -142,29 +147,34 @@ let rec compile_zero (eng : t) ~(fn : string) (ty : Csrc.Ast.ctype) :
   | Csrc.Ast.Struct_ref name | Csrc.Ast.Union_ref name ->
       fun st -> vptr (Interp.typed_obj st ~fn name)
 
+(* A compiled initializer: a constant, or a thunk for one that reads
+   another global or allocates. *)
+type init_plan = Const of value | Thunk of (Interp.state -> value)
+
+let thunk = function Const c -> fun _ -> c | Thunk f -> f
+
 (* Mirror of [Interp.init_value]: all index lookups (function names,
    macros, enum items, string macros, constant folding) happen here,
    once; only references to other globals stay runtime thunks, because
    they must observe — and trigger — lazy initialization in state
    order. *)
-let rec compile_init (eng : t) (gi : Csrc.Ast.ginit) : Interp.state -> value =
+let rec compile_init (eng : t) (gi : Csrc.Ast.ginit) : init_plan =
   let fn = "__init" in
+  let global_ref name =
+    let name = intern name in
+    let gh = Stbl.hash name in
+    Thunk (fun st -> match get_global_h eng st gh name with Some v -> v | None -> vzero)
+  in
   match gi with
   | Csrc.Ast.Init_expr (Csrc.Ast.Ident name) -> (
       match Csrc.Index.find_function eng.index name with
-      | Some _ ->
-          let c = vfn name in
-          fun _ -> c
+      | Some _ -> Const (vfn name)
       | None -> (
           match Csrc.Index.find_global eng.index name with
-          | Some _ ->
-              let name = intern name in
-              let gh = Stbl.hash name in
-              fun st -> (
-                match get_global_h eng st gh name with Some v -> v | None -> vzero)
-          | None -> (
-              let c =
-                match Csrc.Index.eval_macro eng.index name with
+          | Some _ -> global_ref name
+          | None ->
+              Const
+                (match Csrc.Index.eval_macro eng.index name with
                 | Some v -> vint v
                 | None -> (
                     match Csrc.Index.find_enum_item eng.index name with
@@ -175,48 +185,70 @@ let rec compile_init (eng : t) (gi : Csrc.Ast.ginit) : Interp.state -> value =
                     | None -> (
                         match Csrc.Index.string_macro eng.index name with
                         | Some s -> vstr s
-                        | None -> vzero))
-              in
-              fun _ -> c)))
+                        | None -> vzero)))))
   | Csrc.Ast.Init_expr (Csrc.Ast.Addr_of (Csrc.Ast.Ident name)) -> (
       match Csrc.Index.find_global eng.index name with
-      | Some _ ->
-          let name = intern name in
-          let gh = Stbl.hash name in
-          fun st -> (match get_global_h eng st gh name with Some v -> v | None -> vzero)
-      | None -> fun _ -> vzero)
+      | Some _ -> global_ref name
+      | None -> Const vzero)
   | Csrc.Ast.Init_expr e ->
-      let c =
-        match Csrc.Index.eval_opt eng.index e with
+      Const
+        (match Csrc.Index.eval_opt eng.index e with
         | Some v -> vint v
         | None -> (
             match Csrc.Index.eval_string eng.index e with
             | Some s -> vstr s
-            | None -> vzero)
-      in
-      fun _ -> c
+            | None -> vzero))
   | Csrc.Ast.Init_designated fields ->
       let cfields =
         List.map
           (fun (f, gi) ->
             let f = intern f in
-            (f, Stbl.hash f, compile_init eng gi))
+            (f, Stbl.hash f, thunk (compile_init eng gi)))
           fields
       in
-      fun st ->
-        let o = Interp.fields_obj st ~fn () in
-        List.iter (fun (f, fh, ci) -> Interp.set_field_h ~fn o fh f (ci st)) cfields;
-        vptr o
+      Thunk
+        (fun st ->
+          let o = Interp.fields_obj st ~fn () in
+          List.iter (fun (f, fh, ci) -> Interp.set_field_h ~fn o fh f (ci st)) cfields;
+          vptr o)
   | Csrc.Ast.Init_list items ->
-      let citems = List.map (compile_init eng) items in
-      fun st ->
-        vptr
-          (Interp.new_obj st ~fn ~tracked:false
-             (Cells (Array.of_list (List.map (fun ci -> ci st) citems))))
+      let citems = List.map (fun gi -> thunk (compile_init eng gi)) items in
+      Thunk
+        (fun st ->
+          vptr
+            (Interp.new_obj st ~fn ~tracked:false
+               (Cells (Array.of_list (List.map (fun ci -> ci st) citems)))))
+
+(* The initialized cells of a struct global whose first touch allocates
+   one object and runs no code: every field of its layout zeroes to a
+   shared constant, and each designator names a field of the layout and
+   sets it to a constant. [None] for any other designated initializer. *)
+let template (eng : t) (comp : string) (cfields : (string * init_plan) list) :
+    (string array * value array) option =
+  let l = Interp.layout_of eng.dummy_env.st comp in
+  let const = function Interp.F_const _ -> true | Interp.F_fill _ -> false in
+  if Array.length l.l_fillers = 0 || not (Array.for_all const l.l_fillers) then None
+  else
+    let cells = Array.map (function Interp.F_const v -> v | Interp.F_fill _ -> vzero) l.l_fillers in
+    let tf = { tnames = l.l_names; tcells = cells } in
+    if
+      List.for_all
+        (fun (f, plan) ->
+          let i = tindex tf f in
+          match plan with
+          | Const v when i >= 0 ->
+              cells.(i) <- v;
+              true
+          | _ -> false)
+        cfields
+    then Some (l.l_names, cells)
+    else None
 
 (* Mirror of [Interp.init_global]. The base shape is static, so the
    designated-initializer-in-place vs replace-the-binding decision is
-   taken at compile time. *)
+   taken at compile time, and a struct global of constants becomes a
+   copy of its cells built here (the one object, oid and field values
+   the in-place walk would make). *)
 let compile_ginit (eng : t) (g : Csrc.Ast.global_def) : Interp.state -> value =
   let fn = "__init" in
   let name = g.Csrc.Ast.global_name in
@@ -250,29 +282,35 @@ let compile_ginit (eng : t) (g : Csrc.Ast.global_def) : Interp.state -> value =
         | _ -> false
       in
       (match (ptr_base, gi) with
-      | true, Csrc.Ast.Init_designated fields ->
-          let cfields =
-            List.map
-              (fun (f, gi) ->
-                let f = intern f in
-                (f, Stbl.hash f, compile_init eng gi))
-              fields
+      | true, Csrc.Ast.Init_designated fields -> (
+          let plans = List.map (fun (f, gi) -> (intern f, compile_init eng gi)) fields in
+          let template =
+            match g.Csrc.Ast.global_type with
+            | Csrc.Ast.Struct_ref n | Csrc.Ast.Union_ref n -> template eng n plans
+            | _ -> None
           in
-          fun st ->
-            let bv = base st in
-            (* publish before applying the initializer so
-               cross-references resolve *)
-            Stbl.replace st.Interp.globals name bv;
-            (if not (is_imm bv) then
-               match boxed bv with
-               | B_ptr o ->
-                   List.iter
-                     (fun (f, fh, ci) -> Interp.set_field_h ~fn o fh f (ci st))
-                     cfields
-               | _ -> ());
-            finish st bv
+          match template with
+          | Some (tnames, cells) ->
+              fun st ->
+                vptr
+                  (Interp.new_obj st ~fn ~tracked:false (Typed { tnames; tcells = Array.copy cells }))
+          | None ->
+              let cfields = List.map (fun (f, plan) -> (f, Stbl.hash f, thunk plan)) plans in
+              fun st ->
+                let bv = base st in
+                (* publish before applying the initializer so
+                   cross-references resolve *)
+                Stbl.replace st.Interp.globals name bv;
+                (if not (is_imm bv) then
+                   match boxed bv with
+                   | B_ptr o ->
+                       List.iter
+                         (fun (f, fh, ci) -> Interp.set_field_h ~fn o fh f (ci st))
+                         cfields
+                   | _ -> ());
+                finish st bv)
       | _ ->
-          let cinit = compile_init eng gi in
+          let cinit = thunk (compile_init eng gi) in
           fun st ->
             let bv = base st in
             Stbl.replace st.Interp.globals name bv;
@@ -285,7 +323,9 @@ let compile_ginit (eng : t) (g : Csrc.Ast.global_def) : Interp.state -> value =
 
 (* Mirror of [Interp.call_function], including its depth accounting (no
    unwind-protect: an escaping exception leaves the depth bumped there
-   too, and the two executors must drift identically). Parameter
+   too; the places that catch [Exec_error] and carry on, the machine's
+   call loop and the builtin stores, restore the depth they started
+   at). Parameter
    binding is one simultaneous walk: extra arguments are dropped,
    missing parameters read as zero. Frames come from the state's
    {!Value.Pool} and return to it on normal completion; a frame lost to
@@ -675,24 +715,35 @@ and compile_call (ctx : ctx) (name : string) (args : Csrc.Ast.expr list) : jenv 
                   else match boxed x with B_uptr (U_str s) -> vstr s | _ -> x)
                 else vzero);
             braw = (fun i -> if i < n then cargs.(i) cell.ccur else vzero);
+            (* an lvalue whose evaluation fails in a nested frame skips
+               the frames' depth decrements: restore the depth the store
+               began at, as the tree walker does *)
             bstore =
               (fun i sv ->
                 i < n
                 &&
+                let st = cell.ccur.st in
+                let depth = st.Interp.depth in
                 try
                   cstores.(i) cell.ccur sv;
                   true
-                with Interp.Exec_error _ -> false);
+                with Interp.Exec_error _ ->
+                  st.Interp.depth <- depth;
+                  false);
             bsstore =
               (fun i sv ->
                 i < n
                 &&
                 match csstores.(i) with
                 | Some cs -> (
+                    let st = cell.ccur.st in
+                    let depth = st.Interp.depth in
                     try
                       cs cell.ccur sv;
                       true
-                    with Interp.Exec_error _ -> false)
+                    with Interp.Exec_error _ ->
+                      st.Interp.depth <- depth;
+                      false)
                 | None -> false);
             bfops = (fun () -> fops);
             bio = (fun () -> io_const);
@@ -802,59 +853,79 @@ and compile_node (ctx : ctx) (node : Csrc.Ast.stmt_node) : jenv -> unit =
       let cbodies =
         Array.of_list (List.map (fun c -> compile_block ctx c.Csrc.Ast.case_body) cases)
       in
+      (* the first case holding [default], or -1 *)
       let default_idx =
         let rec find i = function
-          | [] -> None
+          | [] -> -1
           | c :: rest ->
-              if List.mem Csrc.Ast.Default c.Csrc.Ast.labels then Some i
-              else find (i + 1) rest
+              if List.mem Csrc.Ast.Default c.Csrc.Ast.labels then i else find (i + 1) rest
         in
         find 0 cases
       in
       let ncases = Array.length cbodies in
+      let run_from start env =
+        if start >= 0 then
+          try
+            for j = start to ncases - 1 do
+              cbodies.(j) env
+            done
+          with Interp.Break_exc -> ()
+      in
       (* case labels are C constant expressions; when the index folds
-         every one the dispatch becomes a scan of a static int64 table
-         instead of a per-execution closure evaluation per label *)
+         every one, the dispatch scans a static table of (label, case)
+         pairs in case order instead of evaluating a closure per label *)
       let static_labels =
         let exception Dynamic in
         try
           Some
-            (Array.of_list
-               (List.map
-                  (fun c ->
-                    Array.of_list
-                      (List.filter_map
-                         (function
-                           | Csrc.Ast.Case e -> (
-                               match Csrc.Index.eval_opt ctx.eng.index e with
-                               | Some v -> Some v
-                               | None -> raise Dynamic)
-                           | Csrc.Ast.Default -> None)
-                         c.Csrc.Ast.labels))
+            (List.concat
+               (List.mapi
+                  (fun i c ->
+                    List.filter_map
+                      (function
+                        | Csrc.Ast.Case e -> (
+                            match Csrc.Index.eval_opt ctx.eng.index e with
+                            | Some v -> Some (v, i)
+                            | None -> raise Dynamic)
+                        | Csrc.Ast.Default -> None)
+                      c.Csrc.Ast.labels)
                   cases))
         with Dynamic -> None
       in
-      let run_from start env =
-        match start with
-        | None -> ()
-        | Some i -> (
-            try
-              for j = i to ncases - 1 do
-                cbodies.(j) env
-              done
-            with Interp.Break_exc -> ())
-      in
       (match static_labels with
-      | Some slabels ->
+      | Some pairs ->
+          (* A scrutinee compares as its int64 ([Interp.as_int]). One
+             that fits 63 bits (an immediate, or a pointer or string,
+             which reads as 1) can equal only a label that fits too, so
+             those labels scan as native ints; a boxed int64 can equal
+             only a label that needs all 64 bits. Neither scan
+             allocates. *)
+          let narrow, wide =
+            List.partition (fun (v, _) -> Int64.equal (Int64.of_int (Int64.to_int v)) v) pairs
+          in
+          let nkeys = Array.of_list (List.map (fun (v, _) -> Int64.to_int v) narrow) in
+          let ncase = Array.of_list (List.map snd narrow) in
+          let wkeys = Array.of_list (List.map fst wide) in
+          let wcase = Array.of_list (List.map snd wide) in
+          let rec find_narrow k j =
+            if j >= Array.length nkeys then default_idx
+            else if nkeys.(j) = k then ncase.(j)
+            else find_narrow k (j + 1)
+          in
+          let rec find_wide (k : int64) j =
+            if j >= Array.length wkeys then default_idx
+            else if Int64.equal wkeys.(j) k then wcase.(j)
+            else find_wide k (j + 1)
+          in
           fun env ->
-            let key = Interp.as_int (cscrut env) in
+            let v = cscrut env in
             let start =
-              let rec find i =
-                if i >= ncases then default_idx
-                else if Array.exists (Int64.equal key) slabels.(i) then Some i
-                else find (i + 1)
-              in
-              find 0
+              if is_imm v then find_narrow (imm v) 0
+              else
+                match boxed v with
+                | B_i64 k -> find_wide k 0
+                | B_unit () | B_unbound () -> find_narrow 0 0
+                | B_str _ | B_ptr _ | B_fn _ | B_uptr _ -> find_narrow 1 0
             in
             run_from start env
       | None ->
@@ -878,7 +949,7 @@ and compile_node (ctx : ctx) (node : Csrc.Ast.stmt_node) : jenv -> unit =
                   List.exists
                     (fun ce -> Int64.equal (Interp.as_int (ce env)) key)
                     clabels.(i)
-                then Some i
+                then i
                 else find (i + 1)
               in
               find 0

@@ -9,9 +9,9 @@
     under test read, either through the tree-walking {!Interp} or the
     closure-compiled {!Jit} (the default; both are exact mirrors).
 
-    Syscalls dispatch through a jump table (name resolved to an opcode
-    once, handlers in a dense array), the UNIX trap-vector idiom, rather
-    than re-matching the name string per call. *)
+    A syscall dispatches by a [match] on its name, which the compiler
+    turns into a few word compares; a program's open files sit in an
+    array indexed by fd number. *)
 
 type parg =
   | P_int of int64
@@ -222,7 +222,9 @@ type fd_entry = {
 type run = {
   machine : t;
   st : Interp.state;
-  fds : (int, fd_entry) Hashtbl.t;
+  mutable fds : fd_entry option array;
+      (** indexed by fd number, grown on demand; a number outside it is
+          not open *)
   mutable next_fd : int;
   use_jit : bool;
 }
@@ -281,14 +283,21 @@ let call_handler run ~ops ~oh field fh args ~(default : int64) : int64 =
         (if run.use_jit then Jit.call (Lazy.force run.machine.jit) run.st fname args
          else Interp.call run.st fname args)
 
-let resolve_fd run (retvals : int64 array) (a : parg) : fd_entry option * int64 =
+(* The fd number an argument names, or -1: a failed call's result, a
+   [P_result] out of range and a non-integer name none. An integer is
+   taken modulo 2^63, as [Int64.to_int] does. *)
+let fd_number (retvals : int64 array) (a : parg) : int =
   match a with
   | P_result i when i >= 0 && i < Array.length retvals ->
       let v = retvals.(i) in
-      if Int64.compare v 0L >= 0 then (Hashtbl.find_opt run.fds (Int64.to_int v), v)
-      else (None, v)
-  | P_int v -> (Hashtbl.find_opt run.fds (Int64.to_int v), v)
-  | P_str _ | P_data _ | P_null | P_result _ -> (None, -1L)
+      if Int64.compare v 0L >= 0 then Int64.to_int v else -1
+  | P_int v -> Int64.to_int v
+  | P_str _ | P_data _ | P_null | P_result _ -> -1
+
+let fd_entry run fd = if fd >= 0 && fd < Array.length run.fds then run.fds.(fd) else None
+
+let resolve_fd run (retvals : int64 array) (a : parg) : fd_entry option =
+  fd_entry run (fd_number retvals a)
 
 let arg_value (a : parg) (retvals : int64 array) : Value.value =
   match a with
@@ -305,12 +314,17 @@ let nth_arg args i = match List.nth_opt args i with Some a -> a | None -> P_null
 let new_fd run entry =
   let fd = run.next_fd in
   run.next_fd <- fd + 1;
-  Hashtbl.replace run.fds fd entry;
+  let n = Array.length run.fds in
+  if fd >= n then begin
+    let grown = Array.make (max 8 (2 * fd)) None in
+    Array.blit run.fds 0 grown 0 n;
+    run.fds <- grown
+  end;
+  run.fds.(fd) <- Some entry;
   Int64.of_int fd
 
-(* Per-syscall handlers for the dispatch table. Each takes the raw call
-   so shared handlers (openat/open, read/write, ...) can branch on the
-   name where the old match arms did. *)
+(* Per-syscall handlers. Each takes the raw call so shared handlers
+   (openat/open, read/write, ...) can branch on the name. *)
 
 let get args i = nth_arg args i
 
@@ -371,10 +385,11 @@ let op_socket (run : run) (retvals : int64 array) (c : call) : int64 =
         }
 
 let op_close (run : run) (retvals : int64 array) (c : call) : int64 =
-  match resolve_fd run retvals (get c.c_args 0) with
-  | None, _ -> errno 9
-  | Some e, fdnum ->
-      Hashtbl.remove run.fds (Int64.to_int fdnum);
+  let fd = fd_number retvals (get c.c_args 0) in
+  match fd_entry run fd with
+  | None -> errno 9
+  | Some e ->
+      run.fds.(fd) <- None;
       if e.fd_is_socket then
         call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_release h_release
           [ Value.vptr e.fd_file ] ~default:0L
@@ -386,8 +401,8 @@ let op_close (run : run) (retvals : int64 array) (c : call) : int64 =
 let op_ioctl (run : run) (retvals : int64 array) (c : call) : int64 =
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ ->
+  | None -> errno 9
+  | Some e ->
       let cmd = int_of args retvals 1 in
       let argv = val_of args retvals 2 in
       let field, fh =
@@ -400,16 +415,16 @@ let op_ioctl (run : run) (retvals : int64 array) (c : call) : int64 =
 let op_rw (run : run) (retvals : int64 array) (c : call) : int64 =
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ ->
+  | None -> errno 9
+  | Some e ->
       call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h c.c_name (Value.Stbl.hash c.c_name)
         [ Value.vptr e.fd_file; val_of args retvals 1; val_of args retvals 2; Value.vzero ]
         ~default:(errno 22)
 
 let op_poll (run : run) (retvals : int64 array) (c : call) : int64 =
   match resolve_fd run retvals (get c.c_args 0) with
-  | None, _ -> errno 9
-  | Some e, _ ->
+  | None -> errno 9
+  | Some e ->
       if e.fd_is_socket then
         call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_poll h_poll
           [ Value.vzero; Value.vptr e.fd_file; Value.vzero ]
@@ -421,8 +436,8 @@ let op_poll (run : run) (retvals : int64 array) (c : call) : int64 =
 let op_mmap (run : run) (retvals : int64 array) (c : call) : int64 =
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ ->
+  | None -> errno 9
+  | Some e ->
       call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_mmap h_mmap
         [ Value.vptr e.fd_file; val_of args retvals 1 ]
         ~default:(errno 19)
@@ -430,8 +445,8 @@ let op_mmap (run : run) (retvals : int64 array) (c : call) : int64 =
 let op_sock_generic (run : run) (retvals : int64 array) (c : call) : int64 =
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ when e.fd_is_socket ->
+  | None -> errno 9
+  | Some e when e.fd_is_socket ->
       (* the kernel copies the sockaddr before invoking the handler:
          a NULL user pointer faults at the boundary *)
       if c.c_name = "bind" && Value.is_zero (val_of args retvals 1) then errno 14
@@ -445,26 +460,26 @@ let op_sock_generic (run : run) (retvals : int64 array) (c : call) : int64 =
         call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h c.c_name (Value.Stbl.hash c.c_name)
           (Value.vptr e.fd_file :: rest)
           ~default:(errno 95)
-  | Some _, _ -> errno 88 (* ENOTSOCK *)
+  | Some _ -> errno 88 (* ENOTSOCK *)
 
 let op_connect (run : run) (retvals : int64 array) (c : call) : int64 =
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ when e.fd_is_socket ->
+  | None -> errno 9
+  | Some e when e.fd_is_socket ->
       if Value.is_zero (val_of args retvals 1) then errno 14
       else
         call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_connect h_connect
           [ Value.vptr e.fd_file; val_of args retvals 1; val_of args retvals 2; Value.vzero ]
           ~default:(errno 95)
-  | Some _, _ -> errno 88
+  | Some _ -> errno 88
 
 let op_accept (run : run) (retvals : int64 array) (c : call) : int64 =
   let st = run.st in
   let fn = "__syscall" in
   match resolve_fd run retvals (get c.c_args 0) with
-  | None, _ -> errno 9
-  | Some e, _ when e.fd_is_socket ->
+  | None -> errno 9
+  | Some e when e.fd_is_socket ->
       let newsock = Interp.typed_obj st ~fn "socket" in
       let r =
         call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_accept h_accept
@@ -481,13 +496,13 @@ let op_accept (run : run) (retvals : int64 array) (c : call) : int64 =
             fd_ops_h = e.fd_ops_h;
             fd_is_socket = true;
           }
-  | Some _, _ -> errno 88
+  | Some _ -> errno 88
 
 let op_sockopt (run : run) (retvals : int64 array) (c : call) : int64 =
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ when e.fd_is_socket ->
+  | None -> errno 9
+  | Some e when e.fd_is_socket ->
       call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h c.c_name (Value.Stbl.hash c.c_name)
         [
           Value.vptr e.fd_file;
@@ -497,15 +512,15 @@ let op_sockopt (run : run) (retvals : int64 array) (c : call) : int64 =
           val_of args retvals 4;
         ]
         ~default:(errno 92 (* ENOPROTOOPT *))
-  | Some _, _ -> errno 88
+  | Some _ -> errno 88
 
 let op_sendrecvmsg (run : run) (retvals : int64 array) (c : call) : int64 =
   let st = run.st in
   let fn = "__syscall" in
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ when e.fd_is_socket ->
+  | None -> errno 9
+  | Some e when e.fd_is_socket ->
       let msg = Interp.typed_obj st ~fn "msghdr" in
       (match Value.view (val_of args retvals 1) with
       | Value.Uptr uv -> Interp.materialize_into st ~fn msg uv
@@ -518,7 +533,7 @@ let op_sendrecvmsg (run : run) (retvals : int64 array) (c : call) : int64 =
       call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h c.c_name (Value.Stbl.hash c.c_name)
         (Value.vptr e.fd_file :: Value.vptr msg :: List.map Value.vint extra)
         ~default:(errno 95)
-  | Some _, _ -> errno 88
+  | Some _ -> errno 88
 
 let op_sendto (run : run) (retvals : int64 array) (c : call) : int64 =
   (* sendto(fd, buf, len, flags, addr, addrlen) is lowered onto the
@@ -527,8 +542,8 @@ let op_sendto (run : run) (retvals : int64 array) (c : call) : int64 =
   let fn = "__syscall" in
   let args = c.c_args in
   match resolve_fd run retvals (get args 0) with
-  | None, _ -> errno 9
-  | Some e, _ when e.fd_is_socket ->
+  | None -> errno 9
+  | Some e when e.fd_is_socket ->
       let msg = Interp.typed_obj st ~fn "msghdr" in
       Interp.set_field ~fn msg "msg_iov" (val_of args retvals 1);
       Interp.set_field ~fn msg "msg_name" (val_of args retvals 4);
@@ -543,47 +558,26 @@ let op_sendto (run : run) (retvals : int64 array) (c : call) : int64 =
       call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h field fh
         (Value.vptr e.fd_file :: Value.vptr msg :: List.map Value.vint extra)
         ~default:(errno 95)
-  | Some _, _ -> errno 88
-
-(* The jump table: syscall names resolve to an opcode once (hash lookup)
-   and dispatch indexes a dense handler array. *)
-let syscall_table : (string * (run -> int64 array -> call -> int64)) array =
-  [|
-    ("openat", op_open);
-    ("open", op_open);
-    ("socket", op_socket);
-    ("close", op_close);
-    ("ioctl", op_ioctl);
-    ("read", op_rw);
-    ("write", op_rw);
-    ("poll", op_poll);
-    ("mmap", op_mmap);
-    ("bind", op_sock_generic);
-    ("listen", op_sock_generic);
-    ("shutdown", op_sock_generic);
-    ("connect", op_connect);
-    ("accept", op_accept);
-    ("setsockopt", op_sockopt);
-    ("getsockopt", op_sockopt);
-    ("sendmsg", op_sendrecvmsg);
-    ("recvmsg", op_sendrecvmsg);
-    ("sendto", op_sendto);
-    ("recvfrom", op_sendto);
-  |]
-
-let opcode : (string, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  Array.iteri (fun i (name, _) -> Hashtbl.replace tbl name i) syscall_table;
-  tbl
-
-let dispatch : (run -> int64 array -> call -> int64) array = Array.map snd syscall_table
+  | Some _ -> errno 88
 
 (** Execute one syscall. Returns the syscall return value; crashes
     propagate as {!Crash.Crash}. *)
 let exec_call (run : run) (retvals : int64 array) (c : call) : int64 =
-  match Hashtbl.find_opt opcode c.c_name with
-  | Some op -> dispatch.(op) run retvals c
-  | None -> errno 38 (* ENOSYS *)
+  match c.c_name with
+  | "openat" | "open" -> op_open run retvals c
+  | "socket" -> op_socket run retvals c
+  | "close" -> op_close run retvals c
+  | "ioctl" -> op_ioctl run retvals c
+  | "read" | "write" -> op_rw run retvals c
+  | "poll" -> op_poll run retvals c
+  | "mmap" -> op_mmap run retvals c
+  | "bind" | "listen" | "shutdown" -> op_sock_generic run retvals c
+  | "connect" -> op_connect run retvals c
+  | "accept" -> op_accept run retvals c
+  | "setsockopt" | "getsockopt" -> op_sockopt run retvals c
+  | "sendmsg" | "recvmsg" -> op_sendrecvmsg run retvals c
+  | "sendto" | "recvfrom" -> op_sendto run retvals c
+  | _ -> errno 38 (* ENOSYS *)
 
 (** Execute a whole program against a fresh kernel state. *)
 let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink option)
@@ -593,9 +587,7 @@ let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink opt
     Interp.create ~index:t.index ~layouts:t.layouts ~frames:t.frames ~step_budget
       ?on_cover ()
   in
-  let run =
-    { machine = t; st; fds = Hashtbl.create 8; next_fd = 3; use_jit = engine = `Jit }
-  in
+  let run = { machine = t; st; fds = [||]; next_fd = 3; use_jit = engine = `Jit } in
   st.Interp.spawn_fd <-
     Some
       (fun ops_global ->
@@ -616,6 +608,9 @@ let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink opt
   let rec go i = function
     | [] -> ()
     | c :: rest -> (
+        (* an error raised in a nested frame skips the frames' depth
+           decrements; the next call starts at the depth this one did *)
+        let depth = st.Interp.depth in
         match exec_call run retvals c with
         | r ->
             retvals.(i) <- r;
@@ -626,6 +621,7 @@ let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink opt
             retvals.(i) <- errno 4 (* EINTR: stuck call *);
             timed_out := true
         | exception Interp.Exec_error _ ->
+            st.Interp.depth <- depth;
             retvals.(i) <- errno 22;
             go (i + 1) rest)
   in
@@ -639,22 +635,23 @@ let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink opt
   if st.Interp.steps > st.Interp.step_budget - release_headroom then
     st.Interp.steps <- max 0 (st.Interp.step_budget - release_headroom);
   if !crash = None then begin
-    let open_fds = Hashtbl.fold (fun fd e acc -> (fd, e) :: acc) run.fds [] in
-    let open_fds = List.sort (fun (a, _) (b, _) -> compare a b) open_fds in
+    (* ascending fd order; an fd a release handler opens stays open *)
     (try
-       List.iter
-         (fun (fd, e) ->
-           Hashtbl.remove run.fds fd;
-           if e.fd_is_socket then
-             ignore
-               (call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_release h_release
-                  [ Value.vptr e.fd_file ] ~default:0L)
-           else
-             ignore
-               (call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_release h_release
-                  [ Value.vptr e.fd_inode; Value.vptr e.fd_file ]
-                  ~default:0L))
-         open_fds
+       for fd = 0 to run.next_fd - 1 do
+         match fd_entry run fd with
+         | None -> ()
+         | Some e ->
+             run.fds.(fd) <- None;
+             if e.fd_is_socket then
+               ignore
+                 (call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_release h_release
+                    [ Value.vptr e.fd_file ] ~default:0L)
+             else
+               ignore
+                 (call_handler run ~ops:e.fd_ops ~oh:e.fd_ops_h f_release h_release
+                    [ Value.vptr e.fd_inode; Value.vptr e.fd_file ]
+                    ~default:0L)
+       done
      with
     | Crash.Crash cr -> crash := Some { cr_title = Crash.title cr; cr_call = n - 1 }
     | Interp.Exec_timeout ->
@@ -667,9 +664,11 @@ let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink opt
      here are an artifact of the exhausted budget, not bugs. *)
   if !crash = None && not !timed_out then begin
     let roots =
-      Hashtbl.fold
-        (fun _ e acc -> Value.vptr e.fd_file :: Value.vptr e.fd_inode :: acc)
-        run.fds []
+      Array.fold_left
+        (fun acc -> function
+          | Some e -> Value.vptr e.fd_file :: Value.vptr e.fd_inode :: acc
+          | None -> acc)
+        [] run.fds
     in
     match Interp.leaked_objects st ~roots with
     | [] -> ()

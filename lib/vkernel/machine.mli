@@ -6,8 +6,10 @@
     truth (the moral equivalent of booting the modules); everything else
     runs from the same mini-C sources the analyses read, through either
     the tree-walking {!Interp} or the closure-compiled {!Jit} executor
-    (the default — both are exact mirrors). Syscall names resolve
-    through a jump table rather than a per-call string match. *)
+    (the default — both are exact mirrors). A syscall dispatches by a
+    [match] on its name, which compiles to a few word compares and no
+    lookup; an execution's open files sit in an array indexed by fd
+    number. *)
 
 (** One syscall argument as the fuzzer passes it. *)
 type parg =

@@ -23,11 +23,27 @@ filter() {
           -e '^Total experiment time:'
 }
 
+# cli ERR OUT FILTER ARGS...: run kernelgpt_cli ARGS with its stdout in
+# OUT.raw and its stderr in ERR, fail the step naming the command unless
+# it exits 0, then write FILTER's reading of OUT.raw to OUT. sh has no
+# pipefail: in `kernelgpt_cli ... | filter > OUT` only the filter's exit
+# status counts, so a run that printed and then failed would pass.
+cli() {
+  cli_err=$1; cli_out=$2; cli_filter=$3; shift 3
+  cli_status=0
+  dune exec --no-build bin/kernelgpt_cli.exe -- "$@" > "$cli_out.raw" 2> "$cli_err" || cli_status=$?
+  if [ "$cli_status" -ne 0 ]; then
+    echo "FAIL: kernelgpt_cli $* exited $cli_status, expected 0" >&2
+    exit 1
+  fi
+  "$cli_filter" < "$cli_out.raw" > "$cli_out"
+}
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 1 2>/dev/null | filter > "$tmp/seq.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 4 2>/dev/null | filter > "$tmp/par.out"
+cli /dev/null "$tmp/seq.out" filter report table3 --jobs 1
+cli /dev/null "$tmp/par.out" filter report table3 --jobs 4
 
 if ! diff -u "$tmp/seq.out" "$tmp/par.out"; then
   echo "FAIL: --jobs 4 output differs from sequential run" >&2
@@ -38,10 +54,8 @@ echo "OK: --jobs 4 table3 output is byte-identical to sequential"
 echo "== parallel-vs-sequential equivalence (every table, quick) =="
 # The same contract over the whole report: every table, figure and
 # ablation that `report all` prints.
-dune exec --no-build bin/kernelgpt_cli.exe -- report all --jobs 1 \
-  --bench-out "$tmp/bench_all1.json" 2>/dev/null | filter > "$tmp/all_seq.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report all --jobs 4 \
-  --bench-out "$tmp/bench_all4.json" 2>/dev/null | filter > "$tmp/all_par.out"
+cli /dev/null "$tmp/all_seq.out" filter report all --jobs 1 --bench-out "$tmp/bench_all1.json"
+cli /dev/null "$tmp/all_par.out" filter report all --jobs 4 --bench-out "$tmp/bench_all4.json"
 if ! diff -u "$tmp/all_seq.out" "$tmp/all_par.out"; then
   echo "FAIL: report all --jobs 4 output differs from --jobs 1" >&2
   exit 1
@@ -90,8 +104,8 @@ echo "OK: report table1's direct major-heap words are within their bound"
 echo "== traced run: stdout unchanged, JSONL valid =="
 # Tracing and metrics must not leak into stdout, and the emitted trace
 # must parse and cover every major span kind.
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 4 \
-  --trace "$tmp/trace.jsonl" --metrics 2>"$tmp/traced.err" | filter > "$tmp/traced.out"
+cli "$tmp/traced.err" "$tmp/traced.out" filter \
+  report table3 --jobs 4 --trace "$tmp/trace.jsonl" --metrics
 
 if ! diff -u "$tmp/seq.out" "$tmp/traced.out"; then
   echo "FAIL: --trace/--metrics changed stdout" >&2
@@ -114,8 +128,7 @@ echo "== fault injection: recovery at a moderate rate =="
 # injected fault recovered, zero degraded modules, and the experiment
 # tables identical to the un-faulted run (the oracle is deterministic,
 # so a recovered query returns exactly what an unfaulted one would).
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 15 2>/dev/null \
-  | filter > "$tmp/f15.out"
+cli /dev/null "$tmp/f15.out" filter report table3 --faults 15
 
 if ! grep -q '^All injected transient faults recovered (0 degraded modules' "$tmp/f15.out"; then
   echo "FAIL: --faults 15 did not fully recover" >&2
@@ -139,8 +152,8 @@ echo "== fault injection: sharding does not change faulted output =="
 # rate high enough to trip circuit breakers must print the same tables
 # no matter how modules are sharded over workers. (--query-budget is
 # the documented exception and is deliberately absent here.)
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 60:5 --jobs 1 2>/dev/null | filter > "$tmp/f60seq.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 60:5 --jobs 4 2>/dev/null | filter > "$tmp/f60par.out"
+cli /dev/null "$tmp/f60seq.out" filter report table3 --faults 60:5 --jobs 1
+cli /dev/null "$tmp/f60par.out" filter report table3 --faults 60:5 --jobs 4
 if ! diff -u "$tmp/f60seq.out" "$tmp/f60par.out"; then
   echo "FAIL: --faults 60:5 output depends on --jobs" >&2
   exit 1
@@ -148,8 +161,8 @@ fi
 echo "OK: --faults 60:5 --jobs 4 output is byte-identical to --jobs 1"
 
 echo "== fault injection: same seed, same run =="
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7a.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7b.out"
+cli /dev/null "$tmp/s7a.out" filter report table3 --faults 15:7
+cli /dev/null "$tmp/s7b.out" filter report table3 --faults 15:7
 if ! diff -u "$tmp/s7a.out" "$tmp/s7b.out"; then
   echo "FAIL: --faults 15:7 is not reproducible" >&2
   exit 1
@@ -172,8 +185,8 @@ strip_resilience() {
     END { if (blank) print "" }
   '
 }
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --faults 0 2>/dev/null \
-  | filter | strip_resilience > "$tmp/f0.out"
+filter_resilience() { filter | strip_resilience; }
+cli /dev/null "$tmp/f0.out" filter_resilience report table3 --faults 0
 if ! diff -u "$tmp/seq.out" "$tmp/f0.out"; then
   echo "FAIL: --faults 0 output differs from a run without the client layer" >&2
   exit 1
@@ -187,16 +200,15 @@ echo "== checkpoint/resume: interrupted run finishes byte-identical =="
 # uninterrupted one except for wall-clock timings.
 normalize_time() { sed 's/in [0-9.]*s/in Xs/'; }
 
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  2>/dev/null | normalize_time > "$tmp/fuzz_full.out"
+cli /dev/null "$tmp/fuzz_full.out" normalize_time fuzz dm --budget 3000 --seed 3 --repro
 dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
   --checkpoint "$tmp/ck.jsonl" --stop-after 1400 2>/dev/null > "$tmp/fuzz_stop.out"
 if [ -s "$tmp/fuzz_stop.out" ]; then
   echo "FAIL: a stopped campaign wrote to stdout" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --checkpoint "$tmp/ck.jsonl" --resume 2>/dev/null | normalize_time > "$tmp/fuzz_resumed.out"
+cli /dev/null "$tmp/fuzz_resumed.out" normalize_time \
+  fuzz dm --budget 3000 --seed 3 --repro --checkpoint "$tmp/ck.jsonl" --resume
 if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_resumed.out"; then
   echo "FAIL: resumed campaign output differs from the uninterrupted run" >&2
   exit 1
@@ -230,8 +242,8 @@ echo "== executor fault injection: deterministic and shard-independent =="
 # An --exec-faults plan is a pure hash of the execution index, so the
 # supervised tables and resilience summary must be byte-identical
 # across --jobs values and across repeated runs.
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --exec-faults 10:3 --jobs 1 2>/dev/null | filter > "$tmp/ef_seq.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --exec-faults 10:3 --jobs 4 2>/dev/null | filter > "$tmp/ef_par.out"
+cli /dev/null "$tmp/ef_seq.out" filter report table3 --exec-faults 10:3 --jobs 1
+cli /dev/null "$tmp/ef_par.out" filter report table3 --exec-faults 10:3 --jobs 4
 if ! diff -u "$tmp/ef_seq.out" "$tmp/ef_par.out"; then
   echo "FAIL: --exec-faults 10:3 output depends on --jobs" >&2
   exit 1
@@ -251,16 +263,16 @@ echo "== oracle cache: warm runs are byte-identical and query-free =="
 # must print byte-identical tables while performing ZERO oracle queries
 # — every answer replays from the cache, so the warm --metrics registry
 # has no oracle.queries counter at all, only cache hits.
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 1 \
-  --oracle-cache "$tmp/oracle_cache.jsonl" 2>/dev/null | filter > "$tmp/cache_cold.out"
+cli /dev/null "$tmp/cache_cold.out" filter \
+  report table3 --jobs 1 --oracle-cache "$tmp/oracle_cache.jsonl"
 if ! diff -u "$tmp/seq.out" "$tmp/cache_cold.out"; then
   echo "FAIL: --oracle-cache changed the cold run's stdout" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 1 --metrics \
-  --oracle-cache "$tmp/oracle_cache.jsonl" 2>"$tmp/cache_warm.err" | filter > "$tmp/cache_warm1.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --jobs 4 \
-  --oracle-cache "$tmp/oracle_cache.jsonl" 2>/dev/null | filter > "$tmp/cache_warm4.out"
+cli "$tmp/cache_warm.err" "$tmp/cache_warm1.out" filter \
+  report table3 --jobs 1 --metrics --oracle-cache "$tmp/oracle_cache.jsonl"
+cli /dev/null "$tmp/cache_warm4.out" filter \
+  report table3 --jobs 4 --oracle-cache "$tmp/oracle_cache.jsonl"
 if ! diff -u "$tmp/cache_cold.out" "$tmp/cache_warm1.out"; then
   echo "FAIL: warm --jobs 1 run differs from the cold run" >&2
   exit 1
@@ -302,10 +314,8 @@ echo "OK: a truncated oracle cache fails descriptively"
 echo "== table4: sharding does not change output; BENCH artifacts =="
 # The quick Table 4 runs feed the BENCH artifact check and the
 # throughput gate below; their stdout must not depend on --jobs.
-dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --jobs 1 \
-  --bench-out "$tmp/bench_c1.json" 2>/dev/null | filter > "$tmp/t4_c1.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --jobs 4 \
-  --bench-out "$tmp/bench_c4.json" 2>/dev/null | filter > "$tmp/t4_c4.out"
+cli /dev/null "$tmp/t4_c1.out" filter report table4 --jobs 1 --bench-out "$tmp/bench_c1.json"
+cli /dev/null "$tmp/t4_c4.out" filter report table4 --jobs 4 --bench-out "$tmp/bench_c4.json"
 if ! diff -u "$tmp/t4_c1.out" "$tmp/t4_c4.out"; then
   echo "FAIL: table4 --jobs 4 output differs from --jobs 1" >&2
   exit 1
@@ -379,17 +389,16 @@ echo "== UCB scheduling: stop/resume, shard independence, sched pinning =="
 # must resume byte-identical to an uninterrupted one; and because picks
 # are a pure function of the checkpointed counters (zero RNG draws),
 # the report must not depend on --jobs either.
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --sched ucb 2>/dev/null | normalize_time > "$tmp/fuzz_ucb_full.out"
+cli /dev/null "$tmp/fuzz_ucb_full.out" normalize_time \
+  fuzz dm --budget 3000 --seed 3 --repro --sched ucb
 if diff -q "$tmp/fuzz_full.out" "$tmp/fuzz_ucb_full.out" >/dev/null; then
   echo "FAIL: --sched ucb output is identical to uniform (scheduler not wired in?)" >&2
   exit 1
 fi
 dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
   --sched ucb --checkpoint "$tmp/ck_ucb.jsonl" --stop-after 1400 2>/dev/null >/dev/null
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --sched ucb --checkpoint "$tmp/ck_ucb.jsonl" --resume 2>/dev/null \
-  | normalize_time > "$tmp/fuzz_ucb_res.out"
+cli /dev/null "$tmp/fuzz_ucb_res.out" normalize_time \
+  fuzz dm --budget 3000 --seed 3 --repro --sched ucb --checkpoint "$tmp/ck_ucb.jsonl" --resume
 if ! diff -u "$tmp/fuzz_ucb_full.out" "$tmp/fuzz_ucb_res.out"; then
   echo "FAIL: resumed --sched ucb campaign differs from the uninterrupted run" >&2
   exit 1
@@ -404,10 +413,10 @@ if ! grep -q 'checkpoint was taken with --sched ucb' "$tmp/sched_mismatch.err"; 
   cat "$tmp/sched_mismatch.err" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --sched ucb --jobs 1 \
-  --bench-out "$tmp/bench_u1.json" 2>/dev/null | filter > "$tmp/t4_u1.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table4 --sched ucb --jobs 4 \
-  --bench-out "$tmp/bench_u4.json" 2>/dev/null | filter > "$tmp/t4_u4.out"
+cli /dev/null "$tmp/t4_u1.out" filter \
+  report table4 --sched ucb --jobs 1 --bench-out "$tmp/bench_u1.json"
+cli /dev/null "$tmp/t4_u4.out" filter \
+  report table4 --sched ucb --jobs 4 --bench-out "$tmp/bench_u4.json"
 if ! diff -u "$tmp/t4_u1.out" "$tmp/t4_u4.out"; then
   echo "FAIL: table4 --sched ucb stdout depends on --jobs" >&2
   exit 1
@@ -480,8 +489,8 @@ if ! grep -q 'checkpoint coverage sid 100000000 is out of range' "$tmp/sid.err";
   cat "$tmp/sid.err" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --checkpoint "$tmp/ck_sid.jsonl" --resume-or-fresh 2>/dev/null | normalize_time > "$tmp/fuzz_sid.out"
+cli /dev/null "$tmp/fuzz_sid.out" normalize_time \
+  fuzz dm --budget 3000 --seed 3 --repro --checkpoint "$tmp/ck_sid.jsonl" --resume-or-fresh
 if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_sid.out"; then
   echo "FAIL: --resume-or-fresh past an out-of-range sid differs from a fresh run" >&2
   exit 1
@@ -513,8 +522,8 @@ if ! grep -q 'checkpoint max_corpus is 0' "$tmp/mc.err"; then
   cat "$tmp/mc.err" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --checkpoint "$tmp/ck_mc0.jsonl" --resume-or-fresh 2>/dev/null | normalize_time > "$tmp/fuzz_mc.out"
+cli /dev/null "$tmp/fuzz_mc.out" normalize_time \
+  fuzz dm --budget 3000 --seed 3 --repro --checkpoint "$tmp/ck_mc0.jsonl" --resume-or-fresh
 if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_mc.out"; then
   echo "FAIL: --resume-or-fresh past max_corpus 0 differs from a fresh run" >&2
   exit 1
@@ -543,8 +552,8 @@ if ! grep -q 'checkpoint max_corpus is 18014398509481984' "$tmp/mc54.err"; then
   cat "$tmp/mc54.err" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- fuzz dm --budget 3000 --seed 3 --repro \
-  --checkpoint "$tmp/ck_mc54.jsonl" --resume-or-fresh 2>/dev/null | normalize_time > "$tmp/fuzz_mc54.out"
+cli /dev/null "$tmp/fuzz_mc54.out" normalize_time \
+  fuzz dm --budget 3000 --seed 3 --repro --checkpoint "$tmp/ck_mc54.jsonl" --resume-or-fresh
 if ! diff -u "$tmp/fuzz_full.out" "$tmp/fuzz_mc54.out"; then
   echo "FAIL: --resume-or-fresh past max_corpus 2^54 differs from a fresh run" >&2
   exit 1
@@ -567,8 +576,8 @@ strip_pool_resilience() {
     END { if (blank) print "" }
   '
 }
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 15:7 --jobs 1 2>/dev/null | filter > "$tmp/pf_seq.out"
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 15:7 --jobs 4 2>/dev/null | filter > "$tmp/pf_par.out"
+cli /dev/null "$tmp/pf_seq.out" filter report table3 --pool-faults 15:7 --jobs 1
+cli /dev/null "$tmp/pf_par.out" filter report table3 --pool-faults 15:7 --jobs 4
 if ! diff -u "$tmp/pf_seq.out" "$tmp/pf_par.out"; then
   echo "FAIL: --pool-faults 15:7 output depends on --jobs" >&2
   exit 1
@@ -587,18 +596,15 @@ if ! diff -u "$tmp/seq.out" "$tmp/pf_strip.out"; then
   echo "FAIL: recovered --pool-faults 15:7 tables differ from the un-faulted run" >&2
   exit 1
 fi
-dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 0 2>/dev/null \
-  | filter | strip_pool_resilience > "$tmp/pf0.out"
+filter_pool_resilience() { filter | strip_pool_resilience; }
+cli /dev/null "$tmp/pf0.out" filter_pool_resilience report table3 --pool-faults 0
 if ! diff -u "$tmp/seq.out" "$tmp/pf0.out"; then
   echo "FAIL: --pool-faults 0 output differs from a run without pool fault injection" >&2
   exit 1
 fi
+# A rate-100 plan that crashes the run instead of degrading it fails cli.
 for j in 1 4; do
-  if ! dune exec --no-build bin/kernelgpt_cli.exe -- report table3 --pool-faults 100:3 --jobs $j \
-       --metrics 2>"$tmp/pfq$j.err" | filter > "$tmp/pfq$j.out"; then
-    echo "FAIL: a rate-100 pool fault plan crashed the --jobs $j run instead of degrading it" >&2
-    exit 1
-  fi
+  cli "$tmp/pfq$j.err" "$tmp/pfq$j.out" filter report table3 --pool-faults 100:3 --jobs $j --metrics
   grep -E '^\[metrics\] pool\.(faults\.injected|retries|quarantined|stalls|tasks|runs) ' \
     "$tmp/pfq$j.err" > "$tmp/pfq$j.counters" || true
 done
@@ -631,17 +637,12 @@ fi
 echo "OK: pool faults recover byte-identically (jobs 1/4), rate 0 passes through, rate 100 degrades"
 echo "OK: rate-100 stdout and pool counters are identical at --jobs 1 and 4"
 # The other fuzzing tables take the same rate-100 plan: each must
-# degrade rows rather than crash, and print the same bytes at any --jobs.
-# The run's own exit status is checked before its output is filtered (a
-# pipeline's status would be the filter's).
+# degrade rows rather than crash (which fails cli), and print the same
+# bytes at any --jobs.
 for t in table4 table5 table6 ablation-sched; do
   for j in 1 4; do
-    if ! dune exec --no-build bin/kernelgpt_cli.exe -- report $t --pool-faults 100:3 --jobs $j \
-         --bench-out "$tmp/bench_pfq_$t$j.json" > "$tmp/pfq_$t$j.raw" 2>/dev/null; then
-      echo "FAIL: a rate-100 pool fault plan crashed the $t --jobs $j run instead of degrading it" >&2
-      exit 1
-    fi
-    filter < "$tmp/pfq_$t$j.raw" > "$tmp/pfq_$t$j.out"
+    cli /dev/null "$tmp/pfq_$t$j.out" filter \
+      report $t --pool-faults 100:3 --jobs $j --bench-out "$tmp/bench_pfq_$t$j.json"
   done
   if ! diff -u "$tmp/pfq_${t}1.out" "$tmp/pfq_${t}4.out"; then
     echo "FAIL: $t --pool-faults 100:3 output depends on --jobs" >&2
@@ -659,10 +660,12 @@ echo "== CLI flags: malformed input exits 124 naming the flag =="
 # fall back to a default (Quick scale, one job, one job per core, the
 # whole report), a budget or seed count must be positive, an unknown
 # module or a fuzz suite with no specification for the module is an
-# error rather than a run that fuzzes nothing, and an artifact that
-# cannot be written is an error, not an exception. Cmdliner refuses
-# these with its error status 124; the message is matched with its line
-# breaks folded into spaces.
+# error rather than a run that fuzzes nothing, and an artifact or
+# checkpoint that cannot be written is an error, not an exception; a
+# target that is not a regular file (here a FIFO) is refused and left
+# as it is. Cmdliner refuses these with its error status 124; the
+# message is matched with its line breaks folded into spaces.
+mkfifo "$tmp/fifo"
 for case in "unknown option '--fulll'|report --fulll" \
             "option '--jobs': expected a non-negative integer|report --jobs abc" \
             "option '--jobs': expected a non-negative integer (0 = one worker per core), got \"-3\"|report --jobs=-3" \
@@ -678,7 +681,10 @@ for case in "unknown option '--fulll'|report --fulll" \
             "MODULE argument: no such module \"nosuch\"|generate nosuch" \
             "no manual specification available for dm|fuzz dm --suite manual" \
             "no syzdescribe specification available for rds|fuzz rds --suite syzdescribe" \
-            "cannot write the bench artifact: $tmp/missing/b.json.tmp|report table1 --bench-out $tmp/missing/b.json"; do
+            "cannot write the bench artifact: $tmp/missing/b.json.tmp|report table1 --bench-out $tmp/missing/b.json" \
+            "cannot write the bench artifact: $tmp/fifo: not a regular file|report table1 --bench-out $tmp/fifo" \
+            "cannot write the checkpoint: $tmp/missing/ck.tmp|fuzz dm --budget 300 --checkpoint $tmp/missing/ck" \
+            "cannot write the checkpoint: $tmp/fifo: not a regular file|fuzz dm --budget 300 --checkpoint $tmp/fifo"; do
   want=${case%%|*}
   args=${case#*|}
   status=0
@@ -694,6 +700,10 @@ for case in "unknown option '--fulll'|report --fulll" \
     exit 1
   fi
 done
+if [ ! -p "$tmp/fifo" ] || [ -e "$tmp/fifo.tmp" ]; then
+  echo "FAIL: a refused write replaced the FIFO or left its temp file" >&2
+  exit 1
+fi
 echo "OK: malformed, missing, repeated and unknown CLI input exits 124 naming it"
 
 echo "== examples: each one runs and prints =="

@@ -833,6 +833,488 @@ let test_builtin_names_cover_ids () =
   Alcotest.(check bool) "unknown name has no id" true
     (Vkernel.Value.Stbl.find_opt Vkernel.Interp.builtin_ids "not_a_builtin" = None)
 
+let test_switch_labels () =
+  (* case labels folded at compile time: negative, 2^62 and 2^63 (which
+     need a boxed int64), macro and enum labels, a default in the middle
+     that falls through, and scrutinees that are not integers *)
+  let interp, jit =
+    dual_of
+      {|
+#define SW_MAGIC 'S'
+#define SW_CMD _IOW(SW_MAGIC, 3, int)
+enum sw_mode { SW_OFF, SW_ON = 5, SW_AUTO };
+
+struct sw_cfg { int mode; };
+static struct sw_cfg g_sw;
+
+static long sw(long x)
+{
+  long r;
+  r = 0;
+  switch (x) {
+  case -7:
+    r = r + 1;
+  case 3:
+    r = r + 10;
+    break;
+  default:
+    r = r + 100;
+  case 0x4000000000000000:
+    r = r + 1000;
+    break;
+  case 0x8000000000000000:
+    r = r + 10000;
+    break;
+  case SW_CMD:
+  case SW_ON:
+    r = r + 100000;
+    break;
+  case SW_AUTO:
+    return r + 1000000;
+  case SW_OFF:
+    r = r + 3;
+    break;
+  case -0x4000000000000000:
+    r = r + 7;
+    break;
+  case 'S':
+    r = r + 8;
+  }
+  return r;
+}
+
+static long sw_str(void)
+{
+  switch ("abc") {
+  case 0:
+    return 10;
+  case 1:
+    return 11;
+  default:
+    return 12;
+  }
+}
+
+static long sw_ptr(void)
+{
+  switch (&g_sw) {
+  case 0:
+    return 20;
+  case 1:
+    return 21;
+  }
+  return 22;
+}
+
+static long sw_fn(void)
+{
+  switch (sw_str) {
+  case 1:
+    return 31;
+  default:
+    return 32;
+  }
+}
+|}
+  in
+  List.iter
+    (fun (x, want) -> check_both (Printf.sprintf "switch %Ld" x) want interp jit "sw" [ x ])
+    [
+      (-7L, 11L);
+      (3L, 10L);
+      (0x4000_0000_0000_0000L, 1000L);
+      (Int64.min_int, 10000L);
+      (0x4004_5303L, 100000L);
+      (5L, 100000L);
+      (6L, 1000000L);
+      (0L, 3L);
+      (-0x4000_0000_0000_0000L, 7L);
+      (83L, 8L);
+      (* no label: the default, then its fallthrough into 2^62's case *)
+      (2L, 1100L);
+      (1L, 1100L);
+      (0x4000_0000_0000_0001L, 1100L);
+      (0x3fff_ffff_ffff_ffffL, 1100L);
+      (-0x4000_0000_0000_0001L, 1100L);
+      (Int64.max_int, 1100L);
+      (0x8000_0000_0000_0001L, 1100L);
+      (-1L, 1100L);
+    ];
+  check_both "string scrutinee reads as 1" 11L interp jit "sw_str" [];
+  check_both "pointer scrutinee reads as 1" 21L interp jit "sw_ptr" [];
+  check_both "function scrutinee reads as 1" 31L interp jit "sw_fn" []
+
+(* A value with everything reachable from it: object ids, each object's
+   shape (a typed layout or name-keyed fields) and its field values,
+   every object rendered once. *)
+let render_deep (v : Vkernel.Value.value) =
+  let open Vkernel.Value in
+  let seen = Hashtbl.create 16 in
+  let rec go v =
+    match view v with
+    | Ptr o when Hashtbl.mem seen o.oid -> Printf.sprintf "#%d" o.oid
+    | Ptr o ->
+        Hashtbl.replace seen o.oid ();
+        let body =
+          match o.data with
+          | Typed tf ->
+              "typed{"
+              ^ String.concat ";"
+                  (Array.to_list (Array.mapi (fun i n -> n ^ "=" ^ go tf.tcells.(i)) tf.tnames))
+              ^ "}"
+          | Fields tbl ->
+              let kvs = ref [] in
+              Stbl.iter (fun k v -> kvs := (k, v) :: !kvs) tbl;
+              "fields{"
+              ^ String.concat ";"
+                  (List.map
+                     (fun (k, v) -> k ^ "=" ^ go v)
+                     (List.sort (fun (a, _) (b, _) -> compare a b) !kvs))
+              ^ "}"
+          | Cells cells -> "cells[" ^ String.concat ";" (Array.to_list (Array.map go cells)) ^ "]"
+          | Opaque -> "opaque"
+        in
+        Printf.sprintf "#%d%s@%s:%s" o.oid (if o.freed then " freed" else "") o.alloc_fn body
+    | _ -> to_string v
+  in
+  go v
+
+let const_globals_src =
+  {|
+struct ops {
+  long (*get)(long);
+  long (*put)(long);
+  int mode;
+  int flags;
+  const char *name;
+};
+struct inner { int a; int b; };
+struct outer { int x; struct inner in; };
+struct linked { int x; struct ops *link; };
+
+#define OPS_MODE 7
+#define OPS_NAME "late"
+enum ops_flag { OPS_FLAG_NONE, OPS_FLAG_A = 3 };
+
+static long op_get(long v) { return v + 1; }
+static long op_put(long v) { return v * 2; }
+
+static struct ops g_ops = { .get = op_get, .put = op_put, .mode = OPS_MODE,
+                            .flags = OPS_FLAG_A, .name = "ops" };
+static struct ops g_rep = { .mode = 1, .get = op_get, .mode = 9 };
+static struct ops g_out = { .mode = 4, .extra = 11 };
+static struct outer g_nest = { .x = 5 };
+static struct linked g_link = { .x = 2, .link = &g_ops };
+static struct ops g_late = { .flags = (OPS_MODE + 1) * 2, .name = OPS_NAME };
+static struct ops g_bare;
+
+static long probe_ops(void) { return g_ops.mode * 10 + g_ops.flags; }
+static long probe_rep(void) { return g_rep.mode; }
+static long probe_out(void) { return g_out.mode + g_out.extra; }
+static long probe_nest(void) { return g_nest.x * 10 + g_nest.in.a; }
+static long probe_link(void) { return g_link.link->mode + g_link.x; }
+static long probe_late(void) { return g_late.flags + strlen(g_late.name); }
+
+static long set_mode(long m)
+{
+  long old;
+  old = g_ops.mode;
+  g_ops.mode = m;
+  return old;
+}
+|}
+
+let test_const_global_init () =
+  (* struct globals initialized by constants (function names, folded
+     integers and macros, strings), one with a repeated designator, one
+     with a designator outside its layout (the object migrates to
+     name-keyed fields), one whose layout holds a nested struct and one
+     holding &another_global *)
+  let interp, jit = dual_of const_globals_src in
+  check_both "constants" 73L interp jit "probe_ops" [];
+  check_both "the last designator wins" 9L interp jit "probe_rep" [];
+  check_both "a field outside the layout" 15L interp jit "probe_out" [];
+  check_both "a nested struct field" 50L interp jit "probe_nest" [];
+  check_both "&other_global" 9L interp jit "probe_link" [];
+  check_both "folded and string macros" 20L interp jit "probe_late" [];
+  (* first touches in one order on both engines: ids, shapes, values *)
+  let sid = ref 0 in
+  let idx =
+    Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"t.c" const_globals_src)
+  in
+  let sti = Vkernel.Interp.create ~index:idx () in
+  let stj = Vkernel.Interp.create ~index:idx () in
+  let eng = Vkernel.Jit.of_index idx in
+  List.iter
+    (fun g ->
+      let vi = Option.get (Vkernel.Interp.get_global sti g) in
+      let vj = Option.get (Vkernel.Jit.get_global eng stj g) in
+      Alcotest.(check string) (g ^ " is the same object graph") (render_deep vi) (render_deep vj))
+    [ "g_link"; "g_rep"; "g_out"; "g_nest"; "g_late"; "g_bare"; "g_ops" ];
+  Alcotest.(check string) "g_ops holds its constants"
+    "#2@__init:typed{get=<fn op_get>;put=<fn op_put>;mode=7;flags=3;name=\"ops\"}"
+    (render_deep (Option.get (Vkernel.Jit.get_global eng stj "g_ops")));
+  Alcotest.(check bool) "g_out migrated to fields" true
+    (String.starts_with ~prefix:"#4@__init:fields{"
+       (render_deep (Option.get (Vkernel.Jit.get_global eng stj "g_out"))))
+
+let test_const_global_fresh_per_state () =
+  (* a write to an initialized global stays in its own state: the next
+     state (the next execution) sees the initializer's value again *)
+  let sid = ref 0 in
+  let idx =
+    Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"t.c" const_globals_src)
+  in
+  let eng = Vkernel.Jit.of_index idx in
+  let set (call : Vkernel.Interp.state -> string -> Vkernel.Value.value list -> Vkernel.Value.value) st m =
+    Vkernel.Value.to_int (call st "set_mode" [ Vkernel.Value.vint m ])
+  in
+  List.iter
+    (fun (engine, call) ->
+      let st1 = Vkernel.Interp.create ~index:idx () in
+      Alcotest.(check int64) (engine ^ ": first write sees the initializer") 7L (set call st1 99L);
+      Alcotest.(check int64) (engine ^ ": the same state sees the write") 99L (set call st1 5L);
+      let st2 = Vkernel.Interp.create ~index:idx () in
+      Alcotest.(check int64) (engine ^ ": a fresh state does not") 7L (set call st2 1L);
+      Alcotest.(check int64) (engine ^ ": nor is the first state's value shared") 5L
+        (set call st1 0L))
+    [ ("interp", Vkernel.Interp.call); ("jit", Vkernel.Jit.call eng) ]
+
+(* ------------------------------------------------------------------ *)
+(* Machine-level parity: fds and the recursion depth                   *)
+(* ------------------------------------------------------------------ *)
+
+(* posix_clock's registration (/dev/ptp0 and its fops global name) over
+   another source *)
+let custom_machine source =
+  let e = Corpus.Registry.find_exn "posix_clock" in
+  Vkernel.Machine.boot [ { e with source } ]
+
+let engines : Vkernel.Machine.engine list = [ `Jit; `Interp ]
+
+let engine_name = function `Jit -> "jit" | `Interp -> "interp"
+
+let fd_src =
+  {|
+#define TFD_GET_ID 1
+#define TFD_SET_MODE 2
+#define TFD_RESET 3
+
+struct tfd_state { int id; };
+struct tfd_conf { int mode; int limit; };
+
+static int _tfd_opened;
+static int _tfd_last_released;
+static struct tfd_conf tfd_conf = { .mode = 7, .limit = 3 };
+
+static int tfd_open(struct inode *inode, struct file *fp)
+{
+  struct tfd_state *s;
+  s = kzalloc(sizeof(struct tfd_state), GFP_KERNEL);
+  _tfd_opened = _tfd_opened + 1;
+  s->id = _tfd_opened;
+  fp->private_data = s;
+  return 0;
+}
+
+static int tfd_release(struct inode *inode, struct file *fp)
+{
+  struct tfd_state *s;
+  s = fp->private_data;
+  BUG_ON(s->id <= _tfd_last_released);
+  _tfd_last_released = s->id;
+  kfree(s);
+  return 0;
+}
+
+static long tfd_ioctl(struct file *fp, unsigned int cmd, unsigned long arg)
+{
+  struct tfd_state *s;
+  long old;
+  s = fp->private_data;
+  switch (cmd) {
+  case TFD_GET_ID:
+    return s->id;
+  case TFD_SET_MODE:
+    old = tfd_conf.mode;
+    tfd_conf.mode = arg;
+    return old;
+  case TFD_RESET:
+    _tfd_last_released = 0;
+    return 0;
+  }
+  return -ENOTTY;
+}
+
+static const struct file_operations posix_clock_file_operations = {
+  .open = tfd_open,
+  .release = tfd_release,
+  .unlocked_ioctl = tfd_ioctl,
+  .owner = THIS_MODULE,
+};
+|}
+
+let open_ptp = { Vkernel.Machine.c_name = "openat"; c_args = [ P_int 0L; P_str "/dev/ptp0" ] }
+
+let ioctl fd cmd = { Vkernel.Machine.c_name = "ioctl"; c_args = [ fd; P_int cmd; P_int 0L ] }
+
+let test_fd_numbers () =
+  (* twelve fds open at once (fds 3..14, ids 1..12); reads through
+     valid, closed, never-opened, negative and out-of-range numbers; the
+     release handler BUGs unless exit releases in ascending fd order *)
+  let machine = custom_machine fd_src in
+  let open Vkernel.Machine in
+  let prog =
+    List.init 12 (fun _ -> open_ptp)
+    @ [
+        ioctl (P_result 11) 1L;
+        ioctl (P_int 3L) 1L;
+        ioctl (P_int 14L) 1L;
+        { c_name = "close"; c_args = [ P_result 5 ] };
+        ioctl (P_result 5) 1L;
+        { c_name = "close"; c_args = [ P_result 5 ] };
+        ioctl (P_int 15L) 1L;
+        ioctl (P_int 2L) 1L;
+        ioctl (P_int (-1L)) 1L;
+        ioctl (P_int Int64.min_int) 1L;
+        ioctl (P_int Int64.max_int) 1L;
+        ioctl (P_int 0x1_0000_0000L) 1L;
+        (* an fd number is taken modulo 2^63, as Int64.to_int does *)
+        ioctl (P_int 0x8000_0000_0000_0004L) 1L;
+        ioctl (P_result 99) 1L;
+        ioctl (P_result 16) 1L;
+        ioctl (P_int 3L) 3L;
+      ]
+  in
+  let want =
+    Array.of_list
+      (List.init 12 (fun i -> Int64.of_int (i + 3))
+      @ [ 12L; 1L; 12L; 0L; -9L; -9L; -9L; -9L; -9L; -9L; -9L; -9L; 2L; -9L; -9L; 0L ])
+  in
+  List.iter
+    (fun engine ->
+      let r = exec_prog ~engine machine prog in
+      let name = engine_name engine in
+      Alcotest.(check (array int64)) (name ^ ": retvals") want r.retvals;
+      Alcotest.(check (option string)) (name ^ ": released in ascending order, nothing leaked")
+        None (Option.map (fun c -> c.cr_title) r.crash))
+    engines
+
+let test_fd_fresh_per_execution () =
+  (* fd numbers restart at 3, and a global written by one execution is
+     back to its initializer in the next *)
+  let machine = custom_machine fd_src in
+  let prog = [ open_ptp; ioctl (P_result 0) 2L; ioctl (P_result 0) 2L ] in
+  List.iter
+    (fun engine ->
+      for run = 1 to 2 do
+        let r = Vkernel.Machine.exec_prog ~engine machine prog in
+        Alcotest.(check (array int64))
+          (Printf.sprintf "%s run %d" (engine_name engine) run)
+          [| 3L; 7L; 0L |] r.retvals
+      done)
+    engines
+
+(* [tdp_deep(63)] under a handler makes 65 frames, the most the depth
+   check allows. Each error below is raised two frames deep, where both
+   engines leave the depth counter as it was at the raise. *)
+let depth_src ~open_fails_first =
+  Printf.sprintf
+    {|
+struct tdp_box { long v; char buf[8]; };
+
+static int _tdp_opens;
+static int _tdp_picks;
+static struct tdp_box tdp_box;
+
+static long tdp_deep(long n)
+{
+  if (n <= 0)
+    return 0;
+  return tdp_deep(n - 1) + 1;
+}
+
+static struct tdp_box *tdp_broken(long n)
+{
+  if (n > 0)
+    goto missing;
+  return &tdp_box;
+}
+
+static struct tdp_box *tdp_pick(void)
+{
+  _tdp_picks = _tdp_picks + 1;
+  if (_tdp_picks == 2)
+    goto missing;
+  return &tdp_box;
+}
+
+static int tdp_open(struct inode *inode, struct file *fp)
+{
+  _tdp_opens = _tdp_opens + 1;
+  if (%s && _tdp_opens == 1)
+    return tdp_broken(1)->v;
+  return tdp_deep(63) - 63;
+}
+
+static long tdp_ioctl(struct file *fp, unsigned int cmd, unsigned long arg)
+{
+  if (cmd == 1) {
+    strscpy(tdp_broken(1)->buf, "x", 4);
+    return tdp_deep(63);
+  }
+  if (cmd == 2) {
+    copy_from_user(&tdp_pick()->v, (void *)arg, 8);
+    return tdp_deep(63);
+  }
+  return tdp_deep(arg);
+}
+
+static const struct file_operations posix_clock_file_operations = {
+  .open = tdp_open,
+  .unlocked_ioctl = tdp_ioctl,
+};
+|}
+    (if open_fails_first then "1" else "0")
+
+let test_depth_restored_after_error () =
+  let failing = custom_machine (depth_src ~open_fails_first:true) in
+  let plain = custom_machine (depth_src ~open_fails_first:false) in
+  let open Vkernel.Machine in
+  let cases =
+    [
+      (* a call that fails in a nested frame, then one at the limit *)
+      (failing, "call loop", [ open_ptp; open_ptp ], [| -22L; 3L |]);
+      (* one frame more than the limit allows *)
+      ( plain,
+        "limit",
+        [
+          open_ptp;
+          { c_name = "ioctl"; c_args = [ P_result 0; P_int 0L; P_int 63L ] };
+          { c_name = "ioctl"; c_args = [ P_result 0; P_int 0L; P_int 64L ] };
+        ],
+        [| 3L; 63L; -22L |] );
+      (* a builtin's store whose lvalue fails in a nested frame, the
+         handler carrying on to the limit *)
+      (plain, "bstore", [ open_ptp; ioctl (P_result 0) 1L ], [| 3L; 63L |]);
+      ( plain,
+        "bsstore",
+        [
+          open_ptp;
+          { c_name = "ioctl"; c_args = [ P_result 0; P_int 2L; P_data (Vkernel.Value.U_int 5L) ] };
+        ],
+        [| 3L; 63L |] );
+    ]
+  in
+  List.iter
+    (fun (machine, what, prog, want) ->
+      List.iter
+        (fun engine ->
+          let r = exec_prog ~engine machine prog in
+          Alcotest.(check (array int64)) (what ^ " on " ^ engine_name engine) want r.retvals)
+        engines)
+    cases
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "compiled"
@@ -881,6 +1363,15 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_builtin_value_core_parity;
           t "builtin ids dense" test_builtin_names_cover_ids;
           t "integer edge semantics" test_integer_edge_semantics;
+          t "switch labels" test_switch_labels;
+          t "constant globals" test_const_global_init;
+          t "globals fresh per state" test_const_global_fresh_per_state;
+        ] );
+      ( "machine",
+        [
+          t "fd numbers" test_fd_numbers;
+          t "fds fresh per execution" test_fd_fresh_per_execution;
+          t "depth restored after an error" test_depth_restored_after_error;
         ] );
       ( "bugfixes",
         [

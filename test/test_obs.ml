@@ -307,6 +307,29 @@ let test_jobs_trace_equality () =
   Alcotest.(check (list (triple string string string)))
     "span sets identical across --jobs" spans1 spans4
 
+(* The temp-file rename must not replace a target that is not a regular
+   file: a FIFO stays a FIFO, the error names it and no temp file is
+   left. A regular file is still replaced. *)
+let test_write_atomic_regular_only () =
+  let dir = Filename.temp_dir "kgpt-obs" "" in
+  let fifo = Filename.concat dir "pipe" in
+  Unix.mkfifo fifo 0o600;
+  (match Obs.Record_file.write_atomic fifo "x" with
+  | () -> Alcotest.fail "wrote over a FIFO"
+  | exception Sys_error msg ->
+      Alcotest.(check string) "the error names the path" (fifo ^ ": not a regular file") msg);
+  Alcotest.(check bool) "still a FIFO" true ((Unix.lstat fifo).Unix.st_kind = Unix.S_FIFO);
+  Alcotest.(check bool) "no temp file left" false (Sys.file_exists (fifo ^ ".tmp"));
+  let file = Filename.concat dir "record" in
+  Obs.Record_file.write_atomic file "old";
+  Obs.Record_file.write_atomic file "new";
+  let ic = open_in_bin file in
+  let body = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "a regular file is replaced" "new" body;
+  List.iter Sys.remove [ fifo; file ];
+  Sys.rmdir dir
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "obs"
@@ -322,5 +345,6 @@ let () =
           t "trace file validation" test_validate_trace_file;
           t "metrics registry" test_metrics_registry;
           t "jobs=4 trace equals sequential" test_jobs_trace_equality;
+          t "write_atomic regular files only" test_write_atomic_regular_only;
         ] );
     ]
