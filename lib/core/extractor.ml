@@ -21,11 +21,11 @@ type handler_info = {
 }
 
 (** Parse a module source into its own index, on top of the shared
-    header's AST ({!Corpus.Headers.header}), which is parsed once per
-    process and shared as an immutable AST. *)
+    header ({!Corpus.Headers.index_with_header}), which is parsed and
+    indexed once per process. *)
 let module_index (source : string) : Csrc.Index.t =
-  let sid = ref 0 in
-  Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"module.c" source)
+  Corpus.Headers.index_with_header
+    [ Csrc.Parser.parse_file ~file:"module.c" ~sid:(ref 0) source ]
 
 (** The module's own index over the booted [kernel]'s parse of it: the
     shared header and the kernel file named {!Corpus.Types.module_file_name}.
@@ -35,18 +35,18 @@ let module_index (source : string) : Csrc.Index.t =
 let kernel_module_index ~(kernel : Csrc.Index.t) (entry : Corpus.Types.entry) : Csrc.Index.t =
   let path = Corpus.Types.module_file_name entry in
   match List.find_opt (fun (f : Csrc.Ast.file) -> String.equal f.path path) kernel.files with
-  | Some f -> Csrc.Index.of_files [ Corpus.Headers.header; f ]
+  | Some f -> Corpus.Headers.index_with_header [ f ]
   | None ->
       invalid_arg
         (Printf.sprintf "the kernel was booted without module %s: it has no file %s" entry.name
            path)
 
-let handler_field_names =
-  [
-    "open"; "release"; "unlocked_ioctl"; "compat_ioctl"; "ioctl"; "read"; "write"; "poll";
-    "mmap"; "llseek"; "bind"; "connect"; "accept"; "listen"; "shutdown"; "setsockopt";
-    "getsockopt"; "sendmsg"; "recvmsg"; "getname";
-  ]
+let is_handler_field = function
+  | "open" | "release" | "unlocked_ioctl" | "compat_ioctl" | "ioctl" | "read" | "write"
+  | "poll" | "mmap" | "llseek" | "bind" | "connect" | "accept" | "listen" | "shutdown"
+  | "setsockopt" | "getsockopt" | "sendmsg" | "recvmsg" | "getname" ->
+      true
+  | _ -> false
 
 let ops_of_global (g : Csrc.Ast.global_def) : handler_info option =
   let is_socket =
@@ -62,7 +62,7 @@ let ops_of_global (g : Csrc.Ast.global_def) : handler_info option =
           (fun (fname, init) ->
             match init with
             | Csrc.Ast.Init_expr (Csrc.Ast.Ident fn)
-              when List.mem fname handler_field_names && fn <> "noop_llseek" ->
+              when is_handler_field fname && fn <> "noop_llseek" ->
                 Some (fname, fn)
             | _ -> None)
           fields
@@ -98,9 +98,11 @@ let find_reg_symbol (idx : Csrc.Index.t) (ops : string) : string option =
   | None ->
       (* an init function that *registers* the ops symbol: it must both
          mention the symbol and call a registration helper *)
-      let registration_calls =
-        [ "device_create"; "cdev_init"; "register_chrdev"; "misc_register";
-          "snd_register_device"; "sock_register"; "proto_register" ]
+      let is_registration_call = function
+        | "device_create" | "cdev_init" | "register_chrdev" | "misc_register"
+        | "snd_register_device" | "sock_register" | "proto_register" ->
+            true
+        | _ -> false
       in
       List.find_map
         (fun (fd : Csrc.Ast.func_def) ->
@@ -117,7 +119,7 @@ let find_reg_symbol (idx : Csrc.Index.t) (ops : string) : string option =
                         (match e with
                         | Csrc.Ast.Ident n | Csrc.Ast.Addr_of (Csrc.Ast.Ident n) when n = ops ->
                             mentions := true
-                        | Csrc.Ast.Call (callee, _) when List.mem callee registration_calls ->
+                        | Csrc.Ast.Call (callee, _) when is_registration_call callee ->
                             registers := true
                         | _ -> ()))
                       () e)

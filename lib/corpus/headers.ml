@@ -182,3 +182,13 @@ let header : Csrc.Ast.file =
     globally unique when the counter is threaded through several calls. *)
 let parse_with_header ~sid ~file (source : string) : Csrc.Ast.file list =
   [ header; Csrc.Parser.parse_file ~file ~sid source ]
+
+(** A definition index over the shared header and [files], in that
+    order: every lookup and enumeration answers as
+    [Csrc.Index.of_files (header :: files)] does. The header's own index
+    is built once, when this module initialises, and each call starts
+    from copies of its tables. That index is never handed out, so no
+    domain ever writes its memo caches. *)
+let index_with_header : Csrc.Ast.file list -> Csrc.Index.t =
+  let header_index = Csrc.Index.of_files [ header ] in
+  fun files -> Csrc.Index.extend header_index files

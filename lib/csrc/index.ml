@@ -10,13 +10,14 @@
 (** Constant value of a bare identifier, memoized per index. *)
 type ident_const = C_int of int64 | C_str of string | C_none
 
-(** An index is built once, by {!of_files}, and never changes after
-    that. Its tables start at 16 buckets and grow, so an index costs
-    what it holds. No output may depend on their bucket counts: every
-    enumeration ({!all_functions}, {!all_globals}, {!all_composites},
-    {!all_macros}, {!all_macro_values}) walks the names in the order of
-    their first declaration, each once, with the definition its table
-    kept, and no code outside this module iterates a table. *)
+(** An index is built once, by {!of_files} or {!extend}, and never
+    changes after that. Its tables start at 16 buckets and grow, so an
+    index costs what it holds. No output may depend on their bucket
+    counts: every enumeration ({!all_functions}, {!all_globals},
+    {!all_composites}, {!all_macros}, {!all_macro_values}) walks the
+    names in the order of their first declaration, each once, with the
+    definition its table kept, and no code outside this module iterates
+    a table. *)
 type t = {
   files : Ast.file list;
   functions : (string, Ast.func_def) Hashtbl.t;
@@ -46,13 +47,13 @@ type t = {
           [all_macro_values_cache] *)
 }
 
-let of_files files =
-  let functions = Hashtbl.create 16 and composites = Hashtbl.create 16 in
-  let enums_by_item = Hashtbl.create 16 and enum_defs = Hashtbl.create 16 in
-  let macros = Hashtbl.create 16 and typedefs = Hashtbl.create 16 in
-  let globals = Hashtbl.create 16 in
-  let function_names = ref [] and composite_names = ref [] in
-  let macro_names = ref [] and global_names = ref [] in
+(* Enter the declarations of [files] into [t]'s tables, which the caller
+   owns, and return the index over [t.files @ files]. [t]'s memo caches
+   must be empty. *)
+let add_files (t : t) files =
+  let { functions; composites; enums_by_item; enum_defs; macros; typedefs; globals; _ } = t in
+  let function_names = ref t.function_names and composite_names = ref t.composite_names in
+  let macro_names = ref t.macro_names and global_names = ref t.global_names in
   (* a later declaration of a name replaces the definition, not its place *)
   let enter tbl names name v =
     if not (Hashtbl.mem tbl name) then names := name :: !names;
@@ -95,23 +96,59 @@ let of_files files =
         f.decls)
     files;
   {
-    files;
-    functions;
-    composites;
-    enums_by_item;
-    enum_defs;
-    macros;
-    typedefs;
-    globals;
+    t with
+    files = t.files @ files;
     function_names = !function_names;
     composite_names = !composite_names;
     macro_names = !macro_names;
     global_names = !global_names;
-    macro_value_cache = Hashtbl.create 16;
-    ident_cache = Hashtbl.create 16;
-    all_macro_values_cache = ref None;
-    ioc_by_nr_cache = ref None;
   }
+
+let of_files files =
+  let tbl () = Hashtbl.create 16 in
+  add_files
+    {
+      files = [];
+      functions = tbl ();
+      composites = tbl ();
+      enums_by_item = tbl ();
+      enum_defs = tbl ();
+      macros = tbl ();
+      typedefs = tbl ();
+      globals = tbl ();
+      function_names = [];
+      composite_names = [];
+      macro_names = [];
+      global_names = [];
+      macro_value_cache = tbl ();
+      ident_cache = tbl ();
+      all_macro_values_cache = ref None;
+      ioc_by_nr_cache = ref None;
+    }
+    files
+
+(** [extend base files] answers every lookup and enumeration as
+    [of_files (base.files @ files)] does, but starts from copies of
+    [base]'s definition tables instead of indexing [base.files] again.
+    [base] is left as it is, and the new index starts with empty memo
+    caches of its own. *)
+let extend base files =
+  add_files
+    {
+      base with
+      functions = Hashtbl.copy base.functions;
+      composites = Hashtbl.copy base.composites;
+      enums_by_item = Hashtbl.copy base.enums_by_item;
+      enum_defs = Hashtbl.copy base.enum_defs;
+      macros = Hashtbl.copy base.macros;
+      typedefs = Hashtbl.copy base.typedefs;
+      globals = Hashtbl.copy base.globals;
+      macro_value_cache = Hashtbl.create 16;
+      ident_cache = Hashtbl.create 16;
+      all_macro_values_cache = ref None;
+      ioc_by_nr_cache = ref None;
+    }
+    files
 
 let empty () = of_files []
 

@@ -10,6 +10,15 @@
 
 exception Error of string * Loc.t
 
+(* Only ints compare with [=] and [<>] here, as in {!Token}: tokens go
+   through [Token.equal], names through a [match] or [String.equal]. *)
+open struct
+  [@@@warning "-32"]
+
+  external ( = ) : int -> int -> bool = "%equal"
+  external ( <> ) : int -> int -> bool = "%notequal"
+end
+
 type state = {
   mutable toks : Token.spanned list;  (** the unread tokens, ending in [Eof] *)
   file : string;
@@ -31,31 +40,37 @@ let is_builtin_typedef = function
       true
   | _ -> false
 
-let qualifiers =
-  [ "__user"; "__init"; "__exit"; "__iomem"; "__force"; "__rcu"; "inline"; "volatile"; "__must_check" ]
+let is_qualifier = function
+  | "__user" | "__init" | "__exit" | "__iomem" | "__force" | "__rcu" | "inline" | "volatile"
+  | "__must_check" ->
+      true
+  | _ -> false
 
 let make ~file ~sid (lexed : Lexer.result) =
   (* only comments attach anything, so without them both tables stay empty:
      the macro bodies [expr_of_tokens] parses on every evaluation never
      have any, and build no tables *)
   let comment_on_line, code_on_line =
-    if lexed.comments = [] then ([||], [||])
-    else
-      let last_line =
-        List.fold_left (fun m (t : Token.spanned) -> max m t.line) 0 lexed.tokens
-      in
-      let last_line = List.fold_left (fun m c -> max m c.Lexer.cline) last_line lexed.comments in
-      let comment_on_line = Array.make (last_line + 1) None in
-      List.iter
-        (fun c ->
-          if comment_on_line.(c.Lexer.cline) = None then
-            comment_on_line.(c.Lexer.cline) <- Some c.Lexer.text)
-        lexed.comments;
-      let code_on_line = Array.make (last_line + 1) false in
-      List.iter
-        (fun (t : Token.spanned) -> if t.tok <> Token.Eof then code_on_line.(t.line) <- true)
-        lexed.tokens;
-      (comment_on_line, code_on_line)
+    match lexed.comments with
+    | [] -> ([||], [||])
+    | comments ->
+        let last_line =
+          List.fold_left (fun m (t : Token.spanned) -> Int.max m t.line) 0 lexed.tokens
+        in
+        let last_line = List.fold_left (fun m c -> Int.max m c.Lexer.cline) last_line comments in
+        let comment_on_line = Array.make (last_line + 1) None in
+        List.iter
+          (fun c ->
+            match comment_on_line.(c.Lexer.cline) with
+            | None -> comment_on_line.(c.Lexer.cline) <- Some c.Lexer.text
+            | Some _ -> ())
+          comments;
+        let code_on_line = Array.make (last_line + 1) false in
+        List.iter
+          (fun (t : Token.spanned) ->
+            match t.tok with Token.Eof -> () | _ -> code_on_line.(t.line) <- true)
+          lexed.tokens;
+        (comment_on_line, code_on_line)
   in
   { toks = lexed.tokens; file; sid; typedefs = Hashtbl.create 16; comment_on_line; code_on_line }
 
@@ -114,7 +129,7 @@ let skip_qualifiers st =
     | Token.Kw_const ->
         advance st;
         go ()
-    | Token.Ident id when List.mem id qualifiers ->
+    | Token.Ident id when is_qualifier id ->
         advance st;
         go ()
     | _ -> ()
@@ -131,7 +146,7 @@ let starts_type st =
   | Token.Kw_char | Token.Kw_short | Token.Kw_int | Token.Kw_long | Token.Kw_unsigned
   | Token.Kw_signed | Token.Kw_const ->
       true
-  | Token.Ident id -> is_typedef_name st id || List.mem id qualifiers
+  | Token.Ident id -> is_typedef_name st id || is_qualifier id
   | _ -> false
 
 (** Parse a base type (no pointers/arrays): [unsigned long], [struct x],
@@ -588,7 +603,7 @@ and is_decl_lookahead st =
       match peek st 1 with
       | Token.Ident _ | Token.Star -> true
       | _ -> false)
-  | Token.Ident id when List.mem id qualifiers -> true
+  | Token.Ident id when is_qualifier id -> true
   | _ -> false
 
 and parse_stmt_as_block st : Ast.block =

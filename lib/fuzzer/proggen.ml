@@ -175,18 +175,23 @@ and uval_of_cplan (t : t) (r : Rng.t) ~(depth : int) (cp : Compiled.comp_plan) :
 (* Call and program construction                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The program index [resource_at] gives [res], or -1. Names compare with
+   [String.equal]: a polymorphic compare is a C call per binding. *)
+let rec resource_index res = function
+  | [] -> -1
+  | (name, i) :: rest -> if String.equal name res then i else resource_index res rest
+
 (** Generate the machine-level arguments of spec syscall [idx];
     [resource_at] maps resource names to the producing call's program
-    index. *)
+    index, the first binding of a name winning. *)
 let args_of_index (t : t) (r : Rng.t) ~(resource_at : (string * int) list) (idx : int) :
     Vkernel.Machine.parg list =
   List.map
     (fun (a : Compiled.arg) ->
       match a with
-      | Compiled.A_res res -> (
-          match List.assoc_opt res resource_at with
-          | Some i -> Vkernel.Machine.P_result i
-          | None -> Vkernel.Machine.P_int (-1L))
+      | Compiled.A_res res ->
+          let i = resource_index res resource_at in
+          if i >= 0 then Vkernel.Machine.P_result i else Vkernel.Machine.P_int (-1L)
       | Compiled.A_fd -> Vkernel.Machine.P_int (Int64.of_int (Rng.int r 8))
       | Compiled.A_const v -> Vkernel.Machine.P_int v
       | Compiled.A_fuzz bits -> Vkernel.Machine.P_int (Rng.fuzz_int r ~bits)
@@ -206,23 +211,21 @@ let args_of_index (t : t) (r : Rng.t) ~(resource_at : (string * int) list) (idx 
 (** Append syscall [idx] to the program under construction, inserting
     producer calls for missing resources first. The program accumulates
     reversed with an explicit length so pushing is O(1) per call. *)
-let rec push_call (t : t) (r : Rng.t)
-    ~(rev_prog : (string * Vkernel.Machine.call) list ref) ~(count : int ref)
-    ~(resource_at : (string * int) list ref) ~(depth : int) (idx : int) : unit =
+let rec push_call (t : t) (r : Rng.t) ~(rev_prog : Vkernel.Machine.call list ref)
+    ~(count : int ref) ~(resource_at : (string * int) list ref) ~(depth : int) (idx : int) :
+    unit =
   if depth > 4 then ()
   else begin
     let c = t.syscalls.(idx) in
     Array.iter
       (fun id ->
         let pidx = t.producer_of.(id) in
-        if pidx >= 0 && not (List.mem_assoc t.res_names.(id) !resource_at) then
+        if pidx >= 0 && resource_index t.res_names.(id) !resource_at < 0 then
           push_call t r ~rev_prog ~count ~resource_at ~depth:(depth + 1) pidx)
       t.required.(idx);
     let args = args_of_index t r ~resource_at:!resource_at idx in
     let index = !count in
-    rev_prog :=
-      (syscall_full_name c, { Vkernel.Machine.c_name = c.call_name; c_args = args })
-      :: !rev_prog;
+    rev_prog := { Vkernel.Machine.c_name = c.call_name; c_args = args } :: !rev_prog;
     incr count;
     match c.ret with
     | Some res -> resource_at := (res, index) :: !resource_at
@@ -262,7 +265,7 @@ let generate (t : t) (r : Rng.t) ?(max_len = 5) () : Vkernel.Machine.prog =
         push_call t r ~rev_prog ~count ~resource_at ~depth:0 (Rng.int r n)
       done
     end;
-    List.rev_map snd !rev_prog
+    List.rev !rev_prog
   end
 
 (* mutation retyping: the payload plan of a call name's first pointer

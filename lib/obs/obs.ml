@@ -356,9 +356,18 @@ module Record_file = struct
             | _ -> bad "%s header lacks a version" what);
             decode header (List.mapi (fun i line -> (i + 2, line)) records))
 
+  (* only a regular file is read, following links: a FIFO would block
+     the read forever. A missing file is left to the open, whose error
+     names it, and a read can still fail after the open succeeds. *)
+  let read_regular file =
+    (match Unix.stat file with
+    | { Unix.st_kind = Unix.S_REG; _ } -> ()
+    | _ -> raise (Sys_error (file ^ ": not a regular file"))
+    | exception Unix.Unix_error _ -> ());
+    In_channel.with_open_bin file In_channel.input_all
+
   let load ~what ~format ~version file decode =
-    (* a read can fail after the open succeeds, as on a directory *)
-    match In_channel.with_open_bin file In_channel.input_all with
+    match read_regular file with
     | exception Sys_error e -> Error (Printf.sprintf "cannot read %s %s: %s" what file e)
     | content -> (
         match frame ~what ~format ~version content decode with

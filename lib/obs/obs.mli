@@ -66,7 +66,8 @@ end
     Int64 payloads ride as decimal strings ({!j_int64}), so no value is
     squeezed through a 63-bit OCaml [int].
 
-    {!load} refuses an unreadable, empty, unterminated, trailer-less or
+    {!load} refuses a path that is not a regular file (it never opens a
+    FIFO), an unreadable, empty, unterminated, trailer-less or
     checksum-mismatched file, a foreign format tag and another version,
     each with a descriptive [Error] naming the file; only then does the
     caller's decoder see the header and the numbered record lines. *)

@@ -198,24 +198,21 @@ let run_identifier (o : t) (local : Analysis.local) ~(handler_fn : string)
       { Prompt.empty_response with r_idents = idents; r_unknown = List.rev !unknown }
 
 (* field classification for type recovery *)
+
+(* does [s] contain [sub]? compared in place, with no substring copied *)
+let has sub s =
+  let ls = String.length s and lsub = String.length sub in
+  let rec from i j = j >= lsub || (Char.equal s.[i + j] sub.[j] && from i (j + 1)) in
+  let rec scan i = i + lsub <= ls && (from i 0 || scan (i + 1)) in
+  scan 0
+
 let name_like n =
   let lowered = String.lowercase_ascii n in
-  List.exists
-    (fun k ->
-      let lk = String.length k and ln = String.length lowered in
-      ln >= lk
-      && (let rec scan i = i + lk <= ln && (String.sub lowered i lk = k || scan (i + 1)) in
-          scan 0))
-    [ "name"; "uuid"; "path"; "label"; "id_str" ]
+  has "name" lowered || has "uuid" lowered || has "path" lowered || has "label" lowered
+  || has "id_str" lowered
 
 let count_like n comment =
   let lowered = String.lowercase_ascii n in
-  let has sub s =
-    let ls = String.length s and lsub = String.length sub in
-    ls >= lsub
-    && (let rec scan i = i + lsub <= ls && (String.sub s i lsub = sub || scan (i + 1)) in
-        scan 0)
-  in
   has "count" lowered || has "nmsgs" lowered || has "nregions" lowered
   || has "num" lowered || has "nent" lowered || has "nfetch" lowered
   || (match comment with

@@ -34,36 +34,35 @@ let error_to_string e =
   Printf.sprintf "%s: %s: %s" e.err_spec (item_to_string e.err_item) e.err_msg
 
 (** Constants every kernel build defines; specs may reference them without
-    the corpus defining them. *)
-let builtin_consts =
-  [
-    ("AT_FDCWD", -100L);
-    ("O_RDONLY", 0L);
-    ("O_WRONLY", 1L);
-    ("O_RDWR", 2L);
-    ("O_NONBLOCK", 0x800L);
-    ("O_CLOEXEC", 0o2000000L);
-    ("SOCK_STREAM", 1L);
-    ("SOCK_DGRAM", 2L);
-    ("SOCK_RAW", 3L);
-    ("SOCK_SEQPACKET", 5L);
-    ("AF_UNSPEC", 0L);
-    ("AF_UNIX", 1L);
-    ("AF_INET", 2L);
-    ("AF_INET6", 10L);
-    ("AF_PACKET", 17L);
-    ("AF_NETLINK", 16L);
-    ("AF_BLUETOOTH", 31L);
-    ("AF_RDS", 21L);
-    ("AF_LLC", 26L);
-    ("AF_CAIF", 37L);
-    ("AF_PHONET", 35L);
-    ("AF_PPPOX", 24L);
-    ("AF_VSOCK", 40L);
-    ("AF_MCTP", 45L);
-    ("SOL_SOCKET", 1L);
-    ("MSG_DONTWAIT", 0x40L);
-  ]
+    the corpus defining them. A string [match], like {!Corpus.Kapi.is_builtin}. *)
+let builtin_const = function
+  | "AT_FDCWD" -> Some (-100L)
+  | "O_RDONLY" -> Some 0L
+  | "O_WRONLY" -> Some 1L
+  | "O_RDWR" -> Some 2L
+  | "O_NONBLOCK" -> Some 0x800L
+  | "O_CLOEXEC" -> Some 0o2000000L
+  | "SOCK_STREAM" -> Some 1L
+  | "SOCK_DGRAM" -> Some 2L
+  | "SOCK_RAW" -> Some 3L
+  | "SOCK_SEQPACKET" -> Some 5L
+  | "AF_UNSPEC" -> Some 0L
+  | "AF_UNIX" -> Some 1L
+  | "AF_INET" -> Some 2L
+  | "AF_INET6" -> Some 10L
+  | "AF_PACKET" -> Some 17L
+  | "AF_NETLINK" -> Some 16L
+  | "AF_BLUETOOTH" -> Some 31L
+  | "AF_RDS" -> Some 21L
+  | "AF_LLC" -> Some 26L
+  | "AF_CAIF" -> Some 37L
+  | "AF_PHONET" -> Some 35L
+  | "AF_PPPOX" -> Some 24L
+  | "AF_VSOCK" -> Some 40L
+  | "AF_MCTP" -> Some 45L
+  | "SOL_SOCKET" -> Some 1L
+  | "MSG_DONTWAIT" -> Some 0x40L
+  | _ -> None
 
 (** Resolve a symbolic constant to its value, trying builtins, kernel
     macros and kernel enum items in that order. *)
@@ -74,7 +73,7 @@ let resolve_const (kernel : Csrc.Index.t) (c : Ast.const_ref) : int64 option =
       match c.const_name with
       | None -> None
       | Some name -> (
-          match List.assoc_opt name builtin_consts with
+          match builtin_const name with
           | Some v -> Some v
           | None -> (
               match Csrc.Index.eval_macro kernel name with

@@ -59,8 +59,8 @@ type t = {
 }
 
 (** Boot the machine over the given corpus entries (normally the loaded
-    ones). Parses every module into a single definition index, together
-    with the shared header's AST, with globally unique statement ids. *)
+    ones). Parses every module into a single definition index on top of
+    the shared header's, with globally unique statement ids. *)
 let boot (entries : Corpus.Types.entry list) : t =
   let sid = ref 0 in
   let sid_module = Hashtbl.create 4096 in
@@ -75,7 +75,7 @@ let boot (entries : Corpus.Types.entry list) : t =
         f)
       entries
   in
-  let index = Csrc.Index.of_files (Corpus.Headers.header :: files) in
+  let index = Corpus.Headers.index_with_header files in
   (* both tables are sized from the entry list, so a single-module boot
      allocates a minimal table, not one sized for the whole kernel *)
   let devices = Hashtbl.create (List.length entries) in

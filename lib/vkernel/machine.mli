@@ -61,9 +61,9 @@ type t = {
 }
 
 (** Boot the machine over the given corpus entries: parse all module
-    sources into one definition index, together with the shared header's
-    AST ({!Corpus.Headers.header}), with
-    globally unique statement ids, and register devices and sockets. *)
+    sources into one definition index on top of the shared header's
+    ({!Corpus.Headers.index_with_header}), with globally unique statement
+    ids, and register devices and sockets. *)
 val boot : Corpus.Types.entry list -> t
 
 (** Which module a covered statement belongs to. *)

@@ -700,6 +700,30 @@ for case in "unknown option '--fulll'|report --fulll" \
     exit 1
   fi
 done
+# Reading a FIFO would block until a writer appears: the oracle cache
+# and checkpoint readers refuse it at once, naming it, and a
+# --resume-or-fresh run starts fresh (its checkpoint write is then
+# refused as above). Each run is under timeout, with the child's status
+# kept, so a reader that blocks fails here with 143, not Cmdliner's 124.
+for case in "cannot read oracle cache $tmp/fifo: $tmp/fifo: not a regular file|generate dm --oracle-cache $tmp/fifo" \
+            "cannot read checkpoint $tmp/fifo: $tmp/fifo: not a regular file|fuzz dm --budget 300 --resume --checkpoint $tmp/fifo" \
+            "cannot resume (cannot read checkpoint $tmp/fifo: $tmp/fifo: not a regular file); starting fresh|fuzz dm --budget 300 --resume-or-fresh --checkpoint $tmp/fifo"; do
+  want=${case%%|*}
+  args=${case#*|}
+  status=0
+  # shellcheck disable=SC2086
+  timeout --preserve-status 60 dune exec --no-build bin/kernelgpt_cli.exe -- $args \
+    >/dev/null 2>"$tmp/flag.err" || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "FAIL: kernelgpt_cli $args exited $status, expected 124" >&2
+    exit 1
+  fi
+  if ! tr -s ' \n' '  ' < "$tmp/flag.err" | grep -qF -- "$want"; then
+    echo "FAIL: kernelgpt_cli $args: error does not name the FIFO:" >&2
+    cat "$tmp/flag.err" >&2
+    exit 1
+  fi
+done
 if [ ! -p "$tmp/fifo" ] || [ -e "$tmp/fifo.tmp" ]; then
   echo "FAIL: a refused write replaced the FIFO or left its temp file" >&2
   exit 1

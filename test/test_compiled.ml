@@ -520,22 +520,23 @@ let test_push_call_linear_order () =
   let rev_prog = ref [] and count = ref 0 and resource_at = ref [] in
   let n = Array.length t.Fuzzer.Proggen.syscalls in
   Alcotest.(check bool) "dm spec is non-trivial" true (n > 1);
+  (* each directly pushed call goes last, after the producers it needed,
+     so the calls of the spec's syscalls sit in spec order *)
+  let pushed = ref [] in
   for i = 0 to n - 1 do
-    Fuzzer.Proggen.push_call t r ~rev_prog ~count ~resource_at ~depth:0 i
+    Fuzzer.Proggen.push_call t r ~rev_prog ~count ~resource_at ~depth:0 i;
+    match !rev_prog with
+    | (c : Vkernel.Machine.call) :: _ ->
+        Alcotest.(check string) "the pushed call is last"
+          t.Fuzzer.Proggen.syscalls.(i).Syzlang.Ast.call_name c.c_name;
+        pushed := (!count - 1, c) :: !pushed
+    | [] -> Alcotest.fail "push_call pushed nothing"
   done;
-  let names = List.rev_map fst !rev_prog in
-  Alcotest.(check int) "count tracks program length" (List.length names) !count;
-  (* the directly-pushed sequence is a subsequence of the emitted one *)
-  let pushed =
-    Array.to_list (Array.map Syzlang.Ast.syscall_full_name t.Fuzzer.Proggen.syscalls)
-  in
-  let rec subseq want have =
-    match (want, have) with
-    | [], _ -> true
-    | _, [] -> false
-    | w :: ws, h :: hs -> if w = h then subseq ws hs else subseq want hs
-  in
-  Alcotest.(check bool) "spec order preserved" true (subseq pushed names);
+  let prog = List.rev !rev_prog in
+  Alcotest.(check int) "count tracks program length" (List.length prog) !count;
+  List.iter
+    (fun (at, c) -> Alcotest.(check bool) "spec order preserved" true (List.nth prog at == c))
+    !pushed;
   (* and every result reference points backwards *)
   List.iteri
     (fun i (c : Vkernel.Machine.call) ->
@@ -545,7 +546,7 @@ let test_push_call_linear_order () =
               Alcotest.(check bool) "P_result refers backwards" true (j < i)
           | _ -> ())
         c.c_args)
-    (List.rev_map snd !rev_prog)
+    prog
 
 (* ------------------------------------------------------------------ *)
 (* Fast paths: slot-allocated locals, value-level builtins, compiled   *)

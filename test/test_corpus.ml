@@ -211,11 +211,103 @@ let test_boot_sids_match_fresh_parse () =
   Alcotest.(check (list (pair int string))) "sid_module" (sorted expected)
     (sorted m.Vkernel.Machine.sid_module)
 
+(* The extractor's module indexes and the boot's start from copies of the
+   header's tables; each must answer every lookup and enumeration as
+   [Csrc.Index.of_files (header :: files)] over the same files does. *)
+let check_seeded_index ~what (seeded : Csrc.Index.t) =
+  let module I = Csrc.Index in
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.failf "%s: %s" what m) fmt in
+  (match seeded.files with
+  | h :: _ when h == Corpus.Headers.header -> ()
+  | _ -> fail "the files do not start with the shared header");
+  let fresh = I.of_files seeded.files in
+  let same_list name a b =
+    if not (List.length a = List.length b && List.for_all2 ( == ) a b) then
+      fail "%s differs" name
+  in
+  let same_opt name key a b =
+    match (a, b) with
+    | Some x, Some y when x == y -> ()
+    | None, None -> ()
+    | _ -> fail "%s %S differs" name key
+  in
+  same_list "files" fresh.files seeded.files;
+  same_list "all_functions" (I.all_functions fresh) (I.all_functions seeded);
+  same_list "all_composites" (I.all_composites fresh) (I.all_composites seeded);
+  same_list "all_globals" (I.all_globals fresh) (I.all_globals seeded);
+  same_list "all_macros" (I.all_macros fresh) (I.all_macros seeded);
+  if I.all_macro_values fresh <> I.all_macro_values seeded then fail "all_macro_values differ";
+  if I.ioc_macros_by_nr fresh <> I.ioc_macros_by_nr seeded then fail "ioc_macros_by_nr differ";
+  if List.sort compare (I.typedef_names fresh) <> List.sort compare (I.typedef_names seeded)
+  then fail "typedef_names differ";
+  let names =
+    List.concat_map
+      (fun (f : Csrc.Ast.file) ->
+        List.concat_map
+          (fun d ->
+            Csrc.Ast.decl_name d
+            ::
+            (match d with
+            | Csrc.Ast.D_enum e -> List.map (fun i -> i.Csrc.Ast.item_name) e.items
+            | _ -> []))
+          f.decls)
+      seeded.files
+  in
+  List.iter
+    (fun n ->
+      same_opt "find_function" n (I.find_function fresh n) (I.find_function seeded n);
+      same_opt "find_composite" n (I.find_composite fresh n) (I.find_composite seeded n);
+      same_opt "find_macro" n (I.find_macro fresh n) (I.find_macro seeded n);
+      same_opt "find_global" n (I.find_global fresh n) (I.find_global seeded n);
+      same_opt "find_typedef" n (I.find_typedef fresh n) (I.find_typedef seeded n);
+      same_opt "enum definition" n
+        (Hashtbl.find_opt fresh.enum_defs n)
+        (Hashtbl.find_opt seeded.enum_defs n);
+      if I.find_enum_item fresh n <> I.find_enum_item seeded n then fail "find_enum_item %S" n)
+    ("no_such_name" :: names)
+
+let test_seeded_index_matches_of_files () =
+  let entries = Lazy.force all in
+  let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      check_seeded_index ~what:(e.name ^ " module_index")
+        (Kernelgpt.Extractor.module_index e.source);
+      check_seeded_index ~what:(e.name ^ " kernel_module_index")
+        (Kernelgpt.Extractor.kernel_module_index ~kernel e))
+    entries;
+  check_seeded_index ~what:"whole-kernel boot"
+    (Vkernel.Machine.boot (Corpus.Registry.loaded ())).Vkernel.Machine.index
+
 let test_whole_kernel_boot () =
   let m = Vkernel.Machine.boot (Corpus.Registry.loaded ()) in
   Alcotest.(check int) "278 devices" 278 (Hashtbl.length m.Vkernel.Machine.devices);
   Alcotest.(check int) "81 sockets" 81
     (Hashtbl.fold (fun _ regs n -> n + List.length regs) m.Vkernel.Machine.sockets 0)
+
+(* [Kapi.is_builtin] is a [match]; it agrees with the list of the 75
+   helper names it replaced *)
+let former_builtin_functions =
+  [
+    "copy_from_user"; "copy_to_user"; "get_user"; "put_user"; "memdup_user";
+    "strncpy_from_user"; "kmalloc"; "kzalloc"; "kcalloc"; "kvmalloc"; "vmalloc"; "vzalloc";
+    "kfree"; "vfree"; "kvfree"; "mutex_init"; "mutex_lock"; "mutex_unlock"; "spin_lock";
+    "spin_unlock"; "list_add"; "list_add_tail"; "list_del"; "INIT_LIST_HEAD"; "WARN_ON";
+    "BUG_ON"; "WARN_ON_ONCE"; "init_completion"; "complete"; "wait_for_completion_killable";
+    "schedule_timeout"; "msleep"; "capable"; "printk"; "pr_info"; "pr_err"; "pr_warn";
+    "memset"; "memcpy"; "memcmp"; "strcmp"; "strncmp"; "strlen"; "strncpy"; "strscpy";
+    "snprintf"; "min"; "max"; "min_t"; "max_t"; "array_index_nospec"; "noop_llseek";
+    "nonseekable_open"; "stream_open"; "anon_inode_getfd"; "_IO"; "_IOR"; "_IOW"; "_IOWR";
+    "_IOC"; "_IOC_NR"; "_IOC_TYPE"; "_IOC_SIZE"; "_IOC_DIR"; "misc_register";
+    "misc_deregister"; "register_chrdev"; "unregister_chrdev"; "cdev_init"; "cdev_add";
+    "device_create"; "class_create"; "sock_register"; "proto_register"; "snd_register_device";
+  ]
+
+let test_is_builtin_matches_list () =
+  Alcotest.(check int) "75 helper names" 75 (List.length former_builtin_functions);
+  Corpus_idents.agree ~what:"is_builtin" ~show:string_of_bool ~listed:former_builtin_functions
+    ~reference:(fun name -> List.mem name former_builtin_functions)
+    Corpus.Kapi.is_builtin
 
 let () =
   let t n f = Alcotest.test_case n `Quick f in
@@ -238,6 +330,7 @@ let () =
           t "arg types exist" test_gt_arg_types_exist;
           t "device paths unique" test_device_paths_unique;
           t "socket triples unique" test_socket_triples_unique;
+          t "is_builtin = former list" test_is_builtin_matches_list;
         ] );
       ( "bugs-and-tables",
         [
@@ -250,6 +343,7 @@ let () =
           t "header draws no sids" test_header_draws_no_sids;
           t "parse_with_header = fresh parse" test_parse_with_header_matches_fresh_parse;
           t "boot sids = fresh parse" test_boot_sids_match_fresh_parse;
+          t "seeded index = of_files" test_seeded_index_matches_of_files;
         ] );
       ("machine", [ t "whole kernel boots" test_whole_kernel_boot ]);
     ]

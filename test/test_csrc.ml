@@ -687,6 +687,68 @@ let qcheck_lexer_matches_reference =
        gen_lexer_input)
     same_lexing
 
+(* [Token.equal] matches on the constructor; it must agree with the
+   polymorphic equality it replaced on every constructor, for payloads
+   that are equal (but not shared) and payloads that differ. *)
+let constant_tokens =
+  Csrc.Token.
+    [
+      Kw_struct; Kw_union; Kw_enum; Kw_static; Kw_const; Kw_unsigned; Kw_signed; Kw_void;
+      Kw_char; Kw_short; Kw_int; Kw_long; Kw_bool; Kw_if; Kw_else; Kw_switch; Kw_case;
+      Kw_default; Kw_while; Kw_for; Kw_do; Kw_return; Kw_break; Kw_continue; Kw_goto;
+      Kw_sizeof; Kw_typedef; Lparen; Rparen; Lbrace; Rbrace; Lbracket; Rbracket; Semi; Comma;
+      Dot; Arrow; Colon; Question; Ellipsis; Plus; Minus; Star; Slash; Percent; Amp; Pipe;
+      Caret; Tilde; Bang; Lt; Gt; Le; Ge; Eq_eq; Bang_eq; Amp_amp; Pipe_pipe; Shl; Shr;
+      Assign; Plus_assign; Minus_assign; Star_assign; Slash_assign; Amp_assign; Pipe_assign;
+      Caret_assign; Shl_assign; Shr_assign; Plus_plus; Minus_minus; Hash_define;
+      Hash_include; Newline; Eof;
+    ]
+
+let gen_token_pair =
+  let open QCheck.Gen in
+  let copy s = Bytes.to_string (Bytes.of_string s) in
+  let name = string_size ~gen:(oneofl [ 'a'; 'b'; '_' ]) (int_range 0 3) in
+  (* a payload constructor with its payload, and one with another
+     payload drawn from the same small pool, so equal payloads are
+     common *)
+  let payload =
+    oneof
+      [
+        map (fun s -> Csrc.Token.Ident s) name;
+        map (fun s -> Csrc.Token.Str_lit s) name;
+        map (fun i -> Csrc.Token.Int_lit (Int64.of_int i)) (int_range (-2) 2);
+        map (fun c -> Csrc.Token.Char_lit c) (oneofl [ 'a'; 'b'; '\000' ]);
+      ]
+  in
+  let same_payload = function
+    | Csrc.Token.Ident s -> Csrc.Token.Ident (copy s)
+    | Csrc.Token.Str_lit s -> Csrc.Token.Str_lit (copy s)
+    | Csrc.Token.Int_lit i -> Csrc.Token.Int_lit (Int64.add i 0L)
+    | t -> t
+  in
+  let any = oneof [ payload; oneofl constant_tokens ] in
+  oneof
+    [
+      pair any any;
+      map (fun t -> (t, same_payload t)) payload;
+      pair payload payload;
+      map (fun t -> (t, t)) (oneofl constant_tokens);
+    ]
+
+let qcheck_token_equal =
+  QCheck.Test.make ~name:"Token.equal = Stdlib.(=)" ~count:5000
+    (QCheck.make
+       ~print:(fun (a, b) -> Csrc.Token.to_string a ^ " vs " ^ Csrc.Token.to_string b)
+       gen_token_pair)
+    (fun (a, b) -> Csrc.Token.equal a b = (a = b))
+
+(* The list covers every constant constructor: they are the immediates
+   0 .. n - 1 in declaration order, and [Eof] is the last. *)
+let test_constant_tokens_listed () =
+  Alcotest.(check int) "every constant constructor is listed"
+    (1 + (Obj.magic Csrc.Token.Eof : int))
+    (List.length (List.sort_uniq compare constant_tokens))
+
 (* ------------------------------------------------------------------ *)
 (* Parser robustness                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1151,6 +1213,15 @@ let qcheck_roundtrip_ints =
           Int64.to_int v = n
       | _ -> false)
 
+(* The qualifier [match] agrees with the list it replaced *)
+let former_qualifiers =
+  [ "__user"; "__init"; "__exit"; "__iomem"; "__force"; "__rcu"; "inline"; "volatile"; "__must_check" ]
+
+let test_qualifiers_match_list () =
+  Corpus_idents.agree ~what:"is_qualifier" ~show:string_of_bool ~listed:former_qualifiers
+    ~reference:(fun id -> List.mem id former_qualifiers)
+    Csrc.Parser.is_qualifier
+
 let () =
   Alcotest.run "csrc"
     [
@@ -1163,6 +1234,8 @@ let () =
           Alcotest.test_case "corpus = reference" `Quick test_lexer_matches_reference_on_corpus;
           Alcotest.test_case "adversarial = reference" `Quick test_lexer_adversarial_errors;
           QCheck_alcotest.to_alcotest qcheck_lexer_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_token_equal;
+          Alcotest.test_case "every constant token listed" `Quick test_constant_tokens_listed;
         ] );
       ( "parser",
         [
@@ -1178,6 +1251,7 @@ let () =
           Alcotest.test_case "no forced minor collection" `Quick test_parse_forces_no_collection;
           QCheck_alcotest.to_alcotest qcheck_parse_mutants;
           QCheck_alcotest.to_alcotest qcheck_parse_truncated;
+          Alcotest.test_case "qualifier match = former list" `Quick test_qualifiers_match_list;
         ] );
       ( "index",
         [

@@ -724,8 +724,7 @@ let test_pin_kernel_campaign () =
     (Alloc_pin.repeat_words (fun () -> Fuzzer.Campaign.run ~seed:7919 ~budget:1500 ~machine merged))
 
 (* A draw keeps the generator state and the drawn word unboxed, so
-   10,000 of them allocate nothing. Counted here rather than through
-   [Alloc_pin.repeat], whose own counter reads add a few words. *)
+   10,000 of them allocate nothing. Counted here, in this domain. *)
 let test_pin_rng_draws () =
   let r = Fuzzer.Rng.make 5 in
   let draws () =
@@ -741,6 +740,14 @@ let test_pin_rng_draws () =
   let words = Gc.minor_words () -. w0 in
   ignore (Sys.opaque_identity acc);
   Alloc_pin.check ~bound:0.0 words
+
+(* [Alloc_pin.repeat] reads its counters outside the span it counts, so
+   a thunk that allocates nothing reads exactly 0 words: a pin counts its
+   layer's words and none of the helper's. *)
+let test_pin_helper_counts_nothing () =
+  let w = Alloc_pin.repeat (fun () -> ()) in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 w.minor;
+  Alcotest.(check (float 0.0)) "direct major words" 0.0 w.direct_major
 
 let test_rng_golden_fuzz_int () =
   let r = Fuzzer.Rng.make 42 in
@@ -766,6 +773,7 @@ let () =
           t "golden ranged draws" test_rng_golden_range;
           t "golden fuzz_int" test_rng_golden_fuzz_int;
           t "draws allocate nothing" test_pin_rng_draws;
+          t "pin of a no-op reads 0 words" test_pin_helper_counts_nothing;
         ] );
       ( "proggen",
         [

@@ -330,6 +330,28 @@ let test_write_atomic_regular_only () =
   List.iter Sys.remove [ fifo; file ];
   Sys.rmdir dir
 
+(* The reader refuses what the writer refuses: a FIFO (also behind a
+   symlink) is an [Error] naming the path, returned at once instead of a
+   read that blocks until a writer appears. *)
+let test_load_regular_only () =
+  let dir = Filename.temp_dir "kgpt-obs" "" in
+  let fifo = Filename.concat dir "pipe" and link = Filename.concat dir "link" in
+  Unix.mkfifo fifo 0o600;
+  Unix.symlink fifo link;
+  List.iter
+    (fun path ->
+      match
+        Obs.Record_file.load ~what:"record file" ~format:"f" ~version:1 path (fun _ _ -> ())
+      with
+      | Ok () -> Alcotest.fail "loaded a FIFO"
+      | Error msg ->
+          Alcotest.(check string) "the error names the path"
+            (Printf.sprintf "cannot read record file %s: %s: not a regular file" path path)
+            msg)
+    [ fifo; link ];
+  List.iter Sys.remove [ link; fifo ];
+  Sys.rmdir dir
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "obs"
@@ -346,5 +368,6 @@ let () =
           t "metrics registry" test_metrics_registry;
           t "jobs=4 trace equals sequential" test_jobs_trace_equality;
           t "write_atomic regular files only" test_write_atomic_regular_only;
+          t "load regular files only" test_load_regular_only;
         ] );
     ]

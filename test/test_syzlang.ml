@@ -604,6 +604,28 @@ let qcheck_printer_parser_stable =
       let spec2 = Syzlang.Parser.parse_spec ~name:"x" text in
       List.length spec2.syscalls = List.length spec.syscalls)
 
+(* The builtin constants are a [match]; over an index that defines
+   nothing, [resolve_const] gives exactly the list they replaced. *)
+let former_builtin_consts =
+  [
+    ("AT_FDCWD", -100L); ("O_RDONLY", 0L); ("O_WRONLY", 1L); ("O_RDWR", 2L);
+    ("O_NONBLOCK", 0x800L); ("O_CLOEXEC", 0o2000000L); ("SOCK_STREAM", 1L); ("SOCK_DGRAM", 2L);
+    ("SOCK_RAW", 3L); ("SOCK_SEQPACKET", 5L); ("AF_UNSPEC", 0L); ("AF_UNIX", 1L);
+    ("AF_INET", 2L); ("AF_INET6", 10L); ("AF_PACKET", 17L); ("AF_NETLINK", 16L);
+    ("AF_BLUETOOTH", 31L); ("AF_RDS", 21L); ("AF_LLC", 26L); ("AF_CAIF", 37L);
+    ("AF_PHONET", 35L); ("AF_PPPOX", 24L); ("AF_VSOCK", 40L); ("AF_MCTP", 45L);
+    ("SOL_SOCKET", 1L); ("MSG_DONTWAIT", 0x40L);
+  ]
+
+let test_builtin_consts_match_list () =
+  let empty = Csrc.Index.empty () in
+  Corpus_idents.agree ~what:"builtin const"
+    ~show:(function Some v -> Int64.to_string v | None -> "none")
+    ~listed:(List.map fst former_builtin_consts)
+    ~reference:(fun name -> List.assoc_opt name former_builtin_consts)
+    (fun name ->
+      Syzlang.Validate.resolve_const empty { Syzlang.Ast.const_name = Some name; const_value = None })
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "syzlang"
@@ -632,6 +654,7 @@ let () =
           t "err_ident mid-message" test_validate_len_target_ident;
           t "resolve fills values" test_resolve_spec_fills_values;
           QCheck_alcotest.to_alcotest qcheck_validate_matches_reference;
+          t "builtin consts = former list" test_builtin_consts_match_list;
         ] );
       ( "merge-and-rewrite",
         [
